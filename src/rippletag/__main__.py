@@ -1,0 +1,8 @@
+"""Entry point for ``python -m rippletag``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

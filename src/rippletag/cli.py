@@ -41,7 +41,6 @@ _DEFAULTS = {
     "separator": "/",
     "mode": "generic",
     "max_level": DEFAULT_MAX_LEVEL,
-    "workers": 1,
     "folds": 10,
 }
 
@@ -64,6 +63,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _separator(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("the separator must not be empty")
+    return text
+
+
 def _add_train_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--threshold1",
@@ -75,7 +80,9 @@ def _add_train_options(parser: argparse.ArgumentParser) -> None:
         type=_positive_int,
         help="minimum score for rules at deeper layers (default 2)",
     )
-    parser.add_argument("--separator", help="word/tag separator character (default /)")
+    parser.add_argument(
+        "--separator", type=_separator, help="word/tag separator character (default /)"
+    )
     parser.add_argument(
         "--mode",
         choices=MODES,
@@ -92,12 +99,6 @@ def _add_train_options(parser: argparse.ArgumentParser) -> None:
         metavar="FILE",
         help="replace the built-in English regex rules "
         "(one 'pattern<TAB>tag' per line)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=_positive_int,
-        help="threads for scoring candidate rules (default 1; results are "
-        "identical either way)",
     )
     parser.add_argument(
         "--config",
@@ -136,7 +137,9 @@ def build_parser() -> _Parser:
         "--train-corpus",
         help="training corpus; enables the known/unknown word split",
     )
-    p_eval.add_argument("--separator", help="word/tag separator character (default /)")
+    p_eval.add_argument(
+        "--separator", type=_separator, help="word/tag separator character (default /)"
+    )
     p_eval.set_defaults(func=cmd_eval)
 
     p_xval = sub.add_parser("xval", help="k-fold cross-validation on one corpus")
@@ -196,7 +199,6 @@ def _train_options(args: argparse.Namespace) -> TrainOptions:
         mode=mode,
         regex_rules=regex_rules,
         max_level=_resolve(args, "max_level", config),
-        workers=_resolve(args, "workers", config),
         separator=_resolve(args, "separator", config),
     )
 

@@ -3,8 +3,8 @@
 Known words get their most frequent training tag.  Unknown words fall
 through a chain of guesses: optional regex rules (English mode), a
 digit check, suffix tables from longest to shortest, then a default
-based on capitalization.  During training, words seen exactly once can
-be masked so the learner sees realistic unknown-word behaviour.
+based on capitalization.  During training, words seen exactly once are
+masked so the learner sees realistic unknown-word behaviour.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ def parse_regex_rules(text: str) -> tuple[tuple[str, str], ...]:
 @dataclass(frozen=True)
 class InitialTaggerOptions:
     mode: str = MODE_GENERIC
-    mask_hapax: bool = False
     regex_rules: tuple[tuple[str, str], ...] = DEFAULT_ENGLISH_RULES
 
     def __post_init__(self) -> None:
@@ -89,12 +88,15 @@ class InitialTagger:
         else:
             self._regex_rules = ()
 
-    def tag_word(self, word: str, mask_hapax: bool = False) -> str:
+    def tag_word(self, word: str) -> str:
+        known = self.lexicon.most_frequent_tag(word)
+        if known is not None:
+            return known
+        return self.guess_unknown(word)
+
+    def guess_unknown(self, word: str) -> str:
+        """First guess from the unknown-word chain, ignoring any lexicon entry."""
         lexicon = self.lexicon
-        if not (mask_hapax and word in lexicon.hapax_words):
-            known = lexicon.most_frequent_tag(word)
-            if known is not None:
-                return known
         for pattern, tag in self._regex_rules:
             if pattern.search(word):
                 return tag
@@ -106,29 +108,27 @@ class InitialTagger:
                 return tag
         return lexicon.default_tag(word)
 
-    def tag_sentence(self, words: list[str], mask_hapax: bool = False) -> list[str]:
-        return [self.tag_word(w, mask_hapax) for w in words]
+    def tag_sentence(self, words: list[str]) -> list[str]:
+        return [self.tag_word(w) for w in words]
 
-    def tag_corpus_words(
-        self, sentences: list[list[str]], mask_hapax: bool = False
-    ) -> TaggedCorpus:
+    def tag_corpus_words(self, sentences: list[list[str]]) -> TaggedCorpus:
         return TaggedCorpus.from_pairs(
-            [
-                zip(words, self.tag_sentence(words, mask_hapax))
-                for words in sentences
-            ]
+            [zip(words, self.tag_sentence(words)) for words in sentences]
         )
 
 
-def initialize_corpus(
-    gold: TaggedCorpus, tagger: InitialTagger, mask_hapax: bool = False
-) -> TaggedCorpus:
-    """Re-tag the gold corpus with first guesses, keeping its layout."""
+def initialize_corpus(gold: TaggedCorpus, tagger: InitialTagger) -> TaggedCorpus:
+    """Re-tag the gold corpus with first guesses, keeping its layout.
+
+    Words that occur once in gold get the unknown-word guess, as they
+    would in unseen text, so the learner also sees unknown-word errors.
+    """
+    counts = gold.word_counts()
     sentences = []
     for sentence in gold.sentences:
-        sentences.append(
-            tuple(
-                Token(t.word, tagger.tag_word(t.word, mask_hapax)) for t in sentence
-            )
-        )
+        tokens = []
+        for t in sentence:
+            guess = tagger.guess_unknown if counts[t.word] == 1 else tagger.tag_word
+            tokens.append(Token(t.word, guess(t.word)))
+        sentences.append(tuple(tokens))
     return TaggedCorpus(tuple(sentences))

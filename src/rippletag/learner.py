@@ -14,7 +14,6 @@ the parent looks for its next exception.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -54,13 +53,11 @@ class Thresholds:
     """Minimum rule scores per layer.
 
     ``layer2`` gates exceptions to the seed nodes, ``deeper`` gates
-    everything below.  With ``strict`` (the default) a rule must score
-    strictly above the threshold.
+    everything below.  A rule must score strictly above the threshold.
     """
 
     layer2: int = 3
     deeper: int = 2
-    strict: bool = True
 
     def __post_init__(self) -> None:
         if self.layer2 < 1 or self.deeper < 1:
@@ -70,18 +67,15 @@ class Thresholds:
         return self.layer2 if level == 2 else self.deeper
 
     def passes(self, score: int, level: int) -> bool:
-        t = self.for_level(level)
-        return score > t if self.strict else score >= t
+        return score > self.for_level(level)
 
 
 @dataclass(frozen=True)
 class TrainOptions:
     thresholds: Thresholds = Thresholds()
     mode: str = MODE_GENERIC
-    mask_hapax: bool = True
     regex_rules: tuple[tuple[str, str], ...] = DEFAULT_ENGLISH_RULES
     max_level: int = DEFAULT_MAX_LEVEL
-    workers: int = 1
     self_check: bool = True
     separator: str = "/"
 
@@ -159,7 +153,6 @@ def select_rule(
     correct: list[Record] | None,
     thresholds: Thresholds,
     level: int,
-    workers: int = 1,
 ) -> Selection | None:
     """Pick the highest-scoring candidate rule for one node.
 
@@ -172,20 +165,9 @@ def select_rule(
     """
     if not wrong:
         return None
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    lambda t: _best_for_template(t, wrong, correct, thresholds, level),
-                    CATALOG,
-                )
-            )
-    else:
-        results = [
-            _best_for_template(t, wrong, correct, thresholds, level) for t in CATALOG
-        ]
     best = None
-    for result in results:
+    for template in CATALOG:
+        result = _best_for_template(template, wrong, correct, thresholds, level)
         if result is not None and (best is None or result[0] < best[0]):
             best = result
     if best is None:
@@ -197,10 +179,9 @@ def select_rule(
 class _Learning:
     """One learning run: tree plus per-node record sets plus audit."""
 
-    def __init__(self, thresholds: Thresholds, max_level: int, workers: int) -> None:
+    def __init__(self, thresholds: Thresholds, max_level: int) -> None:
         self.thresholds = thresholds
         self.max_level = max_level
-        self.workers = workers
         self.root = new_root()
         self.addresses: dict[Node, str] = {self.root: ""}
         self.records: dict[Node, _NodeRecords] = {}
@@ -238,9 +219,7 @@ class _Learning:
         state = self.records[node]
         while state.wrong:
             correct = state.correct if node.level >= 2 else None
-            selection = select_rule(
-                state.wrong, correct, self.thresholds, level, self.workers
-            )
+            selection = select_rule(state.wrong, correct, self.thresholds, level)
             if selection is None:
                 return
             child = self.attach(node, selection.rule)
@@ -322,7 +301,6 @@ def learn_tree(
     gold: TaggedCorpus,
     thresholds: Thresholds = Thresholds(),
     max_level: int = DEFAULT_MAX_LEVEL,
-    workers: int = 1,
     self_check: bool = True,
 ) -> LearnResult:
     """Grow an exception tree that corrects the initialized corpus toward gold.
@@ -333,7 +311,7 @@ def learn_tree(
     check_aligned(initialized, gold)
     if max_level < 1:
         raise ValueError(f"max_level must be at least 1, got {max_level}")
-    learning = _Learning(thresholds, max_level, workers)
+    learning = _Learning(thresholds, max_level)
     learning.audit.append(
         {
             "event": "begin",
@@ -342,7 +320,8 @@ def learn_tree(
             "seed_tags": list(initialized.tags_in_order()),
             "layer2_threshold": thresholds.layer2,
             "deeper_threshold": thresholds.deeper,
-            "strict": thresholds.strict,
+            # Floors are always strict; kept so audit.jsonl bytes stay the same.
+            "strict": True,
             "max_level": max_level,
         }
     )
@@ -389,7 +368,7 @@ def train_model(
         InitialTaggerOptions(mode=options.mode, regex_rules=options.regex_rules),
     )
     if init_corpus is None:
-        initialized = initialize_corpus(gold, initial, mask_hapax=options.mask_hapax)
+        initialized = initialize_corpus(gold, initial)
     else:
         check_aligned(init_corpus, gold)
         initialized = init_corpus
@@ -398,7 +377,6 @@ def train_model(
         gold,
         thresholds=options.thresholds,
         max_level=options.max_level,
-        workers=options.workers,
         self_check=options.self_check,
     )
     return Model(

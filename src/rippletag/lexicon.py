@@ -10,7 +10,7 @@ one for capitalized tokens and one for everything else.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .corpus import TaggedCorpus
 
@@ -47,7 +47,6 @@ class Lexicon:
     numeric_tag: str
     capitalized_tag: str
     lowercase_tag: str
-    hapax_words: frozenset[str] = field(default_factory=frozenset)
 
     def most_frequent_tag(self, word: str) -> str | None:
         return self.word_tags.get(word)
@@ -81,7 +80,6 @@ def _majority(counter: Counter[str], first_seen: dict[str, int]) -> str:
 
 def build_lexicon(corpus: TaggedCorpus) -> Lexicon:
     word_tag_counts: dict[str, Counter[str]] = {}
-    word_counts: Counter[str] = Counter()
     suffix_tag_counts: dict[int, dict[str, Counter[str]]] = {
         n: {} for n in SUFFIX_LENGTHS
     }
@@ -91,7 +89,6 @@ def build_lexicon(corpus: TaggedCorpus) -> Lexicon:
 
     for index, (word, tag) in enumerate(corpus.tokens()):
         first_seen.setdefault(tag, index)
-        word_counts[word] += 1
         word_tag_counts.setdefault(word, Counter())[tag] += 1
         all_tag_counts[tag] += 1
         for n in SUFFIX_LENGTHS:
@@ -126,15 +123,12 @@ def build_lexicon(corpus: TaggedCorpus) -> Lexicon:
         counter = class_counts[key]
         return _majority(counter, first_seen) if counter else fallback
 
-    hapax = frozenset(w for w, c in word_counts.items() if c == 1)
-
     return Lexicon(
         word_tags=word_tags,
         suffix_tags=suffix_tags,
         numeric_tag=class_default("num"),
         capitalized_tag=class_default("cap"),
         lowercase_tag=class_default("low"),
-        hapax_words=hapax,
     )
 
 

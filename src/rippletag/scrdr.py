@@ -154,10 +154,6 @@ def evaluate(root: Node, obj: TagObject) -> EvalResult:
     return EvalResult(last_fired, tuple(visited))
 
 
-def conclude(root: Node, obj: TagObject) -> str:
-    return evaluate(root, obj).node.rule.conclusion
-
-
 def insert_exception(parent: Node, rule: Rule) -> Node:
     """Attach a rule as an exception to parent.
 

@@ -137,20 +137,25 @@ class Tagger:
 
 
 def save_model(model: Model, directory: str | Path) -> None:
-    path = Path(directory)
-    path.mkdir(parents=True, exist_ok=True)
-    _write(path / TREE_FILE, serialize_tree(model.tree))
-    _write(path / LEXICON_FILE, serialize_lexicon(model.lexicon))
+    """Write the model files; nothing is created if serializing fails."""
     meta = {
         "format": 1,
         "mode": model.mode,
         "separator": model.separator,
         "regex_rules": [list(rule) for rule in model.regex_rules],
     }
-    _write(path / META_FILE, json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    files = {
+        TREE_FILE: serialize_tree(model.tree),
+        LEXICON_FILE: serialize_lexicon(model.lexicon),
+        META_FILE: json.dumps(meta, indent=2, sort_keys=True) + "\n",
+    }
     if model.audit:
         lines = [json.dumps(entry, sort_keys=True) for entry in model.audit]
-        _write(path / AUDIT_FILE, "".join(line + "\n" for line in lines))
+        files[AUDIT_FILE] = "".join(line + "\n" for line in lines)
+    path = Path(directory)
+    path.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        _write(path / name, text)
 
 
 def load_model(directory: str | Path) -> Model:

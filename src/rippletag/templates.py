@@ -61,8 +61,6 @@ CATALOG: tuple[Template, ...] = (
     _t(29, "suffix4"),
 )
 
-TEMPLATE_BY_ID = {t.id: t for t in CATALOG}
-
 
 def project(template: Template, obj: TagObject) -> tuple[str, ...] | None:
     """Field values of obj for this template; None if any field is unset."""
@@ -84,13 +82,3 @@ def instantiate(
             f"got {len(values)}"
         )
     return Rule(tuple(zip(template.fields, values)), conclusion)
-
-
-def candidate_rules(obj: TagObject, conclusion: str) -> list[tuple[Template, Rule]]:
-    """Every template filled from obj; templates touching unset fields skip."""
-    out = []
-    for template in CATALOG:
-        values = project(template, obj)
-        if values is not None:
-            out.append((template, instantiate(template, values, conclusion)))
-    return out

@@ -1,5 +1,6 @@
-"""Shared test utilities: an independent tree interpreter and random
-model generators.
+"""Shared test utilities: an independent tree interpreter, random
+model generators and shorthands over the package's own API that only
+tests use.
 
 The interpreter here deliberately re-implements evaluation from the
 written description (recursive, attribute access by name) so tests can
@@ -12,9 +13,34 @@ from __future__ import annotations
 import random
 
 from rippletag.lexicon import SUFFIX_LENGTHS, Lexicon
-from rippletag.scrdr import FIELD_NAMES, Node, Rule, TagObject, insert_exception, new_root
+from rippletag.scrdr import (
+    FIELD_NAMES,
+    Node,
+    Rule,
+    TagObject,
+    evaluate,
+    insert_exception,
+    new_root,
+)
+from rippletag.templates import CATALOG, Template, instantiate, project
 
 POOL = ("alpha", "beta", "gamma", "delta", "NN", "VB", "ing", "ed")
+
+TEMPLATE_BY_ID = {t.id: t for t in CATALOG}
+
+
+def conclude(root: Node, obj: TagObject) -> str:
+    return evaluate(root, obj).node.rule.conclusion
+
+
+def candidate_rules(obj: TagObject, conclusion: str) -> list[tuple[Template, Rule]]:
+    """Every template filled from obj; templates touching unset fields skip."""
+    out = []
+    for template in CATALOG:
+        values = project(template, obj)
+        if values is not None:
+            out.append((template, instantiate(template, values, conclusion)))
+    return out
 
 
 def ref_matches(rule: Rule, obj: TagObject) -> bool:

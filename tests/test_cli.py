@@ -119,6 +119,15 @@ class TestTrain:
         assert code == 0
         assert out.read_text() == "you_PRP can_MD go_VB\n"
 
+    def test_failed_save_leaves_no_model_directory(self, tmp_path, capsys):
+        corpus = tmp_path / "reserved.tagged"
+        corpus.write_text(MICRO + "%%x/NN fell/VBD\n", encoding="utf-8")
+        model_dir = tmp_path / "m"
+        code = main(["train", "--corpus", str(corpus), "--model", str(model_dir)])
+        assert code == 2
+        assert "%%x" in capsys.readouterr().err
+        assert not model_dir.exists()
+
     def test_custom_regex_rules_file(self, micro_file, tmp_path):
         rules = tmp_path / "rules.tsv"
         rules.write_text(".*ly$\tRB\n^[A-Z].*\tNNP\n", encoding="utf-8")
@@ -322,7 +331,13 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "payload",
-        ['{"no_such_option": 1}', '{"threshold1": "3"}', '[1, 2]', "{broken"],
+        [
+            '{"no_such_option": 1}',
+            '{"threshold1": "3"}',
+            '[1, 2]',
+            "{broken",
+            '{"workers": 2}',
+        ],
     )
     def test_bad_config_is_a_data_error(self, micro_file, tmp_path, payload, capsys):
         config = tmp_path / "config.json"
@@ -352,6 +367,9 @@ class TestUsageErrors:
             ["train", "--corpus", "x", "--model", "y", "--threshold1", "0"],
             ["train", "--corpus", "x", "--model", "y", "--mode", "klingon"],
             ["xval", "--corpus", "x", "--report", "y"],
+            ["train", "--corpus", "x", "--model", "y", "--separator", ""],
+            ["eval", "--gold", "x", "--pred", "y", "--separator", ""],
+            ["train", "--corpus", "x", "--model", "y", "--workers", "2"],
         ],
     )
     def test_bad_invocations_exit_with_one(self, argv, capsys):
@@ -371,7 +389,8 @@ class TestUsageErrors:
         assert code == 2
 
 
-def test_module_runs_as_a_script(tmp_path):
+@pytest.mark.parametrize("module", ["rippletag.cli", "rippletag"])
+def test_module_runs_as_a_script(tmp_path, module):
     corpus = tmp_path / "c.tagged"
     corpus.write_text(MICRO, encoding="utf-8")
     model_dir = tmp_path / "m"
@@ -379,7 +398,7 @@ def test_module_runs_as_a_script(tmp_path):
         [
             sys.executable,
             "-m",
-            "rippletag.cli",
+            module,
             "train",
             "--corpus",
             str(corpus),
@@ -397,7 +416,7 @@ def test_module_runs_as_a_script(tmp_path):
         [
             sys.executable,
             "-m",
-            "rippletag.cli",
+            module,
             "tag",
             "--model",
             str(model_dir),

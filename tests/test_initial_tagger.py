@@ -60,11 +60,14 @@ def test_suffix_guess_prefers_longer_suffixes():
 
 
 def test_hapax_masking_ignores_the_word_entry(tagger):
-    # "sat" occurs once; masked, it falls through to the defaults
+    # "sat" occurs once; in the initialized corpus it falls through to
+    # the defaults, while tagging still uses its lexicon entry
+    gold = read_tagged_corpus(CORPUS)
+    first_guesses = dict(initialize_corpus(gold, tagger).tokens())
+    assert first_guesses["sat"] == "NN"
     assert tagger.tag_word("sat") == "VBD"
-    assert tagger.tag_word("sat", mask_hapax=True) == "NN"
     # frequent words are unaffected
-    assert tagger.tag_word("the", mask_hapax=True) == "DT"
+    assert first_guesses["the"] == "DT"
 
 
 def test_initialize_corpus_keeps_layout():

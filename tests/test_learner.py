@@ -84,17 +84,11 @@ class TestThresholds:
         assert t.for_level(9) == 2
 
     def test_strict_needs_score_above_floor(self):
-        t = Thresholds(layer2=3, deeper=2, strict=True)
+        t = Thresholds(layer2=3, deeper=2)
         assert not t.passes(3, 2)
         assert t.passes(4, 2)
         assert not t.passes(2, 5)
         assert t.passes(3, 5)
-
-    def test_lenient_accepts_the_floor_itself(self):
-        t = Thresholds(layer2=3, deeper=2, strict=False)
-        assert t.passes(3, 2)
-        assert t.passes(2, 3)
-        assert not t.passes(1, 3)
 
     def test_floors_below_one_are_rejected(self):
         with pytest.raises(ValueError):
@@ -177,25 +171,11 @@ class TestSelectRule:
                 for _ in range(rng.randint(0, 15))
             ]
         )
-        thresholds = rng.choice(
-            [Thresholds(1, 1), Thresholds(1, 1, strict=False), Thresholds(2, 2)]
-        )
+        thresholds = rng.choice([Thresholds(1, 1), Thresholds(2, 2)])
         level = rng.choice([2, 3, 4])
         assert select_rule(wrong, correct, thresholds, level) == oracle_select(
             wrong, correct, thresholds, level
         )
-
-    def test_thread_pool_gives_the_serial_answer(self):
-        rng = random.Random(77)
-        for _ in range(20):
-            wrong = [
-                Record(random_object(rng), rng.choice(POOL[:4]))
-                for _ in range(rng.randint(5, 30))
-            ]
-            correct = [Record(random_object(rng), "NN") for _ in range(5)]
-            serial = select_rule(wrong, correct, Thresholds(1, 1), 3)
-            pooled = select_rule(wrong, correct, Thresholds(1, 1), 3, workers=4)
-            assert serial == pooled
 
 
 class TestLearnTree:
@@ -283,11 +263,6 @@ class TestOnToyCorpus:
         b = train_model(toy)
         assert serialize_tree(a.tree) == serialize_tree(b.tree)
         assert a.audit == b.audit
-
-    def test_thread_count_does_not_change_the_tree(self, toy, toy_model):
-        pooled = train_model(toy, TrainOptions(workers=4))
-        assert serialize_tree(pooled.tree) == serialize_tree(toy_model.tree)
-        assert pooled.audit == toy_model.audit
 
     def test_toy_tree_shape_is_pinned(self, toy_model):
         assert layer_census(toy_model.tree) == {1: 18, 2: 5, 3: 1}

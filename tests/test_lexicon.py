@@ -3,6 +3,7 @@ import random
 import pytest
 
 from rippletag.corpus import read_tagged_corpus
+from rippletag.initial_tagger import InitialTagger, initialize_corpus
 from rippletag.lexicon import (
     Lexicon,
     LexiconFormatError,
@@ -90,8 +91,11 @@ def test_empty_word_class_falls_back_to_global_majority():
 
 
 def test_hapax_words_recorded():
-    lexicon = lex("a/DT a/DT b/NN\n")
-    assert lexicon.hapax_words == {"b"}
+    gold = read_tagged_corpus("a/DT a/DT b/NN\n")
+    tagger = InitialTagger(build_lexicon(gold))
+    # "b" occurs once, so training sees the lowercase default, not NN
+    assert [t.tag for t in initialize_corpus(gold, tagger).tokens()] == ["DT"] * 3
+    assert tagger.tag_word("b") == "NN"
 
 
 def test_contains_digit_and_is_capitalized():

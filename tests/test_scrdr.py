@@ -10,7 +10,6 @@ from rippletag.scrdr import (
     Rule,
     TagObject,
     TreeFormatError,
-    conclude,
     count_rules,
     evaluate,
     insert_exception,
@@ -26,7 +25,7 @@ from rippletag.scrdr import (
     truncate,
 )
 
-from helpers import random_object, random_tree, reference_evaluate
+from helpers import conclude, random_object, random_tree, reference_evaluate
 
 
 def obj_for(word, **fields):
