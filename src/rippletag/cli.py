@@ -179,8 +179,7 @@ def _resolve(args: argparse.Namespace, key: str, config: dict):
     return _DEFAULTS[key]
 
 
-def _train_options(args: argparse.Namespace) -> TrainOptions:
-    config = _load_config(args.config)
+def _train_options(args: argparse.Namespace, config: dict) -> TrainOptions:
     t1 = _resolve(args, "threshold1", config)
     t2 = _resolve(args, "threshold2", config)
     for name, value in (("threshold1", t1), ("threshold2", t2)):
@@ -204,7 +203,7 @@ def _train_options(args: argparse.Namespace) -> TrainOptions:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    options = _train_options(args)
+    options = _train_options(args, _load_config(args.config))
     gold = read_tagged_corpus(
         Path(args.corpus).read_text(encoding="utf-8"), options.separator
     )
@@ -257,8 +256,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_xval(args: argparse.Namespace) -> int:
-    options = _train_options(args)
     config = _load_config(args.config)
+    options = _train_options(args, config)
     folds = _resolve(args, "folds", config)
     corpus = read_tagged_corpus(
         Path(args.corpus).read_text(encoding="utf-8"), options.separator

@@ -37,15 +37,14 @@ class TaggedCorpus:
     """An immutable sequence of tagged sentences.
 
     The tag inventory is derived from the tokens, so it can never drift
-    out of sync with the sentence data.
+    out of sync with the sentence data.  ``sentences`` must hold tuples
+    of ``Token``; build from plain (word, tag) pairs with ``from_pairs``.
     """
 
     sentences: tuple[Sentence, ...]
 
     def __post_init__(self) -> None:
-        normalized = tuple(tuple(Token(*t) for t in s) for s in self.sentences)
-        object.__setattr__(self, "sentences", normalized)
-        for s in normalized:
+        for s in self.sentences:
             if not s:
                 raise ValueError("corpus contains an empty sentence")
 
@@ -88,10 +87,13 @@ class TaggedCorpus:
 def read_tagged_corpus(text: str, separator: str = DEFAULT_SEPARATOR) -> TaggedCorpus:
     """Parse corpus text; empty lines are skipped, extra spaces collapsed.
 
+    Only ``\n`` ends a line, so line numbers in errors count ``\n``
+    and other Unicode line breaks inside a line act as spaces.
+
     Raises CorpusParseError when a token has no separator at all.
     """
     sentences: list[Sentence] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         parts = line.split()
         if not parts:
             continue
@@ -142,9 +144,9 @@ def strip_tags(corpus: TaggedCorpus) -> str:
 
 
 def read_raw(text: str) -> list[list[str]]:
-    """Whitespace-tokenized sentences, one per line; empty lines skipped."""
+    """Whitespace-tokenized sentences, one per ``\n``-ended line; empty lines skipped."""
     sentences = []
-    for line in text.splitlines():
+    for line in text.split("\n"):
         words = line.split()
         if words:
             sentences.append(words)

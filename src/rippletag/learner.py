@@ -2,13 +2,17 @@
 
 Layer 1 seeds one node per tag the first-guess tagger produced, each
 passing its tag through unchanged.  Every training token is then filed
-at the node that currently decides it, as a wrong or a correct record.
-Nodes with wrong records grow exception children: candidate rules come
-from filling templates with the wrong records' own context values, a
-candidate's score is (records it fixes) minus (records it breaks), and
-the best scorer above the level's threshold is attached.  Matching
-records move down to the new child, which is expanded in turn before
-the parent looks for its next exception.
+at the node that currently decides it: as a correct record if its gold
+tag is the node's conclusion, as a wrong record otherwise.  Nodes with
+wrong records grow exception children (``select_rule``): candidate
+rules come from filling templates with the wrong records' own context
+values, a candidate's score is (wrong records it fixes) minus (wrong
+records it matches but leaves wrong), and the best scorer above the
+level's threshold is attached.  Matching records move down to the new
+child, which is expanded in turn before the parent looks for its next
+exception.  Once the tree is finished, a self-check re-derives every
+node's records from a fresh walk and raises ``LearnerStateError`` on
+any difference.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .scrdr import (
     new_root,
     render_rule,
 )
-from .templates import CATALOG, Template, instantiate, project
+from .templates import CATALOG, instantiate, project
 
 _CURRENT_TAG = FIELD_INDEX["currentTag"]
 
@@ -76,7 +80,6 @@ class TrainOptions:
     mode: str = MODE_GENERIC
     regex_rules: tuple[tuple[str, str], ...] = DEFAULT_ENGLISH_RULES
     max_level: int = DEFAULT_MAX_LEVEL
-    self_check: bool = True
     separator: str = "/"
 
 
@@ -105,47 +108,12 @@ class _NodeRecords:
         self.wrong: list[Record] = []
         self.correct: list[Record] = []
 
+    def file(self, record: Record, conclusion: str) -> None:
+        """File a record at a node that concludes ``conclusion``.
 
-def _best_for_template(
-    template: Template,
-    wrong: list[Record],
-    correct: list[Record] | None,
-    thresholds: Thresholds,
-    level: int,
-) -> tuple[tuple, Template, tuple[str, ...], str, int, int] | None:
-    """Best admissible candidate from one template, or None.
-
-    Candidates are grouped by their projected field values, so each
-    (values, conclusion) pair is scored once however many records
-    propose it: a = wrong records the rule would fix, b = wrong records
-    it would still leave wrong.
-    """
-    by_values: dict[tuple[str, ...], Counter[str]] = {}
-    for r in wrong:
-        values = project(template, r.obj)
-        if values is not None:
-            by_values.setdefault(values, Counter())[r.gold] += 1
-    if not by_values:
-        return None
-    blocked: set[tuple[str, ...]] = set()
-    if correct is not None:
-        for r in correct:
-            values = project(template, r.obj)
-            if values is not None:
-                blocked.add(values)
-    best = None
-    for values, counter in by_values.items():
-        if values in blocked:
-            continue
-        total = sum(counter.values())
-        for conclusion, a in counter.items():
-            score = 2 * a - total
-            if not thresholds.passes(score, level):
-                continue
-            key = (-score, template.id, values, conclusion)
-            if best is None or key < best[0]:
-                best = (key, template, values, conclusion, a, total - a)
-    return best
+        The record is correct there iff its gold tag is the conclusion.
+        """
+        (self.correct if record.gold == conclusion else self.wrong).append(record)
 
 
 def select_rule(
@@ -156,6 +124,12 @@ def select_rule(
 ) -> Selection | None:
     """Pick the highest-scoring candidate rule for one node.
 
+    Candidates fill each template with a wrong record's own values and
+    conclude its gold tag.  Per template, ``matched[values]`` counts the
+    wrong records a candidate matches and ``fixed[values, gold]`` those
+    it would fix, so its score is fixed minus still-wrong:
+    ``2 * fixed - matched``.
+
     ``correct`` enables the no-regression check: candidates matching
     any correct record are discarded.  Pass None to skip it (used at
     the seed nodes, whose correct sets are most of the corpus).
@@ -163,16 +137,32 @@ def select_rule(
     Ties break on template id, then field values, then conclusion, so
     the choice never depends on iteration order.
     """
-    if not wrong:
-        return None
     best = None
     for template in CATALOG:
-        result = _best_for_template(template, wrong, correct, thresholds, level)
-        if result is not None and (best is None or result[0] < best[0]):
-            best = result
+        matched: Counter[tuple[str, ...]] = Counter()
+        fixed: Counter[tuple[tuple[str, ...], str]] = Counter()
+        for r in wrong:
+            values = project(template, r.obj)
+            if values is not None:
+                matched[values] += 1
+                fixed[values, r.gold] += 1
+        if not fixed:
+            continue
+        blocked: set[tuple[str, ...] | None] = set()
+        if correct is not None:
+            blocked = {project(template, r.obj) for r in correct}
+        for (values, conclusion), a in fixed.items():
+            if values in blocked:
+                continue
+            score = 2 * a - matched[values]
+            if not thresholds.passes(score, level):
+                continue
+            key = (-score, template.id, values, conclusion)
+            if best is None or key < best[0]:
+                best = (key, template, a, matched[values] - a)
     if best is None:
         return None
-    _, template, values, conclusion, a, b = best
+    (_, _, values, conclusion), template, a, b = best
     return Selection(instantiate(template, values, conclusion), template.id, a, b, a - b)
 
 
@@ -245,32 +235,16 @@ class _Learning:
         """Move records the new child captures; returns how many were correct."""
         rule = child.rule
         child_state = self.records[child]
-        kept_wrong, kept_correct = [], []
-        for r in state.wrong:
-            if rule.matches(r.obj):
-                dest = (
-                    child_state.correct
-                    if r.gold == rule.conclusion
-                    else child_state.wrong
-                )
-                dest.append(r)
-            else:
-                kept_wrong.append(r)
-        moved_correct = 0
-        for r in state.correct:
-            if rule.matches(r.obj):
-                moved_correct += 1
-                dest = (
-                    child_state.correct
-                    if r.gold == rule.conclusion
-                    else child_state.wrong
-                )
-                dest.append(r)
-            else:
-                kept_correct.append(r)
-        state.wrong = kept_wrong
-        state.correct = kept_correct
-        return moved_correct
+        correct_before = len(state.correct)
+        for records in (state.wrong, state.correct):
+            kept = []
+            for r in records:
+                if rule.matches(r.obj):
+                    child_state.file(r, rule.conclusion)
+                else:
+                    kept.append(r)
+            records[:] = kept
+        return correct_before - len(state.correct)
 
     def check_against_tree(self, all_records: list[Record]) -> None:
         """Re-derive every node's record sets from the finished tree.
@@ -301,12 +275,13 @@ def learn_tree(
     gold: TaggedCorpus,
     thresholds: Thresholds = Thresholds(),
     max_level: int = DEFAULT_MAX_LEVEL,
-    self_check: bool = True,
 ) -> LearnResult:
     """Grow an exception tree that corrects the initialized corpus toward gold.
 
     Both corpora must share the same words in the same layout; the
     initialized one carries first-guess tags, the gold one the truth.
+    Raises LearnerStateError if the self-check finds the records out of
+    step with the finished tree.
     """
     check_aligned(initialized, gold)
     if max_level < 1:
@@ -338,14 +313,12 @@ def learn_tree(
     by_tag = {node.rule.conclusion: node for node in seeds}
     for r in all_records:
         node = by_tag[r.obj.currentTag]
-        state = learning.records[node]
-        (state.correct if r.gold == r.obj.currentTag else state.wrong).append(r)
+        learning.records[node].file(r, node.rule.conclusion)
 
     for node in seeds:
         learning.expand(node)
 
-    if self_check:
-        learning.check_against_tree(all_records)
+    learning.check_against_tree(all_records)
     return LearnResult(learning.root, learning.audit)
 
 
@@ -377,7 +350,6 @@ def train_model(
         gold,
         thresholds=options.thresholds,
         max_level=options.max_level,
-        self_check=options.self_check,
     )
     return Model(
         lexicon=lexicon,

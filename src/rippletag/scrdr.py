@@ -226,22 +226,6 @@ def truncate(root: Node, max_level: int) -> Node:
     return copy_chain(root)
 
 
-def trees_equal(a: Node, b: Node) -> bool:
-    """Structural equality: same rules, levels and wiring."""
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if x is None or y is None:
-            if x is not y:
-                return False
-            continue
-        if x.rule != y.rule or x.level != y.level:
-            return False
-        stack.append((x.except_child, y.except_child))
-        stack.append((x.ifnot_child, y.ifnot_child))
-    return True
-
-
 def _escape(value: str) -> str:
     # the text form is line-based, so values must stay on one line
     if "\n" in value or "\r" in value:

@@ -50,6 +50,22 @@ def ref_matches(rule: Rule, obj: TagObject) -> bool:
     return True
 
 
+def trees_equal(a: Node, b: Node) -> bool:
+    """Structural equality: same rules, levels and wiring."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is None or y is None:
+            if x is not y:
+                return False
+            continue
+        if x.rule != y.rule or x.level != y.level:
+            return False
+        stack.append((x.except_child, y.except_child))
+        stack.append((x.ifnot_child, y.ifnot_child))
+    return True
+
+
 def reference_evaluate(root: Node, obj: TagObject):
     """Plain walk: try each sibling, descend on the first that fires."""
     path = [root]

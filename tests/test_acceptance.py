@@ -34,7 +34,6 @@ from rippletag.scrdr import (
     parse_tree,
     render_rule,
     serialize_tree,
-    trees_equal,
 )
 from rippletag.tagger import Model, Tagger, save_model
 
@@ -44,6 +43,7 @@ from helpers import (
     random_tree,
     ref_matches,
     reference_evaluate,
+    trees_equal,
 )
 
 

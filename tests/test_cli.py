@@ -163,6 +163,21 @@ class TestTag:
         ]
         assert "tagged 5 tokens in 2 sentences" in capsys.readouterr().err
 
+    def test_unicode_line_separator_keeps_one_output_line(
+        self, trained_dir, tmp_path, capsys
+    ):
+        raw = tmp_path / "in.txt"
+        raw.write_text("a b\u2028c\n", encoding="utf-8")
+        out = tmp_path / "out.tagged"
+        code = main(
+            ["tag", "--model", str(trained_dir), "--input", str(raw), "--output", str(out)]
+        )
+        assert code == 0
+        text = out.read_text(encoding="utf-8")
+        assert text.count("\n") == 1 and text.endswith("\n")
+        tagged = read_tagged_corpus(text)
+        assert [[t.word for t in s] for s in tagged.sentences] == [["a", "b", "c"]]
+
     def test_hand_written_model_corrects_the_known_sentence(
         self, example_tree_text, tmp_path, capsys
     ):

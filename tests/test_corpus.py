@@ -49,6 +49,12 @@ def test_parse_error_names_the_line():
         read_tagged_corpus("a/DT\nb/NN\nc\n")
 
 
+def test_parse_error_counts_only_newline_line_breaks():
+    # U+2028 and U+0085 are whitespace inside a line, not line ends
+    with pytest.raises(CorpusParseError, match="line 2:"):
+        read_tagged_corpus("a/DT\u2028b/NN\u0085c/VB\nd/DT e\n")
+
+
 def test_parse_error_on_empty_word_or_tag():
     with pytest.raises(CorpusParseError, match="empty"):
         read_tagged_corpus("/DT")

@@ -5,10 +5,13 @@ import pytest
 
 from rippletag.corpus import AlignmentError, read_tagged_corpus
 from rippletag.learner import (
+    LearnerStateError,
     Record,
     Selection,
     Thresholds,
     TrainOptions,
+    _Learning,
+    _NodeRecords,
     learn_tree,
     select_rule,
     train_model,
@@ -19,11 +22,10 @@ from rippletag.scrdr import (
     layer_census,
     serialize_tree,
     truncate,
-    trees_equal,
 )
 from rippletag.templates import CATALOG, instantiate, project
 
-from helpers import POOL, random_object, ref_matches
+from helpers import POOL, random_object, ref_matches, trees_equal
 
 MICRO = "the/DT can/NN fell/VBD\n" * 6 + "you/PRP can/MD go/VB\n" * 5
 
@@ -255,6 +257,22 @@ class TestLearnTree:
         init, gold = micro_corpora()
         result = learn_tree(init, gold, max_level=1)
         assert set(layer_census(result.root)) == {1}
+
+
+class TestSelfCheck:
+    def test_lost_records_fail_the_self_check(self, monkeypatch):
+        migrate = _Learning.migrate
+
+        def lossy_migrate(self, state, child):
+            moved = migrate(self, state, child)
+            # the new child forgets the records it just captured
+            self.records[child] = _NodeRecords()
+            return moved
+
+        monkeypatch.setattr(_Learning, "migrate", lossy_migrate)
+        init, gold = micro_corpora()
+        with pytest.raises(LearnerStateError, match="stale record sets"):
+            learn_tree(init, gold)
 
 
 class TestOnToyCorpus:

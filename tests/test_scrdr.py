@@ -21,11 +21,16 @@ from rippletag.scrdr import (
     parse_tree,
     render_rule,
     serialize_tree,
-    trees_equal,
     truncate,
 )
 
-from helpers import conclude, random_object, random_tree, reference_evaluate
+from helpers import (
+    conclude,
+    random_object,
+    random_tree,
+    reference_evaluate,
+    trees_equal,
+)
 
 
 def obj_for(word, **fields):
