@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 from .corpus import TaggedCorpus, check_aligned
@@ -41,9 +42,11 @@ from .scrdr import (
     new_root,
     render_rule,
 )
-from .templates import CATALOG, instantiate, project
+from .templates import CATALOG, instantiate
 
 _CURRENT_TAG = FIELD_INDEX["currentTag"]
+# one key function per CATALOG entry, in catalog order
+_KEY_GETTERS = tuple(itemgetter(*t.fields) for t in CATALOG)
 
 DEFAULT_MAX_LEVEL = 50
 
@@ -128,41 +131,57 @@ def select_rule(
     conclude its gold tag.  Per template, ``matched[values]`` counts the
     wrong records a candidate matches and ``fixed[values, gold]`` those
     it would fix, so its score is fixed minus still-wrong:
-    ``2 * fixed - matched``.
+    ``2 * fixed - matched``.  Both counters are filled by ``Counter``
+    from the template's ``itemgetter`` keys, so projecting and counting
+    run in C rather than in a Python loop per record.  Since
+    ``matched >= fixed``, a score never exceeds ``fixed``, and a
+    candidate with ``fixed`` at or below the level's floor is skipped
+    before anything else is computed for it.
 
     ``correct`` enables the no-regression check: candidates matching
     any correct record are discarded.  Pass None to skip it (used at
-    the seed nodes, whose correct sets are most of the corpus).
+    the seed nodes, whose correct sets are most of the corpus).  A
+    template's correct-record keys are only collected once it has a
+    candidate that could still beat the best so far.
 
     Ties break on template id, then field values, then conclusion, so
     the choice never depends on iteration order.
     """
+    floor = thresholds.for_level(level)
+    objs = [r.obj for r in wrong]
+    golds = [r.gold for r in wrong]
+    correct_objs = None if correct is None else [r.obj for r in correct]
     best = None
-    for template in CATALOG:
-        matched: Counter[tuple[str, ...]] = Counter()
-        fixed: Counter[tuple[tuple[str, ...], str]] = Counter()
-        for r in wrong:
-            values = project(template, r.obj)
-            if values is not None:
-                matched[values] += 1
-                fixed[values, r.gold] += 1
-        if not fixed:
-            continue
-        blocked: set[tuple[str, ...] | None] = set()
-        if correct is not None:
-            blocked = {project(template, r.obj) for r in correct}
+    for template, get in zip(CATALOG, _KEY_GETTERS):
+        # a one-field getter returns the bare value, not a 1-tuple;
+        # within one template both sort alike, so the tie-break holds
+        single = len(template.fields) == 1
+        keys = list(map(get, objs))
+        matched = Counter(keys)
+        fixed = Counter(zip(keys, golds))
+        blocked = None
         for (values, conclusion), a in fixed.items():
-            if values in blocked:
+            if a <= floor:
+                continue
+            if (values is None) if single else (None in values):
                 continue
             score = 2 * a - matched[values]
-            if not thresholds.passes(score, level):
+            if score <= floor:
                 continue
             key = (-score, template.id, values, conclusion)
-            if best is None or key < best[0]:
-                best = (key, template, a, matched[values] - a)
+            if best is not None and key >= best[0]:
+                continue
+            if correct_objs is not None:
+                if blocked is None:
+                    blocked = set(map(get, correct_objs))
+                if values in blocked:
+                    continue
+            best = (key, template, a, matched[values] - a)
     if best is None:
         return None
     (_, _, values, conclusion), template, a, b = best
+    if len(template.fields) == 1:
+        values = (values,)
     return Selection(instantiate(template, values, conclusion), template.id, a, b, a - b)
 
 
@@ -213,7 +232,16 @@ class _Learning:
             if selection is None:
                 return
             child = self.attach(node, selection.rule)
+            wrong_before = len(state.wrong)
             moved = self.migrate(state, child)
+            moved_wrong = wrong_before - len(state.wrong)
+            # checked now, not in the final self-check: a rule that moves
+            # no wrong record would be selected and attached again forever
+            if moved_wrong != selection.a + selection.b:
+                raise LearnerStateError(
+                    f"{render_rule(selection.rule)!r} moved {moved_wrong} wrong "
+                    f"records, its selection counted {selection.a + selection.b}"
+                )
             self.audit.append(
                 {
                     "event": "insert",
@@ -225,7 +253,7 @@ class _Learning:
                     "b": selection.b,
                     "score": selection.score,
                     "threshold": self.thresholds.for_level(level),
-                    "moved_wrong": selection.a + selection.b,
+                    "moved_wrong": moved_wrong,
                     "moved_correct": moved,
                 }
             )
@@ -280,8 +308,9 @@ def learn_tree(
 
     Both corpora must share the same words in the same layout; the
     initialized one carries first-guess tags, the gold one the truth.
-    Raises LearnerStateError if the self-check finds the records out of
-    step with the finished tree.
+    Raises LearnerStateError if a new rule moves other wrong records
+    than it was scored on, or if the self-check finds the records out
+    of step with the finished tree.
     """
     check_aligned(initialized, gold)
     if max_level < 1:

@@ -10,6 +10,7 @@ answer, so earlier behaviour is only ever overridden, never edited.
 
 from __future__ import annotations
 
+import re
 from typing import Iterator, NamedTuple, Sequence
 
 FIELD_NAMES = (
@@ -96,7 +97,10 @@ class Rule(NamedTuple):
     conclusion: str
 
     def matches(self, obj: TagObject) -> bool:
-        return all(obj[i] == value for i, value in self.tests)
+        for i, value in self.tests:
+            if obj[i] != value:
+                return False
+        return True
 
 
 TRUE_RULE = Rule((), "")
@@ -226,9 +230,13 @@ def truncate(root: Node, max_level: int) -> Node:
     return copy_chain(root)
 
 
+# Every character str.splitlines breaks on, which parse_tree splits by.
+_LINE_BREAK = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
 def _escape(value: str) -> str:
     # the text form is line-based, so values must stay on one line
-    if "\n" in value or "\r" in value:
+    if _LINE_BREAK.search(value):
         raise ValueError(f"rule value {value!r} contains a line break")
     return value.replace("\\", "\\\\").replace('"', '\\"')
 

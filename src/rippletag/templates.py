@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .scrdr import FIELD_INDEX, Rule, TagObject
+from .scrdr import FIELD_INDEX, Rule
 
 
 class Template(NamedTuple):
@@ -60,17 +60,6 @@ CATALOG: tuple[Template, ...] = (
     _t(28, "suffix3"),
     _t(29, "suffix4"),
 )
-
-
-def project(template: Template, obj: TagObject) -> tuple[str, ...] | None:
-    """Field values of obj for this template; None if any field is unset."""
-    values = []
-    for i in template.fields:
-        v = obj[i]
-        if v is None:
-            return None
-        values.append(v)
-    return tuple(values)
 
 
 def instantiate(

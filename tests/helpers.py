@@ -22,7 +22,7 @@ from rippletag.scrdr import (
     insert_exception,
     new_root,
 )
-from rippletag.templates import CATALOG, Template, instantiate, project
+from rippletag.templates import CATALOG, Template, instantiate
 
 POOL = ("alpha", "beta", "gamma", "delta", "NN", "VB", "ing", "ed")
 
@@ -31,6 +31,17 @@ TEMPLATE_BY_ID = {t.id: t for t in CATALOG}
 
 def conclude(root: Node, obj: TagObject) -> str:
     return evaluate(root, obj).node.rule.conclusion
+
+
+def project(template: Template, obj: TagObject) -> tuple[str, ...] | None:
+    """Field values of obj for this template; None if any field is unset."""
+    values = []
+    for i in template.fields:
+        v = obj[i]
+        if v is None:
+            return None
+        values.append(v)
+    return tuple(values)
 
 
 def candidate_rules(obj: TagObject, conclusion: str) -> list[tuple[Template, Rule]]:
@@ -99,9 +110,9 @@ def random_tree(rng: random.Random, n_rules: int, pool=POOL) -> Node:
     return root
 
 
-def random_object(rng: random.Random, pool=POOL) -> TagObject:
+def random_object(rng: random.Random, pool=POOL, none_rate=0.2) -> TagObject:
     def maybe() -> str | None:
-        return None if rng.random() < 0.2 else rng.choice(pool)
+        return None if rng.random() < none_rate else rng.choice(pool)
 
     return TagObject(
         prev2Word=maybe(),

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import random
 
 import pytest
 
 from rippletag.corpus import AlignmentError, read_tagged_corpus
+from rippletag.initial_tagger import MODE_ENGLISH, MODE_GENERIC
 from rippletag.learner import (
     LearnerStateError,
     Record,
@@ -23,9 +25,10 @@ from rippletag.scrdr import (
     serialize_tree,
     truncate,
 )
-from rippletag.templates import CATALOG, instantiate, project
+from rippletag.tagger import save_model
+from rippletag.templates import CATALOG, instantiate
 
-from helpers import POOL, random_object, ref_matches, trees_equal
+from helpers import POOL, project, random_object, ref_matches, trees_equal
 
 MICRO = "the/DT can/NN fell/VBD\n" * 6 + "you/PRP can/MD go/VB\n" * 5
 
@@ -179,6 +182,40 @@ class TestSelectRule:
             wrong, correct, thresholds, level
         )
 
+    # Each draw stresses one path the counting kernel treats specially:
+    # keys with None in them, ties everywhere, the floor prune with the
+    # lazily built blocked set, and the seed nodes' unchecked selection.
+    HARD_DRAWS = {
+        "half_none": dict(none_rate=0.5),
+        "two_values": dict(pool=POOL[:2]),
+        "many_wrong": dict(n_wrong=(100, 300), n_correct=(0, 100)),
+        "seed_level": dict(level=2, n_correct=None),
+    }
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("draw", sorted(HARD_DRAWS))
+    def test_matches_the_oracle_on_hard_draws(self, draw, seed):
+        spec = self.HARD_DRAWS[draw]
+        rng = random.Random(f"{draw}-{seed}")
+        pool = spec.get("pool", POOL)
+        none_rate = spec.get("none_rate", 0.2)
+        golds = pool[:4]
+
+        def records(n_range):
+            return [
+                Record(random_object(rng, pool, none_rate), rng.choice(golds))
+                for _ in range(rng.randint(*n_range))
+            ]
+
+        wrong = records(spec.get("n_wrong", (5, 40)))
+        n_correct = spec.get("n_correct", (0, 15))
+        correct = None if n_correct is None else records(n_correct)
+        thresholds = rng.choice([Thresholds(1, 1), Thresholds(2, 2), Thresholds(3, 2)])
+        level = spec.get("level") or rng.choice([2, 3, 4])
+        assert select_rule(wrong, correct, thresholds, level) == oracle_select(
+            wrong, correct, thresholds, level
+        )
+
 
 class TestLearnTree:
     def test_micro_corpus_learns_the_expected_tree(self):
@@ -274,6 +311,13 @@ class TestSelfCheck:
         with pytest.raises(LearnerStateError, match="stale record sets"):
             learn_tree(init, gold)
 
+    def test_migrate_that_moves_nothing_raises(self, monkeypatch):
+        # without the check, expand selects and attaches the same rule forever
+        monkeypatch.setattr(_Learning, "migrate", lambda self, state, child: 0)
+        init, gold = micro_corpora()
+        with pytest.raises(LearnerStateError, match="moved 0 wrong records"):
+            learn_tree(init, gold)
+
 
 class TestOnToyCorpus:
     def test_training_is_deterministic(self, toy):
@@ -298,6 +342,27 @@ class TestOnToyCorpus:
     def test_level_cap_truncates_learning_not_selection(self, toy, toy_model):
         capped = train_model(toy, TrainOptions(max_level=2))
         assert trees_equal(capped.tree, truncate(toy_model.tree, 2))
+
+    # SHA-256 of each saved file; any learner change that alters the
+    # model, even deterministically, changes one of them
+    PINNED_SHA256 = {
+        "model.rdr": "8a18d2d9c01b48e5566e89cfd649b0a863e95db57710b5bbf7397a5e882ac94f",
+        "model.lex": "9fe5ef3610b8bce44c90afe9a3b697e00975f9b9b6f7d882863e0737bdc9b727",
+        "audit.jsonl": "c2c800380690f107be1268728f5ffd6c111d740f397d6ba2c3146b00b31d0b83",
+    }
+    PINNED_CONFIG_SHA256 = {
+        MODE_GENERIC: "fc3a3c43c09eb8b7eb62bb41e68a927a46da40e307ed5695cb2e0e76d5d45b00",
+        MODE_ENGLISH: "df040f8b39fe4a0b7d243ddc0b3cb54f928da10fdf8c32ed89be0c9bcf4b619c",
+    }
+
+    @pytest.mark.parametrize("mode", [MODE_GENERIC, MODE_ENGLISH])
+    def test_saved_model_bytes_are_pinned(self, toy, tmp_path, mode):
+        save_model(train_model(toy, TrainOptions(mode=mode)), tmp_path / "model")
+        got = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (tmp_path / "model").iterdir()
+        }
+        assert got == {**self.PINNED_SHA256, "model.json": self.PINNED_CONFIG_SHA256[mode]}
 
     def test_external_initialization_must_align(self, toy):
         wrong_shape = read_tagged_corpus("a/DT b/NN")

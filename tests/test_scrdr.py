@@ -25,9 +25,12 @@ from rippletag.scrdr import (
 )
 
 from helpers import (
+    POOL,
     conclude,
     random_object,
+    random_rule,
     random_tree,
+    ref_matches,
     reference_evaluate,
     trees_equal,
 )
@@ -138,6 +141,18 @@ def test_null_field_never_satisfies_a_test():
     assert evaluate(root, obj).node is root
 
 
+def test_rule_matches_agrees_with_the_reference():
+    rng = random.Random(7)
+    pool = POOL[:2]
+    outcomes = set()
+    for _ in range(3000):
+        rule = random_rule(rng, pool)
+        obj = random_object(rng, pool, none_rate=0.5)
+        outcomes.add(rule.matches(obj))
+        assert rule.matches(obj) == ref_matches(rule, obj)
+    assert outcomes == {True, False}
+
+
 def test_root_must_be_always_true():
     with pytest.raises(ValueError):
         evaluate(Node(Rule(((0, "x"),), "NN"), 0), obj_for("w"))
@@ -238,7 +253,11 @@ def test_escaped_values_round_trip():
     assert parse_rule_text(text) == rule
 
 
-@given(st.text(st.characters(blacklist_characters="\n\r"), min_size=1, max_size=10))
+# every character str.splitlines breaks a line at
+LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@given(st.text(st.characters(blacklist_characters=LINE_BREAKS), min_size=1, max_size=10))
 def test_any_line_safe_value_round_trips(value):
     rule = Rule(((4, value),), value)
     assert parse_rule_text(render_rule(rule)) == rule
@@ -249,6 +268,47 @@ def test_render_rejects_line_breaks_in_values():
         render_rule(Rule(((4, "a\nb"),), "NN"))
     with pytest.raises(ValueError):
         render_rule(Rule(((4, "ok"),), "N\rN"))
+
+
+@pytest.mark.parametrize("char", LINE_BREAKS)
+def test_render_rejects_every_splitlines_break(char):
+    with pytest.raises(ValueError, match="line break"):
+        render_rule(Rule(((4, f"a{char}b"),), "NN"))
+    with pytest.raises(ValueError, match="line break"):
+        render_rule(Rule(((4, "ok"),), f"N{char}"))
+
+
+@st.composite
+def rule_trees(draw):
+    values = st.text(
+        st.characters(blacklist_categories=("Cs",)) | st.sampled_from('"\\ \t'),
+        min_size=1,
+        max_size=4,
+    )
+    root = new_root()
+    nodes = [root]
+    for _ in range(draw(st.integers(1, 6))):
+        parent = draw(st.sampled_from(nodes))
+        fields = draw(
+            st.lists(st.integers(0, len(FIELD_NAMES) - 1), min_size=1, max_size=3, unique=True)
+        )
+        tests = tuple(sorted((f, draw(values)) for f in fields))
+        nodes.append(insert_exception(parent, Rule(tests, draw(values))))
+    return root
+
+
+@given(rule_trees())
+def test_every_serializable_tree_parses_back_equal(root):
+    try:
+        text = serialize_tree(root)
+    except ValueError:
+        values = "".join(
+            node.rule.conclusion + "".join(v for _, v in node.rule.tests)
+            for node in iter_nodes(root)
+        )
+        assert any(c in values for c in LINE_BREAKS)
+        return
+    assert trees_equal(parse_tree(text), root)
 
 
 def test_parse_tree_round_trip(example_tree_text):

@@ -1,7 +1,7 @@
 from rippletag.scrdr import FIELD_NAMES, Rule
-from rippletag.templates import CATALOG, instantiate, project
+from rippletag.templates import CATALOG, instantiate
 
-from helpers import TEMPLATE_BY_ID, candidate_rules, random_object
+from helpers import TEMPLATE_BY_ID, candidate_rules, project, random_object
 import random
 
 import pytest
