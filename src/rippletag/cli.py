@@ -22,25 +22,22 @@ from .corpus import (
 )
 from .evaluation import cross_validate, score_tagging
 from .initial_tagger import DEFAULT_ENGLISH_RULES, MODES, parse_regex_rules
-from .learner import (
-    DEFAULT_MAX_LEVEL,
-    Thresholds,
-    TrainOptions,
-    train_model,
-)
+from .learner import Thresholds, TrainOptions, train_model
 from .scrdr import count_rules
 from .tagger import Tagger, load_model, save_model
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
 
-# Hard defaults for options that may also come from a --config file.
+# Hard defaults for options that may also come from a --config file;
+# the training ones are those of TrainOptions.
+_TRAIN_DEFAULTS = TrainOptions()
 _DEFAULTS = {
-    "threshold1": 3,
-    "threshold2": 2,
-    "separator": "/",
-    "mode": "generic",
-    "max_level": DEFAULT_MAX_LEVEL,
+    "threshold1": _TRAIN_DEFAULTS.thresholds.layer2,
+    "threshold2": _TRAIN_DEFAULTS.thresholds.deeper,
+    "separator": _TRAIN_DEFAULTS.separator,
+    "mode": _TRAIN_DEFAULTS.mode,
+    "max_level": _TRAIN_DEFAULTS.max_level,
     "folds": 10,
 }
 
@@ -69,30 +66,33 @@ def _separator(text: str) -> str:
     return text
 
 
+_SEPARATOR_HELP = f"word/tag separator character (default {_DEFAULTS['separator']})"
+
+
 def _add_train_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--threshold1",
         type=_positive_int,
-        help="minimum score for rules directly under the seed layer (default 3)",
+        help="minimum score for rules directly under the seed layer "
+        f"(default {_DEFAULTS['threshold1']})",
     )
     parser.add_argument(
         "--threshold2",
         type=_positive_int,
-        help="minimum score for rules at deeper layers (default 2)",
+        help="minimum score for rules at deeper layers "
+        f"(default {_DEFAULTS['threshold2']})",
     )
-    parser.add_argument(
-        "--separator", type=_separator, help="word/tag separator character (default /)"
-    )
+    parser.add_argument("--separator", type=_separator, help=_SEPARATOR_HELP)
     parser.add_argument(
         "--mode",
         choices=MODES,
         help="unknown-word handling: generic suffix guessing, or regex rules "
-        "for English first (default generic)",
+        f"for English first (default {_DEFAULTS['mode']})",
     )
     parser.add_argument(
         "--max-level",
         type=_positive_int,
-        help=f"deepest exception layer to grow (default {DEFAULT_MAX_LEVEL})",
+        help=f"deepest exception layer to grow (default {_DEFAULTS['max_level']})",
     )
     parser.add_argument(
         "--regex-rules",
@@ -115,12 +115,6 @@ def build_parser() -> _Parser:
     p_train = sub.add_parser("train", help="learn a model from a tagged corpus")
     p_train.add_argument("--corpus", required=True, help="training corpus file")
     p_train.add_argument("--model", required=True, help="directory to write the model")
-    p_train.add_argument(
-        "--init-from",
-        metavar="FILE",
-        help="corpus with externally produced first-guess tags, aligned with "
-        "--corpus; tagging still uses the built-in first-guess chain",
-    )
     _add_train_options(p_train)
     p_train.set_defaults(func=cmd_train)
 
@@ -137,9 +131,7 @@ def build_parser() -> _Parser:
         "--train-corpus",
         help="training corpus; enables the known/unknown word split",
     )
-    p_eval.add_argument(
-        "--separator", type=_separator, help="word/tag separator character (default /)"
-    )
+    p_eval.add_argument("--separator", type=_separator, help=_SEPARATOR_HELP)
     p_eval.set_defaults(func=cmd_eval)
 
     p_xval = sub.add_parser("xval", help="k-fold cross-validation on one corpus")
@@ -207,13 +199,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     gold = read_tagged_corpus(
         Path(args.corpus).read_text(encoding="utf-8"), options.separator
     )
-    init_corpus = None
-    if args.init_from is not None:
-        init_corpus = read_tagged_corpus(
-            Path(args.init_from).read_text(encoding="utf-8"), options.separator
-        )
     start = time.perf_counter()
-    model = train_model(gold, options, init_corpus=init_corpus)
+    model = train_model(gold, options)
     elapsed = time.perf_counter() - start
     save_model(model, args.model)
     print(

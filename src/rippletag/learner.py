@@ -73,9 +73,6 @@ class Thresholds:
     def for_level(self, level: int) -> int:
         return self.layer2 if level == 2 else self.deeper
 
-    def passes(self, score: int, level: int) -> bool:
-        return score > self.for_level(level)
-
 
 @dataclass(frozen=True)
 class TrainOptions:
@@ -351,16 +348,10 @@ def learn_tree(
     return LearnResult(learning.root, learning.audit)
 
 
-def train_model(
-    gold: TaggedCorpus,
-    options: TrainOptions = TrainOptions(),
-    init_corpus: TaggedCorpus | None = None,
-):
+def train_model(gold: TaggedCorpus, options: TrainOptions = TrainOptions()):
     """Full pipeline: lexicon, first guesses, tree.  Returns a Model.
 
-    ``init_corpus`` substitutes externally produced first-guess tags
-    for training; tagging still uses the built-in first-guess chain, so
-    only use this when the external tagger behaves like it.
+    Training starts from the same first-guess chain that tagging uses.
     """
     from .tagger import Model
 
@@ -369,11 +360,7 @@ def train_model(
         lexicon,
         InitialTaggerOptions(mode=options.mode, regex_rules=options.regex_rules),
     )
-    if init_corpus is None:
-        initialized = initialize_corpus(gold, initial)
-    else:
-        check_aligned(init_corpus, gold)
-        initialized = init_corpus
+    initialized = initialize_corpus(gold, initial)
     result = learn_tree(
         initialized,
         gold,

@@ -9,7 +9,7 @@ one for capitalized tokens and one for everything else.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .corpus import TaggedCorpus
@@ -78,31 +78,44 @@ def _majority(counter: Counter[str], first_seen: dict[str, int]) -> str:
     return min(counter, key=lambda t: (-counter[t], first_seen[t]))
 
 
+def _reserved_word_error(word: str) -> ValueError:
+    return ValueError(f"word {word!r} collides with reserved %% keys")
+
+
 def build_lexicon(corpus: TaggedCorpus) -> Lexicon:
-    word_tag_counts: dict[str, Counter[str]] = {}
-    suffix_tag_counts: dict[int, dict[str, Counter[str]]] = {
-        n: {} for n in SUFFIX_LENGTHS
-    }
+    """Count each distinct (word, tag) pair once, then fold the counts.
+
+    Words starting with ``%%`` are rejected here, before any training
+    work, because ``serialize_lexicon`` could not write them.
+    """
+    pair_counts = Counter(corpus.tokens())
+    if not pair_counts:
+        raise ValueError("cannot build a lexicon from an empty corpus")
+
+    word_tag_counts: defaultdict[str, Counter[str]] = defaultdict(Counter)
+    suffix_tag_counts = {n: defaultdict(Counter) for n in SUFFIX_LENGTHS}
     class_counts = {"num": Counter(), "cap": Counter(), "low": Counter()}
     all_tag_counts: Counter[str] = Counter()
+    # A Counter keeps first-insertion order, so the first pair carrying a
+    # tag sits at that tag's first token: ranking tags by their first pair
+    # orders them as their first tokens do.
     first_seen: dict[str, int] = {}
 
-    for index, (word, tag) in enumerate(corpus.tokens()):
-        first_seen.setdefault(tag, index)
-        word_tag_counts.setdefault(word, Counter())[tag] += 1
-        all_tag_counts[tag] += 1
+    for (word, tag), count in pair_counts.items():
+        if word.startswith("%%"):
+            raise _reserved_word_error(word)
+        first_seen.setdefault(tag, len(first_seen))
+        word_tag_counts[word][tag] += count
+        all_tag_counts[tag] += count
         for n in SUFFIX_LENGTHS:
             if len(word) > n:
-                suffix_tag_counts[n].setdefault(word[-n:], Counter())[tag] += 1
+                suffix_tag_counts[n][word[-n:]][tag] += count
         if contains_digit(word):
-            class_counts["num"][tag] += 1
+            class_counts["num"][tag] += count
         elif is_capitalized(word):
-            class_counts["cap"][tag] += 1
+            class_counts["cap"][tag] += count
         else:
-            class_counts["low"][tag] += 1
-
-    if not all_tag_counts:
-        raise ValueError("cannot build a lexicon from an empty corpus")
+            class_counts["low"][tag] += count
 
     word_tags = {
         word: _majority(tags, first_seen) for word, tags in word_tag_counts.items()
@@ -155,7 +168,7 @@ def serialize_lexicon(lexicon: Lexicon) -> str:
             lines.append(entry(f"{_SUFFIX_KEY[n]}{suffix}", table[suffix]))
     for word in sorted(lexicon.word_tags):
         if word.startswith("%%"):
-            raise ValueError(f"word {word!r} collides with reserved %% keys")
+            raise _reserved_word_error(word)
         lines.append(entry(word, lexicon.word_tags[word]))
     return "".join(line + "\n" for line in lines)
 

@@ -11,6 +11,7 @@ that cannot fire.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,8 +19,10 @@ from .corpus import TaggedCorpus
 from .initial_tagger import (
     DEFAULT_ENGLISH_RULES,
     MODE_GENERIC,
+    MODES,
     InitialTagger,
     InitialTaggerOptions,
+    compile_regex_rules,
 )
 from .lexicon import Lexicon, parse_lexicon, serialize_lexicon
 from .scrdr import Node, TagObject, make_tag_objects, parse_tree, serialize_tree
@@ -160,13 +163,35 @@ def save_model(model: Model, directory: str | Path) -> None:
 
 def load_model(directory: str | Path) -> Model:
     path = Path(directory)
-    meta_text = _read(path / META_FILE)
+    meta_path = path / META_FILE
     try:
-        meta = json.loads(meta_text)
+        meta = json.loads(_read(meta_path))
     except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"{path / META_FILE}: {exc}") from exc
+        raise ModelFormatError(f"{meta_path}: {exc}") from exc
     if not isinstance(meta, dict) or meta.get("format") != 1:
-        raise ModelFormatError(f"{path / META_FILE}: unsupported model format")
+        raise ModelFormatError(f"{meta_path}: unsupported model format")
+    mode = meta.get("mode", MODE_GENERIC)
+    if mode not in MODES:
+        raise ModelFormatError(f"{meta_path}: 'mode' must be one of {MODES}")
+    separator = meta.get("separator", "/")
+    if not isinstance(separator, str) or not separator:
+        raise ModelFormatError(f"{meta_path}: 'separator' must be a non-empty string")
+    regex_rules = meta.get("regex_rules", [])
+    if not isinstance(regex_rules, list) or not all(
+        isinstance(rule, list)
+        and len(rule) == 2
+        and all(isinstance(part, str) for part in rule)
+        for rule in regex_rules
+    ):
+        raise ModelFormatError(
+            f"{meta_path}: 'regex_rules' must be a list of [pattern, tag] strings"
+        )
+    try:
+        compile_regex_rules(regex_rules)
+    except re.error as exc:
+        raise ModelFormatError(
+            f"{meta_path}: 'regex_rules': bad pattern {exc.pattern!r}: {exc}"
+        ) from exc
     lexicon = parse_lexicon(_read(path / LEXICON_FILE))
     tree = parse_tree(_read(path / TREE_FILE))
     audit: tuple[dict, ...] = ()
@@ -180,11 +205,9 @@ def load_model(directory: str | Path) -> Model:
     return Model(
         lexicon=lexicon,
         tree=tree,
-        mode=meta.get("mode", MODE_GENERIC),
-        regex_rules=tuple(
-            (pattern, tag) for pattern, tag in meta.get("regex_rules", [])
-        ),
-        separator=meta.get("separator", "/"),
+        mode=mode,
+        regex_rules=tuple((pattern, tag) for pattern, tag in regex_rules),
+        separator=separator,
         audit=audit,
     )
 

@@ -11,8 +11,17 @@ against something with no shared code.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
-from rippletag.lexicon import SUFFIX_LENGTHS, Lexicon
+from rippletag.corpus import TaggedCorpus
+from rippletag.lexicon import (
+    SUFFIX_LENGTHS,
+    SUFFIX_MIN_COUNT,
+    Lexicon,
+    _majority,
+    contains_digit,
+    is_capitalized,
+)
 from rippletag.scrdr import (
     FIELD_NAMES,
     Node,
@@ -150,4 +159,63 @@ def random_lexicon(rng: random.Random) -> Lexicon:
         numeric_tag=rng.choice(tags),
         capitalized_tag=rng.choice(tags),
         lowercase_tag=rng.choice(tags),
+    )
+
+
+def reference_build_lexicon(corpus: TaggedCorpus) -> Lexicon:
+    """Per-token lexicon build: one counter update per token and table.
+
+    ``build_lexicon`` counts each distinct (word, tag) pair once; this
+    is the plain version it must agree with.
+    """
+    word_tag_counts: dict[str, Counter[str]] = {}
+    suffix_tag_counts: dict[int, dict[str, Counter[str]]] = {
+        n: {} for n in SUFFIX_LENGTHS
+    }
+    class_counts = {"num": Counter(), "cap": Counter(), "low": Counter()}
+    all_tag_counts: Counter[str] = Counter()
+    first_seen: dict[str, int] = {}
+
+    for index, (word, tag) in enumerate(corpus.tokens()):
+        first_seen.setdefault(tag, index)
+        word_tag_counts.setdefault(word, Counter())[tag] += 1
+        all_tag_counts[tag] += 1
+        for n in SUFFIX_LENGTHS:
+            if len(word) > n:
+                suffix_tag_counts[n].setdefault(word[-n:], Counter())[tag] += 1
+        if contains_digit(word):
+            class_counts["num"][tag] += 1
+        elif is_capitalized(word):
+            class_counts["cap"][tag] += 1
+        else:
+            class_counts["low"][tag] += 1
+
+    if not all_tag_counts:
+        raise ValueError("cannot build a lexicon from an empty corpus")
+
+    word_tags = {
+        word: _majority(tags, first_seen) for word, tags in word_tag_counts.items()
+    }
+
+    suffix_tags: dict[int, dict[str, str]] = {}
+    for n in SUFFIX_LENGTHS:
+        table = {}
+        for suffix, tags in suffix_tag_counts[n].items():
+            winner = _majority(tags, first_seen)
+            if tags[winner] >= SUFFIX_MIN_COUNT[n]:
+                table[suffix] = winner
+        suffix_tags[n] = table
+
+    fallback = _majority(all_tag_counts, first_seen)
+
+    def class_default(key: str) -> str:
+        counter = class_counts[key]
+        return _majority(counter, first_seen) if counter else fallback
+
+    return Lexicon(
+        word_tags=word_tags,
+        suffix_tags=suffix_tags,
+        numeric_tag=class_default("num"),
+        capitalized_tag=class_default("cap"),
+        lowercase_tag=class_default("low"),
     )

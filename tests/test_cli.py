@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 
@@ -40,30 +41,6 @@ class TestTrain:
         assert header["layer2_threshold"] == 3
         assert header["deeper_threshold"] == 2
 
-    def test_init_from_changes_what_gets_learned(self, micro_file, tmp_path):
-        plain = tmp_path / "plain"
-        assert main(["train", "--corpus", str(micro_file), "--model", str(plain)]) == 0
-        assert "\t\t" in (plain / "model.rdr").read_text()
-        # Feeding the gold tags back as the first guesses leaves no
-        # errors to learn from, so only the seed layer appears.
-        seeded = tmp_path / "seeded"
-        code = main(
-            [
-                "train",
-                "--corpus",
-                str(micro_file),
-                "--model",
-                str(seeded),
-                "--init-from",
-                str(micro_file),
-            ]
-        )
-        assert code == 0
-        assert "\t\t" not in (seeded / "model.rdr").read_text()
-        assert (plain / "audit.jsonl").read_text() != (
-            seeded / "audit.jsonl"
-        ).read_text()
-
     def test_reports_progress_on_stderr(self, micro_file, tmp_path, capsys):
         code = main(
             ["train", "--corpus", str(micro_file), "--model", str(tmp_path / "m")]
@@ -72,25 +49,6 @@ class TestTrain:
         assert code == 0
         assert captured.out == ""
         assert "trained 6 rules from 33 tokens" in captured.err
-
-    def test_init_from_must_align_with_the_corpus(
-        self, micro_file, tmp_path, capsys
-    ):
-        other = tmp_path / "other.tagged"
-        other.write_text("a/DT b/NN\n", encoding="utf-8")
-        code = main(
-            [
-                "train",
-                "--corpus",
-                str(micro_file),
-                "--model",
-                str(tmp_path / "m"),
-                "--init-from",
-                str(other),
-            ]
-        )
-        assert code == 2
-        assert "error" in capsys.readouterr().err
 
     def test_custom_separator_round_trips(self, tmp_path, capsys):
         corpus = tmp_path / "under.tagged"
@@ -120,6 +78,19 @@ class TestTrain:
         assert out.read_text() == "you_PRP can_MD go_VB\n"
 
     def test_failed_save_leaves_no_model_directory(self, tmp_path, capsys):
+        corpus = tmp_path / "reserved.tagged"
+        corpus.write_text(MICRO + "%%x/NN fell/VBD\n", encoding="utf-8")
+        model_dir = tmp_path / "m"
+        code = main(["train", "--corpus", str(corpus), "--model", str(model_dir)])
+        assert code == 2
+        assert "%%x" in capsys.readouterr().err
+        assert not model_dir.exists()
+
+    def test_reserved_word_fails_before_learning(self, tmp_path, capsys, monkeypatch):
+        def learn_tree(*args, **kwargs):
+            raise AssertionError("learning started on a corpus that cannot be saved")
+
+        monkeypatch.setattr("rippletag.learner.learn_tree", learn_tree)
         corpus = tmp_path / "reserved.tagged"
         corpus.write_text(MICRO + "%%x/NN fell/VBD\n", encoding="utf-8")
         model_dir = tmp_path / "m"
@@ -210,6 +181,45 @@ class TestTag:
         )
         assert code == 0
         assert out.read_text() == "as/IN investors/NNS anticipate/VBP a/DT recovery/NN\n"
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("regex_rules", [["(", "NN"]]),
+            ("regex_rules", [1]),
+            ("regex_rules", [["a", "NN", "VB"]]),
+            ("regex_rules", "a"),
+            ("separator", 5),
+            ("separator", ""),
+            ("mode", "klingon"),
+        ],
+    )
+    def test_malformed_meta_is_a_data_error(
+        self, trained_dir, tmp_path, capsys, key, value
+    ):
+        model_dir = tmp_path / "m"
+        shutil.copytree(trained_dir, model_dir)
+        meta_path = model_dir / "model.json"
+        meta = json.loads(meta_path.read_text())
+        # english-regex mode, so the regex rules are compiled for tagging
+        meta.update({"mode": "english-regex", key: value})
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        raw = tmp_path / "in.txt"
+        raw.write_text("the team works\n", encoding="utf-8")
+        code = main(
+            [
+                "tag",
+                "--model",
+                str(model_dir),
+                "--input",
+                str(raw),
+                "--output",
+                str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(meta_path) in err and repr(key) in err
 
     def test_missing_model_directory_is_a_data_error(self, tmp_path, capsys):
         raw = tmp_path / "in.txt"
@@ -385,6 +395,7 @@ class TestUsageErrors:
             ["train", "--corpus", "x", "--model", "y", "--separator", ""],
             ["eval", "--gold", "x", "--pred", "y", "--separator", ""],
             ["train", "--corpus", "x", "--model", "y", "--workers", "2"],
+            ["train", "--corpus", "x", "--model", "y", "--init-from", "z"],
         ],
     )
     def test_bad_invocations_exit_with_one(self, argv, capsys):

@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from rippletag.corpus import read_tagged_corpus
+from rippletag.corpus import TaggedCorpus, read_tagged_corpus
 from rippletag.initial_tagger import InitialTagger, initialize_corpus
 from rippletag.lexicon import (
     Lexicon,
@@ -14,7 +15,7 @@ from rippletag.lexicon import (
     serialize_lexicon,
 )
 
-from helpers import random_lexicon
+from helpers import random_lexicon, reference_build_lexicon
 
 
 def lex(text):
@@ -108,6 +109,39 @@ def test_contains_digit_and_is_capitalized():
 def test_empty_corpus_rejected():
     with pytest.raises(ValueError):
         build_lexicon(read_tagged_corpus(""))
+
+
+def test_build_rejects_reserved_looking_words():
+    with pytest.raises(ValueError, match="'%%x' collides with reserved"):
+        lex("the/DT %%x/NN\n")
+
+
+# Words sharing suffixes of every length 2..5, with and without digits
+# and capitals, so suffix counts land on both sides of SUFFIX_MIN_COUNT.
+WORD_POOL = tuple(
+    prefix + ending
+    for prefix in ("", "t", "st", "W", "9", "x1")
+    for ending in ("ing", "ings", "ation", "ations", "ed")
+)
+
+
+@st.composite
+def small_corpora(draw):
+    tags = draw(
+        st.lists(
+            st.sampled_from(("NN", "VB", "JJ", "CD")), min_size=2, max_size=4, unique=True
+        )
+    )
+    token = st.tuples(st.sampled_from(WORD_POOL), st.sampled_from(tags))
+    sentence = st.lists(token, min_size=1, max_size=12)
+    return TaggedCorpus.from_pairs(draw(st.lists(sentence, min_size=1, max_size=6)))
+
+
+@given(small_corpora())
+def test_pair_counts_build_the_per_token_lexicon(corpus):
+    assert serialize_lexicon(build_lexicon(corpus)) == serialize_lexicon(
+        reference_build_lexicon(corpus)
+    )
 
 
 def test_serialized_layout():

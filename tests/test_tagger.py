@@ -179,3 +179,16 @@ class TestPersistence:
         meta_path.write_text(json.dumps({"format": 2}))
         with pytest.raises(ModelFormatError):
             load_model(tmp_path / "m")
+
+    def test_failed_save_creates_no_directory(self, toy_model, tmp_path):
+        # training rejects such words early; hand-built lexicons still get here
+        lexicon = Lexicon(
+            word_tags={"%%x": "NN"},
+            suffix_tags={},
+            numeric_tag="CD",
+            capitalized_tag="NNP",
+            lowercase_tag="NN",
+        )
+        with pytest.raises(ValueError, match="%%x"):
+            save_model(Model(lexicon=lexicon, tree=toy_model.tree), tmp_path / "m")
+        assert not (tmp_path / "m").exists()
