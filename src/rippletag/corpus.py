@@ -9,6 +9,7 @@ word ``1/2`` with tag ``CD``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
@@ -113,17 +114,46 @@ def read_tagged_corpus(text: str, separator: str = DEFAULT_SEPARATOR) -> TaggedC
     return TaggedCorpus(tuple(sentences))
 
 
-def write_tagged_corpus(corpus: TaggedCorpus, separator: str = DEFAULT_SEPARATOR) -> str:
-    """Render a corpus back to text. Inverse of read_tagged_corpus.
+# Matches exactly the characters for which str.isspace() is true.
+_WHITESPACE = re.compile(r"\s")
 
-    Refuses corpora that could not round-trip (whitespace in a word or
-    tag, separator inside a tag, empty strings).
+
+def write_tagged_corpus(
+    corpus: TaggedCorpus | Iterable[Iterable[tuple[str, str]]],
+    separator: str = DEFAULT_SEPARATOR,
+) -> str:
+    """Render sentences as text, one line each. Inverse of read_tagged_corpus.
+
+    ``corpus`` is a TaggedCorpus or any iterable of sentences of
+    (word, tag) pairs; a sentence with no pairs renders as an empty
+    line.  Refuses tokens that could not round-trip (whitespace in a
+    word or tag, separator inside a tag, empty strings), naming the
+    first such token.
     """
+    sentences = corpus.sentences if isinstance(corpus, TaggedCorpus) else corpus
+    good_tags: set[str] = set()
     lines = []
-    for sentence in corpus.sentences:
-        for word, tag in sentence:
-            _check_token(word, tag, separator)
-        lines.append(" ".join(f"{t.word}{separator}{t.tag}" for t in sentence))
+    for sentence in sentences:
+        columns = tuple(zip(*sentence))
+        if not columns:
+            lines.append("")
+            continue
+        words, tags = columns
+        new_tags = set(tags).difference(good_tags)
+        # Whole-sentence checks; the per-token loop runs only to name
+        # the first bad token.
+        if (
+            "" in words
+            or _WHITESPACE.search("".join(words))
+            or any(
+                not tag or _WHITESPACE.search(tag) or separator in tag
+                for tag in new_tags
+            )
+        ):
+            for word, tag in zip(words, tags):
+                _check_token(word, tag, separator)
+        good_tags.update(new_tags)
+        lines.append(" ".join(map(separator.join, zip(words, tags))))
     return "".join(line + "\n" for line in lines)
 
 
@@ -143,14 +173,21 @@ def strip_tags(corpus: TaggedCorpus) -> str:
     )
 
 
+def read_lines(text: str) -> list[list[str]]:
+    """Whitespace-tokenized lines, blank ones kept as empty lists.
+
+    Only ``\n`` ends a line; a final ``\n`` ends the last line rather
+    than starting an empty one.
+    """
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return [line.split() for line in lines]
+
+
 def read_raw(text: str) -> list[list[str]]:
     """Whitespace-tokenized sentences, one per ``\n``-ended line; empty lines skipped."""
-    sentences = []
-    for line in text.split("\n"):
-        words = line.split()
-        if words:
-            sentences.append(words)
-    return sentences
+    return [words for words in read_lines(text) if words]
 
 
 def split_parts(corpus: TaggedCorpus, k: int) -> list[TaggedCorpus]:

@@ -11,6 +11,7 @@ answer, so earlier behaviour is only ever overridden, never edited.
 from __future__ import annotations
 
 import re
+from functools import partial
 from typing import Iterator, NamedTuple, Sequence
 
 FIELD_NAMES = (
@@ -58,31 +59,44 @@ class TagObject(NamedTuple):
     suffix4: str | None
 
 
-def make_tag_objects(words: Sequence[str], tags: Sequence[str]) -> list[TagObject]:
-    """Build the per-token context objects for one sentence."""
+def context_columns(
+    words: Sequence[str], tags: Sequence[str]
+) -> tuple[list[str | None], ...]:
+    """The context window of one sentence, one list per field.
+
+    Column ``FIELD_INDEX[name]`` holds field ``name`` of every token in
+    sentence order, so ``columns[f][i]`` is ``make_tag_objects(words,
+    tags)[i][f]``.  Neighbours outside the sentence, and suffixes as
+    long as the word itself, are None.
+    """
     if len(words) != len(tags):
         raise ValueError(f"{len(words)} words but {len(tags)} tags")
     n = len(words)
-    objects = []
-    for i, word in enumerate(words):
-        objects.append(
-            TagObject(
-                prev2Word=words[i - 2] if i >= 2 else None,
-                prev2Tag=tags[i - 2] if i >= 2 else None,
-                prev1Word=words[i - 1] if i >= 1 else None,
-                prev1Tag=tags[i - 1] if i >= 1 else None,
-                word=word,
-                currentTag=tags[i],
-                next1Word=words[i + 1] if i + 1 < n else None,
-                next1Tag=tags[i + 1] if i + 1 < n else None,
-                next2Word=words[i + 2] if i + 2 < n else None,
-                next2Tag=tags[i + 2] if i + 2 < n else None,
-                suffix2=word[-2:] if len(word) > 2 else None,
-                suffix3=word[-3:] if len(word) > 3 else None,
-                suffix4=word[-4:] if len(word) > 4 else None,
-            )
-        )
-    return objects
+    w = [None, None, *words, None, None]
+    t = [None, None, *tags, None, None]
+    return (
+        w[0:n],
+        t[0:n],
+        w[1 : n + 1],
+        t[1 : n + 1],
+        w[2 : n + 2],
+        t[2 : n + 2],
+        w[3 : n + 3],
+        t[3 : n + 3],
+        w[4 : n + 4],
+        t[4 : n + 4],
+        [word[-2:] if len(word) > 2 else None for word in words],
+        [word[-3:] if len(word) > 3 else None for word in words],
+        [word[-4:] if len(word) > 4 else None for word in words],
+    )
+
+
+_new_tag_object = partial(tuple.__new__, TagObject)
+
+
+def make_tag_objects(words: Sequence[str], tags: Sequence[str]) -> list[TagObject]:
+    """Build the per-token context objects for one sentence."""
+    return list(map(_new_tag_object, zip(*context_columns(words, tags))))
 
 
 class Rule(NamedTuple):

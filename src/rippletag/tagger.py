@@ -14,6 +14,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 from .corpus import TaggedCorpus
 from .initial_tagger import (
@@ -25,7 +26,10 @@ from .initial_tagger import (
     compile_regex_rules,
 )
 from .lexicon import Lexicon, parse_lexicon, serialize_lexicon
-from .scrdr import Node, TagObject, make_tag_objects, parse_tree, serialize_tree
+from .scrdr import Node, context_columns, parse_tree, serialize_tree
+
+# Unused here; the benchmark's trace probe looks the name up in this module.
+from .scrdr import make_tag_objects  # noqa: F401
 
 TREE_FILE = "model.rdr"
 LEXICON_FILE = "model.lex"
@@ -74,31 +78,33 @@ def compile_chain(first: Node | None) -> _Chain | None:
     return entries, index
 
 
-def run_chain(compiled: _Chain, obj: TagObject) -> str | None:
-    """Deepest conclusion fired in this chain, or None if nothing fired."""
+def run_chain(
+    compiled: _Chain, cols: Sequence[Sequence[str | None]], i: int
+) -> str | None:
+    """Deepest conclusion fired in this chain for token ``i``, or None.
+
+    ``cols`` are the sentence's ``context_columns``: field ``f`` of the
+    token is ``cols[f][i]``.
+    """
     entries, index = compiled
     if index is None:
-        positions: "range | list[int]" = range(len(entries))
+        positions: "range | list[int] | None" = range(len(entries))
     else:
-        lists = []
+        positions = None
         for field_idx, table in index.items():
-            hits = table.get(obj[field_idx])
+            hits = table.get(cols[field_idx][i])
             if hits is not None:
-                lists.append(hits)
-        if not lists:
+                positions = hits if positions is None else sorted(positions + hits)
+        if positions is None:
             return None
-        if len(lists) == 1:
-            positions = lists[0]
-        else:
-            positions = sorted(p for hits in lists for p in hits)
     for pos in positions:
         tests, conclusion, sub = entries[pos]
         for field_idx, value in tests:
-            if obj[field_idx] != value:
+            if cols[field_idx][i] != value:
                 break
         else:
             if sub is not None:
-                deeper = run_chain(sub, obj)
+                deeper = run_chain(sub, cols, i)
                 if deeper is not None:
                     return deeper
             return conclusion
@@ -127,11 +133,11 @@ class Tagger:
         compiled = self._compiled
         if compiled is None:
             return initial_tags
-        tags = []
-        for i, obj in enumerate(make_tag_objects(words, initial_tags)):
-            conclusion = run_chain(compiled, obj)
-            tags.append(conclusion if conclusion else initial_tags[i])
-        return tags
+        cols = context_columns(words, initial_tags)
+        return [
+            run_chain(compiled, cols, i) or guess
+            for i, guess in enumerate(initial_tags)
+        ]
 
     def tag_sentences(self, sentences: list[list[str]]) -> TaggedCorpus:
         return TaggedCorpus.from_pairs(
@@ -168,7 +174,9 @@ def load_model(directory: str | Path) -> Model:
         meta = json.loads(_read(meta_path))
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{meta_path}: {exc}") from exc
-    if not isinstance(meta, dict) or meta.get("format") != 1:
+    version = meta.get("format") if isinstance(meta, dict) else None
+    # compared by type too, since True == 1.0 == 1
+    if type(version) is not int or version != 1:
         raise ModelFormatError(f"{meta_path}: unsupported model format")
     mode = meta.get("mode", MODE_GENERIC)
     if mode not in MODES:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-from rippletag.corpus import TaggedCorpus
+from rippletag.corpus import TaggedCorpus, _check_token
 from rippletag.lexicon import (
     SUFFIX_LENGTHS,
     SUFFIX_MIN_COUNT,
@@ -36,6 +36,51 @@ from rippletag.templates import CATALOG, Template, instantiate
 POOL = ("alpha", "beta", "gamma", "delta", "NN", "VB", "ing", "ed")
 
 TEMPLATE_BY_ID = {t.id: t for t in CATALOG}
+
+
+def reference_make_tag_objects(words: list[str], tags: list[str]) -> list[TagObject]:
+    """Per-token context build, every field by keyword.
+
+    ``make_tag_objects`` transposes ``context_columns``; this is the
+    plain version both must agree with.
+    """
+    if len(words) != len(tags):
+        raise ValueError(f"{len(words)} words but {len(tags)} tags")
+    n = len(words)
+    objects = []
+    for i, word in enumerate(words):
+        objects.append(
+            TagObject(
+                prev2Word=words[i - 2] if i >= 2 else None,
+                prev2Tag=tags[i - 2] if i >= 2 else None,
+                prev1Word=words[i - 1] if i >= 1 else None,
+                prev1Tag=tags[i - 1] if i >= 1 else None,
+                word=word,
+                currentTag=tags[i],
+                next1Word=words[i + 1] if i + 1 < n else None,
+                next1Tag=tags[i + 1] if i + 1 < n else None,
+                next2Word=words[i + 2] if i + 2 < n else None,
+                next2Tag=tags[i + 2] if i + 2 < n else None,
+                suffix2=word[-2:] if len(word) > 2 else None,
+                suffix3=word[-3:] if len(word) > 3 else None,
+                suffix4=word[-4:] if len(word) > 4 else None,
+            )
+        )
+    return objects
+
+
+def reference_write_tagged_corpus(sentences, separator: str) -> str:
+    """Per-token writer: every token checked by ``_check_token`` in order.
+
+    ``write_tagged_corpus`` checks whole sentences and distinct tags;
+    it must return the same text or raise the same error as this.
+    """
+    lines = []
+    for sentence in sentences:
+        for word, tag in sentence:
+            _check_token(word, tag, separator)
+        lines.append(" ".join(f"{word}{separator}{tag}" for word, tag in sentence))
+    return "".join(line + "\n" for line in lines)
 
 
 def conclude(root: Node, obj: TagObject) -> str:

@@ -99,6 +99,16 @@ class TestTrain:
         assert "%%x" in capsys.readouterr().err
         assert not model_dir.exists()
 
+    def test_crlf_corpus_trains_the_lf_model(self, micro_file, tmp_path, capsys):
+        crlf_file = tmp_path / "crlf.tagged"
+        crlf_file.write_bytes(MICRO.replace("\n", "\r\n").encode())
+        for name, corpus in (("lf", micro_file), ("crlf", crlf_file)):
+            argv = ["train", "--corpus", str(corpus), "--model", str(tmp_path / name)]
+            assert main(argv) == 0
+        for name in ("model.rdr", "model.lex", "model.json", "audit.jsonl"):
+            lf_bytes = (tmp_path / "lf" / name).read_bytes()
+            assert (tmp_path / "crlf" / name).read_bytes() == lf_bytes
+
     def test_custom_regex_rules_file(self, micro_file, tmp_path):
         rules = tmp_path / "rules.tsv"
         rules.write_text(".*ly$\tRB\n^[A-Z].*\tNNP\n", encoding="utf-8")
@@ -148,6 +158,40 @@ class TestTag:
         assert text.count("\n") == 1 and text.endswith("\n")
         tagged = read_tagged_corpus(text)
         assert [[t.word for t in s] for s in tagged.sentences] == [["a", "b", "c"]]
+
+    def _tag(self, model_dir, tmp_path, data: bytes) -> list[str]:
+        raw = tmp_path / "in.txt"
+        raw.write_bytes(data)
+        out = tmp_path / "out.tagged"
+        code = main(
+            ["tag", "--model", str(model_dir), "--input", str(raw), "--output", str(out)]
+        )
+        assert code == 0
+        return out.read_bytes().decode("utf-8").split("\n")
+
+    def test_blank_lines_keep_their_place(self, trained_dir, tmp_path, capsys):
+        lines = self._tag(trained_dir, tmp_path, b"she walks\n\n \nthe team works\n")
+        assert len(lines) == 5 and lines[1:3] == ["", ""] and lines[4] == ""
+        assert [t.split("/")[0] for t in lines[0].split()] == ["she", "walks"]
+        assert [t.split("/")[0] for t in lines[3].split()] == ["the", "team", "works"]
+        assert "tagged 5 tokens in 2 sentences" in capsys.readouterr().err
+
+    def test_lone_carriage_return_stays_inside_its_line(
+        self, trained_dir, tmp_path, capsys
+    ):
+        lines = self._tag(
+            trained_dir, tmp_path, b"the vet\rvets .\n\nit grerneaped\r\n"
+        )
+        assert len(lines) == 4 and lines[1] == "" and lines[3] == ""
+        words = [[t.rpartition("/")[0] for t in line.split()] for line in lines]
+        assert words[0] == ["the", "vet", "vets", "."]
+        assert words[2] == ["it", "grerneaped"]
+
+    def test_crlf_input_tags_like_lf(self, trained_dir, tmp_path, capsys):
+        text = "the team works\nshe walks .\n"
+        lf = self._tag(trained_dir, tmp_path, text.encode())
+        crlf = self._tag(trained_dir, tmp_path, text.replace("\n", "\r\n").encode())
+        assert crlf == lf and len(lf) == 3
 
     def test_hand_written_model_corrects_the_known_sentence(
         self, example_tree_text, tmp_path, capsys

@@ -1,12 +1,16 @@
+import sys
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rippletag.corpus import (
+    _WHITESPACE,
     AlignmentError,
     CorpusParseError,
     TaggedCorpus,
     Token,
     check_aligned,
+    read_lines,
     read_raw,
     read_tagged_corpus,
     split_folds,
@@ -14,6 +18,8 @@ from rippletag.corpus import (
     strip_tags,
     write_tagged_corpus,
 )
+
+from helpers import reference_write_tagged_corpus
 
 
 def test_parse_basic():
@@ -75,6 +81,46 @@ def test_write_rejects_unwritable_tokens():
         write_tagged_corpus(TaggedCorpus.from_pairs([[("ok", "N/N")]]))
 
 
+def test_write_renders_plain_pairs_and_empty_sentences_as_blank_lines():
+    sentences = [[("a", "X"), ("1/2", "CD")], [], iter([("b", "Y")])]
+    assert write_tagged_corpus(sentences) == "a/X 1/2/CD\n\nb/Y\n"
+
+
+def test_whitespace_pattern_is_str_isspace():
+    # the writer's whole-sentence check stands in for str.isspace
+    differ = [
+        c for c in map(chr, range(sys.maxunicode + 1))
+        if (_WHITESPACE.match(c) is not None) != c.isspace()
+    ]
+    assert differ == []
+
+
+_piece = st.one_of(
+    st.sampled_from(["a", "NN", "1/2", "a::b"]),
+    st.text("ab/: \t\xa0\u2028", max_size=3),
+)
+
+
+@given(
+    st.lists(st.lists(st.tuples(_piece, _piece), max_size=4), max_size=5),
+    st.sampled_from(["/", "::"]),
+)
+# a bad token after a sentence that already vouched for its tag
+@example([[("a", "NN")], [("b", "NN"), ("c", "N/N")]], "/")
+@example([[("a", "NN")], [("b", "NN"), ("c", "/")]], "/")
+@example([[("a", "NN")], [("b c", "NN")]], "/")
+@example([[("a", "NN")], [], [("b", "NN"), ("", "NN")]], "::")
+def test_writer_fails_like_the_per_token_checks(sentences, separator):
+    try:
+        want = reference_write_tagged_corpus(sentences, separator)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            write_tagged_corpus(sentences, separator)
+        assert str(got.value) == str(exc)
+    else:
+        assert write_tagged_corpus(sentences, separator) == want
+
+
 def test_empty_sentence_rejected():
     with pytest.raises(ValueError):
         TaggedCorpus(((),))
@@ -90,6 +136,14 @@ def test_strip_tags_and_read_raw():
     raw = strip_tags(corpus)
     assert raw == "the dog\nran\n"
     assert read_raw(raw) == [["the", "dog"], ["ran"]]
+
+
+def test_read_lines_keeps_blank_lines_and_splits_only_at_newline():
+    assert read_lines("a b\n\n c\rd \r\n") == [["a", "b"], [], ["c", "d"]]
+    assert read_lines("a\n  ") == [["a"], []]
+    assert read_lines("\n") == [[]]
+    assert read_lines("") == []
+    assert read_raw("a\n\nb") == [["a"], ["b"]]
 
 
 def _numbered(n):

@@ -10,6 +10,7 @@ from rippletag.scrdr import (
     Rule,
     TagObject,
     TreeFormatError,
+    context_columns,
     count_rules,
     evaluate,
     insert_exception,
@@ -32,6 +33,7 @@ from helpers import (
     random_tree,
     ref_matches,
     reference_evaluate,
+    reference_make_tag_objects,
     trees_equal,
 )
 
@@ -77,6 +79,8 @@ def test_short_word_suffixes_are_none():
 def test_mismatched_lengths_rejected():
     with pytest.raises(ValueError):
         make_tag_objects(["a"], ["X", "Y"])
+    with pytest.raises(ValueError):
+        context_columns(["a", "b"], ["X"])
 
 
 @given(st.lists(st.text("abcdefg", min_size=1, max_size=6), min_size=1, max_size=9))
@@ -90,6 +94,23 @@ def test_context_objects_mirror_the_sentence(words):
         assert o.next2Tag == (tags[i + 2] if i + 2 < len(words) else None)
         for n, suffix in ((2, o.suffix2), (3, o.suffix3), (4, o.suffix4)):
             assert suffix == (words[i][-n:] if len(words[i]) > n else None)
+
+
+@given(
+    st.lists(st.text("abc", min_size=1, max_size=6), min_size=1, max_size=6),
+    st.data(),
+)
+def test_columns_and_objects_equal_the_reference_objects(words, data):
+    # words of 1-6 letters put every suffix None rule at every position
+    n = len(words)
+    tags = data.draw(st.lists(st.sampled_from(["X", "Y"]), min_size=n, max_size=n))
+    want = reference_make_tag_objects(words, tags)
+    objects = make_tag_objects(words, tags)
+    assert objects == want
+    assert all(type(o) is TagObject for o in objects)
+    columns = context_columns(words, tags)
+    assert len(columns) == len(FIELD_NAMES)
+    assert [TagObject(*row) for row in zip(*columns)] == want
 
 
 # ---------------------------------------------------------------- evaluation

@@ -7,6 +7,7 @@ from rippletag.lexicon import Lexicon
 from rippletag.scrdr import (
     Node,
     Rule,
+    context_columns,
     insert_exception,
     new_root,
     parse_tree,
@@ -26,13 +27,26 @@ from rippletag.tagger import (
     save_model,
 )
 
-from helpers import random_object, random_rule, random_tree, reference_evaluate
+from helpers import (
+    random_object,
+    random_rule,
+    random_tree,
+    reference_evaluate,
+    reference_make_tag_objects,
+)
 
 
 def expected_conclusion(root, obj):
     """What the compiled walk should return, per the plain tree walk."""
     last, _ = reference_evaluate(root, obj)
     return None if last is root else last.rule.conclusion
+
+
+def assert_walks_like_the_reference(root, compiled, objects):
+    """The column walk of token i equals the plain walk of objects[i]."""
+    cols = tuple(list(column) for column in zip(*objects))
+    for i, obj in enumerate(objects):
+        assert run_chain(compiled, cols, i) == expected_conclusion(root, obj)
 
 
 def wide_tree(rng, top_width, extra):
@@ -51,9 +65,8 @@ class TestCompiledChain:
         for _ in range(40):
             root = random_tree(rng, rng.randint(1, 30))
             compiled = compile_chain(root.except_child)
-            for _ in range(50):
-                obj = random_object(rng)
-                assert run_chain(compiled, obj) == expected_conclusion(root, obj)
+            objects = [random_object(rng) for _ in range(50)]
+            assert_walks_like_the_reference(root, compiled, objects)
 
     def test_long_chains_are_indexed_and_still_match(self):
         rng = random.Random(32)
@@ -61,9 +74,36 @@ class TestCompiledChain:
             root = wide_tree(rng, rng.randint(8, 20), rng.randint(0, 25))
             compiled = compile_chain(root.except_child)
             assert compiled[1] is not None
-            for _ in range(60):
-                obj = random_object(rng)
-                assert run_chain(compiled, obj) == expected_conclusion(root, obj)
+            objects = [random_object(rng) for _ in range(60)]
+            assert_walks_like_the_reference(root, compiled, objects)
+
+    def test_sentence_columns_walk_like_the_reference_objects(self):
+        # rules test values the sentences really have, suffixes and
+        # sentence edges included, so deep nodes fire
+        rng = random.Random(34)
+        for _ in range(30):
+            sentences = []
+            for _ in range(10):
+                words = [
+                    "".join(rng.choice("ab") for _ in range(rng.randint(1, 6)))
+                    for _ in range(rng.randint(1, 6))
+                ]
+                sentences.append((words, [rng.choice("XY") for _ in words]))
+            objects = [o for s in sentences for o in reference_make_tag_objects(*s)]
+            root = new_root()
+            nodes = [root]
+            for _ in range(rng.randint(1, 40)):
+                obj = rng.choice(objects)
+                fields = [f for f, value in enumerate(obj) if value is not None]
+                picked = rng.sample(fields, rng.randint(1, min(3, len(fields))))
+                tests = tuple(sorted((f, obj[f]) for f in picked))
+                rule = Rule(tests, rng.choice("XYZ"))
+                nodes.append(insert_exception(rng.choice(nodes), rule))
+            compiled = compile_chain(root.except_child)
+            for words, tags in sentences:
+                cols = context_columns(words, tags)
+                for i, obj in enumerate(reference_make_tag_objects(words, tags)):
+                    assert run_chain(compiled, cols, i) == expected_conclusion(root, obj)
 
     def test_short_chains_skip_the_index(self):
         rng = random.Random(33)
@@ -80,9 +120,10 @@ class TestCompiledChain:
         compiled = compile_chain(root.except_child)
         rng = random.Random(0)
         obj = random_object(rng)._replace(word="w", next1Tag="t6")
-        assert run_chain(compiled, obj) == "c6"
         off = random_object(rng)._replace(word="w", next1Tag="none-such")
-        assert run_chain(compiled, off) == "fallback"
+        cols = tuple(list(column) for column in zip(obj, off))
+        assert run_chain(compiled, cols, 0) == "c6"
+        assert run_chain(compiled, cols, 1) == "fallback"
 
 
 class TestTagger:
@@ -179,6 +220,11 @@ class TestPersistence:
         meta_path.write_text(json.dumps({"format": 2}))
         with pytest.raises(ModelFormatError):
             load_model(tmp_path / "m")
+        # True == 1 and 1.0 == 1 in Python, but neither is format 1
+        for fmt in (True, 1.0):
+            meta_path.write_text(json.dumps({"format": fmt}))
+            with pytest.raises(ModelFormatError):
+                load_model(tmp_path / "m")
 
     def test_failed_save_creates_no_directory(self, toy_model, tmp_path):
         # training rejects such words early; hand-built lexicons still get here
