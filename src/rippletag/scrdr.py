@@ -172,6 +172,22 @@ def evaluate(root: Node, obj: TagObject) -> EvalResult:
     return EvalResult(last_fired, tuple(visited))
 
 
+def last_fired(root: Node, obj: TagObject) -> Node:
+    """``evaluate(root, obj).node``, walked without recording the path."""
+    last = root
+    current = root.except_child
+    while current is not None:
+        # Rule.matches, inlined: this walk runs once per training token
+        for i, value in current.rule.tests:
+            if obj[i] != value:
+                current = current.ifnot_child
+                break
+        else:
+            last = current
+            current = current.except_child
+    return last
+
+
 def insert_exception(parent: Node, rule: Rule) -> Node:
     """Attach a rule as an exception to parent.
 

@@ -14,6 +14,7 @@ import random
 from collections import Counter
 
 from rippletag.corpus import TaggedCorpus, _check_token
+from rippletag.learner import _KEY_GETTERS, Record, Selection, Thresholds
 from rippletag.lexicon import (
     SUFFIX_LENGTHS,
     SUFFIX_MIN_COUNT,
@@ -81,6 +82,123 @@ def reference_write_tagged_corpus(sentences, separator: str) -> str:
             _check_token(word, tag, separator)
         lines.append(" ".join(f"{word}{separator}{tag}" for word, tag in sentence))
     return "".join(line + "\n" for line in lines)
+
+
+def reference_select_rule(
+    wrong: list[Record],
+    correct: list[Record] | None,
+    thresholds: Thresholds,
+    level: int,
+) -> Selection | None:
+    """Select a node's rule by counting every candidate from the lists.
+
+    ``select_rule`` scans tables kept in step across selections; this
+    recounts all wrong records per template (and the correct ones for
+    the veto) on every call, and must pick the same rule.
+    """
+    floor = thresholds.for_level(level)
+    objs = [r.obj for r in wrong]
+    golds = [r.gold for r in wrong]
+    correct_objs = None if correct is None else [r.obj for r in correct]
+    best = None
+    for template, get in zip(CATALOG, _KEY_GETTERS):
+        # a one-field getter returns the bare value, not a 1-tuple;
+        # within one template both sort alike, so the tie-break holds
+        single = len(template.fields) == 1
+        keys = list(map(get, objs))
+        matched = Counter(keys)
+        fixed = Counter(zip(keys, golds))
+        blocked = None
+        for (values, conclusion), a in fixed.items():
+            if a <= floor:
+                continue
+            if (values is None) if single else (None in values):
+                continue
+            score = 2 * a - matched[values]
+            if score <= floor:
+                continue
+            key = (-score, template.id, values, conclusion)
+            if best is not None and key >= best[0]:
+                continue
+            if correct_objs is not None:
+                if blocked is None:
+                    blocked = set(map(get, correct_objs))
+                if values in blocked:
+                    continue
+            best = (key, template, a, matched[values] - a)
+    if best is None:
+        return None
+    (_, _, values, conclusion), template, a, b = best
+    if len(template.fields) == 1:
+        values = (values,)
+    return Selection(instantiate(template, values, conclusion), template.id, a, b, a - b)
+
+
+def reference_candidate_tables(
+    wrong: list[Record], correct: list[Record] | None, floor: int
+) -> dict[int, tuple[dict, dict, dict | None]]:
+    """A node's hot candidate counts, one record and template at a time.
+
+    Per template id with a hot candidate: ``fixed[values, gold]`` for
+    the hot candidates (count above ``floor``, no unset field),
+    ``matched[values]`` over ``wrong`` and, unless ``correct`` is None,
+    ``blocked[values]`` over ``correct`` without zero counts, both for
+    the values of hot candidates only.  Values are always tuples.
+    """
+    tables = {}
+    for template in CATALOG:
+        counts: dict = {}
+        for r in wrong:
+            values = project(template, r.obj)
+            if values is not None:
+                counts[values, r.gold] = counts.get((values, r.gold), 0) + 1
+        fixed = {key: a for key, a in counts.items() if a > floor}
+        if not fixed:
+            continue
+        hot = {values for values, _ in fixed}
+        matched = {values: 0 for values in hot}
+        for r in wrong:
+            values = project(template, r.obj)
+            if values in hot:
+                matched[values] += 1
+        blocked = None
+        if correct is not None:
+            blocked = {}
+            for r in correct:
+                values = project(template, r.obj)
+                if values in hot:
+                    blocked[values] = blocked.get(values, 0) + 1
+        tables[template.id] = (fixed, matched, blocked)
+    return tables
+
+
+def random_tagged_text(rng: random.Random, n_tokens: int) -> str:
+    """A ``word/tag`` corpus of about ``n_tokens`` tokens from a small language.
+
+    Tags follow a random transition table and each of 150 words takes
+    one to three tags, so many words are ambiguous and their tag
+    depends on the context: enough for rules several levels deep.
+    """
+    tags = ("DT", "NN", "VB", "JJ", "IN", "PRP", "MD", "RB", "CC")
+    follow = {t: rng.sample(tags, 3) for t in tags}
+    words_for: dict[str, list[str]] = {t: [] for t in tags}
+    for i in range(150):
+        word = "".join(rng.choice("aeioubdgklmnrst") for _ in range(rng.randint(2, 7)))
+        own = tags[i % len(tags)]
+        extra = [t for t in rng.sample(tags, rng.choice((0, 0, 1, 2))) if t != own]
+        for tag in [own, *extra]:
+            words_for[tag].append(f"{word}{i}")
+    lines, count = [], 0
+    while count < n_tokens:
+        tag = rng.choice(tags)
+        sentence = []
+        for _ in range(rng.randint(3, 15)):
+            options = words_for[tag]
+            sentence.append(f"{rng.choice(options[:rng.randint(1, len(options))])}/{tag}")
+            tag = rng.choice(follow[tag])
+        lines.append(" ".join(sentence))
+        count += len(sentence)
+    return "\n".join(lines) + "\n"
 
 
 def conclude(root: Node, obj: TagObject) -> str:

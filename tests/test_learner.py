@@ -1,17 +1,23 @@
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rippletag.corpus import AlignmentError, read_tagged_corpus
+import rippletag.learner as learner
+
+from rippletag.corpus import AlignmentError, TaggedCorpus, read_tagged_corpus
 from rippletag.initial_tagger import MODE_ENGLISH, MODE_GENERIC
 from rippletag.learner import (
+    DEFAULT_MAX_LEVEL,
     LearnerStateError,
     Record,
     Selection,
     Thresholds,
     TrainOptions,
+    _Candidates,
     _Learning,
     _NodeRecords,
     learn_tree,
@@ -28,7 +34,16 @@ from rippletag.scrdr import (
 from rippletag.tagger import save_model
 from rippletag.templates import CATALOG, instantiate
 
-from helpers import POOL, project, random_object, ref_matches, trees_equal
+from helpers import (
+    POOL,
+    project,
+    random_object,
+    random_tagged_text,
+    ref_matches,
+    reference_candidate_tables,
+    reference_select_rule,
+    trees_equal,
+)
 
 MICRO = "the/DT can/NN fell/VBD\n" * 6 + "you/PRP can/MD go/VB\n" * 5
 
@@ -304,6 +319,25 @@ class TestSelfCheck:
         with pytest.raises(LearnerStateError, match="stale record sets"):
             learn_tree(init, gold)
 
+    @pytest.mark.parametrize("drop_from", ["child", "parent"])
+    def test_a_record_filed_twice_and_one_lost_fail_the_self_check(
+        self, monkeypatch, drop_from
+    ):
+        migrate = _Learning.migrate
+
+        def swapping_migrate(self, state, child):
+            moved = migrate(self, state, child)
+            captured = self.records[child].correct
+            # one record filed twice, another lost: the total stays the same
+            captured.append(captured[0])
+            (captured if drop_from == "child" else state.correct).pop(-2)
+            return moved
+
+        monkeypatch.setattr(_Learning, "migrate", swapping_migrate)
+        init, gold = micro_corpora()
+        with pytest.raises(LearnerStateError, match="stale record sets"):
+            learn_tree(init, gold)
+
     def test_migrate_that_moves_nothing_raises(self, monkeypatch):
         # without the check, expand selects and attaches the same rule forever
         monkeypatch.setattr(_Learning, "migrate", lambda self, state, child: 0)
@@ -356,3 +390,132 @@ class TestOnToyCorpus:
             for path in (tmp_path / "model").iterdir()
         }
         assert got == {**self.PINNED_SHA256, "model.json": self.PINNED_CONFIG_SHA256[mode]}
+
+
+def candidate_snapshot(candidates):
+    """A node's tables in ``reference_candidate_tables`` form: values as tuples."""
+    snapshot = {}
+    for t in candidates.tables:
+        wrap = (lambda v: (v,)) if len(t.template.fields) == 1 else (lambda v: v)
+        snapshot[t.template.id] = (
+            {(wrap(v), gold): a for (v, gold), a in t.fixed.items()},
+            {wrap(v): n for v, n in t.matched.items()},
+            None if t.blocked is None else {wrap(v): n for v, n in t.blocked.items()},
+        )
+    return snapshot
+
+
+def all_nn(corpus):
+    """The corpus with every token first-guessed NN: one seed, many selections."""
+    return TaggedCorpus.from_pairs(
+        [[(t.word, "NN") for t in sentence] for sentence in corpus.sentences]
+    )
+
+
+class TestIncrementalSelection:
+    @pytest.mark.parametrize(
+        "corpus",
+        ["toy-" + MODE_GENERIC, "toy-" + MODE_ENGLISH, "toy-all-NN", "generated"],
+    )
+    def test_every_selection_equals_the_recounting_reference(
+        self, toy, corpus, monkeypatch
+    ):
+        select = learner.select_rule
+        seen = Counter()
+
+        def checked(wrong, correct, thresholds, level, *rest):
+            got = select(wrong, correct, thresholds, level, *rest)
+            assert got == reference_select_rule(wrong, correct, thresholds, level)
+            seen[got is None, correct is None] += 1
+            return got
+
+        monkeypatch.setattr(learner, "select_rule", checked)
+        if corpus == "generated":
+            gold = read_tagged_corpus(random_tagged_text(random.Random(7), 3000))
+            train_model(gold)
+            # rules found and not found, with and without the veto
+            assert len(seen) == 4
+        elif corpus == "toy-all-NN":
+            learn_tree(all_nn(toy), toy)
+            assert seen[False, False] > 0
+        else:
+            train_model(toy, TrainOptions(mode=corpus.removeprefix("toy-")))
+            assert seen[False, True] > 0
+
+    def test_each_record_is_counted_once_per_node_when_filled_and_once_when_it_leaves(
+        self, toy, monkeypatch
+    ):
+        # (node, phase, template, record) -> times a template key was taken
+        counts = Counter()
+        where = []
+        phase = ["fill"]
+
+        def counting(index, get):
+            def get_counted(obj):
+                counts[where[-1], phase[0], index, id(obj)] += 1
+                return get(obj)
+
+            return get_counted
+
+        expand, migrate = _Learning.expand, _Learning.migrate
+
+        def tracked_expand(self, node):
+            where.append(node)
+            try:
+                expand(self, node)
+            finally:
+                where.pop()
+
+        def tracked_migrate(self, state, child):
+            phase[0] = "leave"
+            try:
+                return migrate(self, state, child)
+            finally:
+                phase[0] = "fill"
+
+        monkeypatch.setattr(
+            learner,
+            "_KEY_GETTERS",
+            tuple(counting(i, g) for i, g in enumerate(learner._KEY_GETTERS)),
+        )
+        monkeypatch.setattr(_Learning, "expand", tracked_expand)
+        monkeypatch.setattr(_Learning, "migrate", tracked_migrate)
+        learn_tree(all_nn(toy), toy)
+        recounted = [key for key, n in counts.items() if n > 1]
+        assert recounted == []
+        assert {phase for _, phase, _, _ in counts} == {"fill", "leave"}
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 3), st.booleans())
+    def test_tables_stay_equal_to_fresh_counts(self, rng, floor, vetoes):
+        pool, golds = POOL[:3], POOL[:4]
+
+        def records(n):
+            return [
+                Record(random_object(rng, pool, none_rate=0.3), rng.choice(golds))
+                for _ in range(n)
+            ]
+
+        learning = _Learning(Thresholds(floor, floor), DEFAULT_MAX_LEVEL)
+        node = learning.seed("X")
+        state = learning.records[node]
+        state.wrong = records(rng.randint(0, 40))
+        state.correct = records(rng.randint(0, 20))
+        correct = state.correct if vetoes else None
+        state.candidates = _Candidates(state.wrong, correct, floor)
+        assert candidate_snapshot(state.candidates) == reference_candidate_tables(
+            state.wrong, correct, floor
+        )
+        for _ in range(rng.randint(1, 8)):
+            remaining = state.wrong + state.correct
+            if not remaining:
+                break
+            template = rng.choice(CATALOG)
+            values = project(template, rng.choice(remaining).obj)
+            if values is None:
+                continue
+            child = learning.attach(node, instantiate(template, values, rng.choice(golds)))
+            learning.migrate(state, child)
+            assert candidate_snapshot(state.candidates) == reference_candidate_tables(
+                state.wrong, correct, floor
+            )
