@@ -164,7 +164,7 @@ class _Candidates:
     and a template left with no candidate is dropped with it.
     """
 
-    __slots__ = ("floor", "golds", "tables")
+    __slots__ = ("floor", "golds", "tables", "vetoes")
 
     def __init__(
         self, wrong: list[Record], correct: list[Record] | None, floor: int
@@ -174,7 +174,10 @@ class _Candidates:
         golds = list(map(_GOLD, wrong))
         # every conclusion a candidate here can have
         self.golds = set(golds)
-        correct_objs = None if correct is None else list(map(_OBJ, correct))
+        # a vetoing node keeps ``blocked`` tables and selects no candidate
+        # that matches one of its correct records
+        self.vetoes = correct is not None
+        correct_objs = list(map(_OBJ, correct)) if self.vetoes else None
         self.tables: list[_Table] = []
         for template, get in zip(CATALOG, _KEY_GETTERS):
             keys = list(map(get, objs))
@@ -193,54 +196,49 @@ class _Candidates:
             all_matched = Counter(keys)
             matched = {values: all_matched[values] for values, _ in fixed}
             blocked = None
-            if correct_objs is not None:
+            if self.vetoes:
                 all_blocked = Counter(map(get, correct_objs))
                 blocked = {
                     v: all_blocked[v] for v in all_blocked.keys() & matched.keys()
                 }
             self.tables.append(_Table(template, get, fixed, matched, blocked))
 
-    def remove(self, wrong: list[Record], correct: list[Record]) -> None:
-        """Subtract records that left the node, dropping what falls to the floor.
+    def remove(self, wrong: list[Record]) -> None:
+        """Subtract the wrong records that left; drop what falls to the floor.
 
         Each leaving record is projected once per template, counted in
         C, and only the entries both counted and still hot are visited.
+        No correct record leaves a vetoing node, so ``blocked`` only
+        loses the values that cool.
         """
+        if not wrong:
+            return
         floor = self.floor
         objs = list(map(_OBJ, wrong))
         golds = list(map(_GOLD, wrong))
-        correct_objs = list(map(_OBJ, correct))
         for table in self.tables:
             fixed, matched, blocked = table.fixed, table.matched, table.blocked
-            if objs:
-                keys = list(map(table.get, objs))
-                gone = Counter(keys)
-                hit = matched.keys() & gone.keys()
-                for values in hit:
-                    matched[values] -= gone[values]
-                if hit:
-                    gone_fixed = Counter(zip(keys, golds))
-                    cooled = set()
-                    for key in fixed.keys() & gone_fixed.keys():
-                        a = fixed[key] - gone_fixed[key]
-                        if a > floor:
-                            fixed[key] = a
-                        else:
-                            del fixed[key]
-                            cooled.add(key[0])
-                    for values in cooled:
-                        if not any((values, gold) in fixed for gold in self.golds):
-                            del matched[values]
-                            if blocked is not None:
-                                blocked.pop(values, None)
-            if correct_objs and blocked:
-                gone = Counter(map(table.get, correct_objs))
-                for values in blocked.keys() & gone.keys():
-                    n = blocked[values] - gone[values]
-                    if n:
-                        blocked[values] = n
-                    else:
-                        del blocked[values]
+            keys = list(map(table.get, objs))
+            gone = Counter(keys)
+            hit = matched.keys() & gone.keys()
+            if not hit:
+                continue
+            for values in hit:
+                matched[values] -= gone[values]
+            gone_fixed = Counter(zip(keys, golds))
+            cooled = set()
+            for key in fixed.keys() & gone_fixed.keys():
+                a = fixed[key] - gone_fixed[key]
+                if a > floor:
+                    fixed[key] = a
+                else:
+                    del fixed[key]
+                    cooled.add(key[0])
+            for values in cooled:
+                if not any((values, gold) in fixed for gold in self.golds):
+                    del matched[values]
+                    if blocked is not None:
+                        blocked.pop(values, None)
         self.tables = [table for table in self.tables if table.fixed]
 
 
@@ -386,6 +384,9 @@ class _Learning:
         """Move records the new child captures; returns how many were correct.
 
         The moved records are subtracted from the node's candidate tables.
+        At a vetoing node the selected rule matches no correct record, so
+        only the wrong ones are tested; the self-check would catch a
+        correct record left behind.
         """
         rule = child.rule
         fields = tuple(i for i, _ in rule.tests)
@@ -393,16 +394,19 @@ class _Learning:
         if len(fields) == 1:
             wanted = wanted[0]
         get = itemgetter(*fields)
-        child_state = self.records[child]
-        moved = []
-        for records in (state.wrong, state.correct):
+
+        def take(records: list[Record]) -> list[Record]:
             hits = list(map(eq, map(get, map(_OBJ, records)), repeat(wanted)))
-            moved.append(list(compress(records, hits)))
+            taken = list(compress(records, hits))
             records[:] = list(compress(records, map(not_, hits)))
-        moved_wrong, moved_correct = moved
+            return taken
+
+        moved_wrong = take(state.wrong)
+        moved_correct = [] if state.candidates.vetoes else take(state.correct)
+        child_state = self.records[child]
         for r in chain(moved_wrong, moved_correct):
             child_state.file(r, rule.conclusion)
-        state.candidates.remove(moved_wrong, moved_correct)
+        state.candidates.remove(moved_wrong)
         return len(moved_correct)
 
     def check_against_tree(self, all_records: list[Record]) -> None:

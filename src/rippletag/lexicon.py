@@ -9,6 +9,7 @@ one for capitalized tokens and one for everything else.
 
 from __future__ import annotations
 
+import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
@@ -32,8 +33,9 @@ class LexiconFormatError(ValueError):
     """Malformed serialized lexicon."""
 
 
-def contains_digit(word: str) -> bool:
-    return any(c.isdecimal() for c in word)
+# Whether a word holds a decimal digit, as one C call: for str patterns
+# ``\d`` matches exactly the characters ``str.isdecimal`` accepts.
+contains_digit = re.compile(r"\d").search
 
 
 def is_capitalized(word: str) -> bool:
@@ -50,19 +52,6 @@ class Lexicon:
 
     def most_frequent_tag(self, word: str) -> str | None:
         return self.word_tags.get(word)
-
-    def suffix_tag(self, word: str, n: int) -> str | None:
-        """Majority tag for the last n characters, proper suffixes only."""
-        if len(word) <= n:
-            return None
-        return self.suffix_tags.get(n, {}).get(word[-n:])
-
-    def default_tag(self, word: str) -> str:
-        if contains_digit(word):
-            return self.numeric_tag
-        if is_capitalized(word):
-            return self.capitalized_tag
-        return self.lowercase_tag
 
     @property
     def tagset(self) -> frozenset[str]:

