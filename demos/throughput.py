@@ -4,8 +4,8 @@
 The sample corpus only learns a couple dozen rules, which says little
 about speed at realistic model sizes.  So this pads a trained tree
 with rules conditioned on words that never occur: outputs stay
-identical, but every if-not chain gets long enough that the tagger's
-per-field value index actually matters.
+identical, but every if-not chain grows long, and the tagger's
+first-test index has to keep the walk from scanning it.
 """
 
 from dataclasses import replace

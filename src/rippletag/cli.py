@@ -223,7 +223,7 @@ def cmd_tag(args: argparse.Namespace) -> int:
     # Output line N is input line N, blank lines included.
     lines = read_lines(_read_text(args.input))
     text = write_tagged_corpus(
-        [zip(words, tagger.tag_sentence(words)) for words in lines], model.separator
+        [(words, tagger.tag_sentence(words)) for words in lines], model.separator
     )
     with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 DEFAULT_SEPARATOR = "/"
 
@@ -119,26 +119,24 @@ _WHITESPACE = re.compile(r"\s")
 
 
 def write_tagged_corpus(
-    corpus: TaggedCorpus | Iterable[Iterable[tuple[str, str]]],
+    corpus: TaggedCorpus | Iterable[tuple[Sequence[str], Sequence[str]]],
     separator: str = DEFAULT_SEPARATOR,
 ) -> str:
     """Render sentences as text, one line each. Inverse of read_tagged_corpus.
 
-    ``corpus`` is a TaggedCorpus or any iterable of sentences of
-    (word, tag) pairs; a sentence with no pairs renders as an empty
-    line.  Refuses tokens that could not round-trip (whitespace in a
-    word or tag, separator inside a tag, empty strings), naming the
-    first such token.
+    ``corpus`` is a TaggedCorpus or any iterable of ``(words, tags)``
+    pairs of equal-length sequences, one pair per sentence; a sentence
+    with no words renders as an empty line.  Refuses tokens that could
+    not round-trip (whitespace in a word or tag, separator inside a
+    tag, empty strings), naming the first such token.
     """
-    sentences = corpus.sentences if isinstance(corpus, TaggedCorpus) else corpus
+    if isinstance(corpus, TaggedCorpus):
+        corpus = (tuple(zip(*sentence)) for sentence in corpus.sentences)
     good_tags: set[str] = set()
     lines = []
-    for sentence in sentences:
-        columns = tuple(zip(*sentence))
-        if not columns:
-            lines.append("")
-            continue
-        words, tags = columns
+    for words, tags in corpus:
+        if len(words) != len(tags):
+            raise ValueError(f"{len(words)} words but {len(tags)} tags")
         new_tags = set(tags).difference(good_tags)
         # Whole-sentence checks; the per-token loop runs only to name
         # the first bad token.

@@ -71,7 +71,7 @@ def parse_regex_rules(text: str) -> tuple[tuple[str, str], ...]:
             raise ValueError(f"line {lineno}: expected 'pattern<TAB>tag'")
         try:
             re.compile(pattern)
-        except re.error as exc:
+        except (re.error, OverflowError, RecursionError) as exc:
             raise ValueError(f"line {lineno}: bad pattern {pattern!r}: {exc}") from exc
         rules.append((pattern, tag.strip()))
     return tuple(rules)

@@ -59,16 +59,34 @@ class TagObject(NamedTuple):
     suffix4: str | None
 
 
-def context_columns(
-    words: Sequence[str], tags: Sequence[str]
-) -> tuple[list[str | None], ...]:
-    """The context window of one sentence, one list per field.
+class _Suffixes:
+    """Column of one suffix length, cut from each word only when read.
 
-    Column ``FIELD_INDEX[name]`` holds field ``name`` of every token in
-    sentence order, so ``columns[f][i]`` is ``make_tag_objects(words,
-    tags)[i][f]``.  Neighbours outside the sentence, and suffixes as
-    long as the word itself, are None.
+    Item ``i`` is ``_suffixes(words, n)[i]``, without building the list.
     """
+
+    __slots__ = ("words", "n")
+
+    def __init__(self, words: Sequence[str], n: int) -> None:
+        self.words = words
+        self.n = n
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __getitem__(self, i: int) -> str | None:
+        word = self.words[i]
+        n = self.n
+        return word[-n:] if len(word) > n else None
+
+
+def _suffixes(words: Sequence[str], n: int) -> list[str | None]:
+    """The last ``n`` characters of each word, None unless it is longer."""
+    return [word[-n:] if len(word) > n else None for word in words]
+
+
+def _window(words: Sequence[str], tags: Sequence[str]) -> tuple[list[str | None], ...]:
+    """The ten neighbour columns of ``context_columns``."""
     if len(words) != len(tags):
         raise ValueError(f"{len(words)} words but {len(tags)} tags")
     n = len(words)
@@ -85,9 +103,27 @@ def context_columns(
         t[3 : n + 3],
         w[4 : n + 4],
         t[4 : n + 4],
-        [word[-2:] if len(word) > 2 else None for word in words],
-        [word[-3:] if len(word) > 3 else None for word in words],
-        [word[-4:] if len(word) > 4 else None for word in words],
+    )
+
+
+def context_columns(
+    words: Sequence[str], tags: Sequence[str]
+) -> tuple[Sequence[str | None], ...]:
+    """The context window of one sentence, one column per field.
+
+    Column ``FIELD_INDEX[name]`` holds field ``name`` of every token in
+    sentence order, so ``columns[f][i]`` is ``make_tag_objects(words,
+    tags)[i][f]``.  Neighbours outside the sentence, and suffixes as
+    long as the word itself, are None.  The ten neighbour columns are
+    lists; the three suffix columns cut a word's suffix only when it is
+    read, since a tree walk reads few of them.  They read ``words``
+    itself, so it must not change while the columns are in use.
+    """
+    return (
+        *_window(words, tags),
+        _Suffixes(words, 2),
+        _Suffixes(words, 3),
+        _Suffixes(words, 4),
     )
 
 
@@ -95,8 +131,18 @@ _new_tag_object = partial(tuple.__new__, TagObject)
 
 
 def make_tag_objects(words: Sequence[str], tags: Sequence[str]) -> list[TagObject]:
-    """Build the per-token context objects for one sentence."""
-    return list(map(_new_tag_object, zip(*context_columns(words, tags))))
+    """Build the per-token context objects for one sentence.
+
+    Field ``f`` of object ``i`` is ``context_columns(words, tags)[f][i]``;
+    every object holds its suffixes, so they are cut here in one pass.
+    """
+    columns = zip(
+        *_window(words, tags),
+        _suffixes(words, 2),
+        _suffixes(words, 3),
+        _suffixes(words, 4),
+    )
+    return list(map(_new_tag_object, columns))
 
 
 class Rule(NamedTuple):

@@ -1,11 +1,12 @@
 """Applying a trained model to text, and model persistence.
 
 Tagging walks the exception tree once per token.  For throughput the
-tree is compiled first: every if-not chain becomes a flat entry list,
-and long chains get a per-field value index so only entries whose
-first test can possibly hold are checked.  The compiled walk returns
-exactly what the plain tree walk returns; it just skips conditions
-that cannot fire.
+tree is compiled first: every if-not chain becomes one first-test
+index, which maps each value of a field that some entry tests first to
+those entries, in chain order.  A token probes each indexed field once
+and checks only the entries its own values select.  The compiled walk
+returns exactly what the plain tree walk returns; it just skips
+conditions that cannot fire.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .initial_tagger import (
     MODES,
     InitialTagger,
     InitialTaggerOptions,
-    compile_regex_rules,
 )
 from .lexicon import Lexicon, parse_lexicon, serialize_lexicon
 from .scrdr import Node, context_columns, parse_tree, serialize_tree
@@ -36,12 +36,13 @@ LEXICON_FILE = "model.lex"
 META_FILE = "model.json"
 AUDIT_FILE = "audit.jsonl"
 
-# Chains shorter than this are cheaper to scan than to index.
-_INDEX_MIN_LEN = 8
-
-_Entry = tuple[tuple[tuple[int, str], ...], str, "_Chain | None"]
-_Index = dict[int, dict[str, list[int]]]
-_Chain = tuple[list[_Entry], "_Index | None"]
+# One compiled entry: (chain position, tests after the first,
+# conclusion, compiled exception chain).
+_Entry = tuple[int, tuple[tuple[int, str], ...], str, "_Chain | None"]
+# A compiled chain: its length, then one (position of its first entry,
+# field, value -> entries in chain order) table per field that some
+# entry tests first, ordered by that position.
+_Chain = tuple[int, tuple[tuple[int, int, dict[str, list[_Entry]]], ...]]
 
 
 class ModelFormatError(ValueError):
@@ -59,23 +60,30 @@ class Model:
 
 
 def compile_chain(first: Node | None) -> _Chain | None:
-    """Compile one if-not chain (a node and its if-not siblings)."""
+    """Compile one if-not chain (a node and its if-not siblings).
+
+    Raises ValueError for an always-true rule, which only the root may
+    hold.
+    """
     if first is None:
         return None
-    entries: list[_Entry] = []
+    tables: dict[int, dict[str, list[_Entry]]] = {}
+    starts: dict[int, int] = {}
+    pos = 0
     node: Node | None = first
     while node is not None:
-        entries.append(
-            (node.rule.tests, node.rule.conclusion, compile_chain(node.except_child))
-        )
-        node = node.ifnot_child
-    if len(entries) < _INDEX_MIN_LEN:
-        return entries, None
-    index: _Index = {}
-    for pos, (tests, _, _) in enumerate(entries):
+        tests = node.rule.tests
+        if not tests:
+            raise ValueError(f"always-true rule below the root: {node!r}")
         field_idx, value = tests[0]
-        index.setdefault(field_idx, {}).setdefault(value, []).append(pos)
-    return entries, index
+        sub = compile_chain(node.except_child)
+        entry = (pos, tests[1:], node.rule.conclusion, sub)
+        tables.setdefault(field_idx, {}).setdefault(value, []).append(entry)
+        starts.setdefault(field_idx, pos)
+        pos += 1
+        node = node.ifnot_child
+    # in order of each field's first entry, as the dicts keep insertion order
+    return pos, tuple((starts[f], f, table) for f, table in tables.items())
 
 
 def run_chain(
@@ -84,31 +92,36 @@ def run_chain(
     """Deepest conclusion fired in this chain for token ``i``, or None.
 
     ``cols`` are the sentence's ``context_columns``: field ``f`` of the
-    token is ``cols[f][i]``.
+    token is ``cols[f][i]``.  In each chain the earliest entry whose
+    tests all hold fires, and the walk goes on into its exceptions; a
+    field whose first entry comes after the entry found so far is not
+    probed.
     """
-    entries, index = compiled
-    if index is None:
-        positions: "range | list[int] | None" = range(len(entries))
-    else:
-        positions = None
-        for field_idx, table in index.items():
-            hits = table.get(cols[field_idx][i])
-            if hits is not None:
-                positions = hits if positions is None else sorted(positions + hits)
-        if positions is None:
-            return None
-    for pos in positions:
-        tests, conclusion, sub = entries[pos]
-        for field_idx, value in tests:
-            if cols[field_idx][i] != value:
+    conclusion = None
+    chain: _Chain | None = compiled
+    while chain is not None:
+        cutoff, tables = chain
+        fired = None
+        for start, field_idx, table in tables:
+            if start >= cutoff:
                 break
-        else:
-            if sub is not None:
-                deeper = run_chain(sub, cols, i)
-                if deeper is not None:
-                    return deeper
-            return conclusion
-    return None
+            entries = table.get(cols[field_idx][i])
+            if entries is None:
+                continue
+            for entry in entries:
+                if entry[0] >= cutoff:
+                    break
+                for f, value in entry[1]:
+                    if cols[f][i] != value:
+                        break
+                else:
+                    cutoff = entry[0]
+                    fired = entry
+                    break
+        if fired is None:
+            break
+        _, _, conclusion, chain = fired
+    return conclusion
 
 
 class Tagger:
@@ -146,7 +159,11 @@ class Tagger:
 
 
 def save_model(model: Model, directory: str | Path) -> None:
-    """Write the model files; nothing is created if serializing fails."""
+    """Write the model files; nothing is created if serializing fails.
+
+    A model without an audit removes any ``audit.jsonl`` an older model
+    left in the directory, so loading it never returns a stale audit.
+    """
     meta = {
         "format": 1,
         "mode": model.mode,
@@ -165,6 +182,8 @@ def save_model(model: Model, directory: str | Path) -> None:
     path.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
         _write(path / name, text)
+    if AUDIT_FILE not in files:
+        (path / AUDIT_FILE).unlink(missing_ok=True)
 
 
 def load_model(directory: str | Path) -> Model:
@@ -172,7 +191,7 @@ def load_model(directory: str | Path) -> Model:
     meta_path = path / META_FILE
     try:
         meta = json.loads(_read(meta_path))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ModelFormatError(f"{meta_path}: {exc}") from exc
     version = meta.get("format") if isinstance(meta, dict) else None
     # compared by type too, since True == 1.0 == 1
@@ -194,22 +213,26 @@ def load_model(directory: str | Path) -> Model:
         raise ModelFormatError(
             f"{meta_path}: 'regex_rules' must be a list of [pattern, tag] strings"
         )
-    try:
-        compile_regex_rules(regex_rules)
-    except re.error as exc:
-        raise ModelFormatError(
-            f"{meta_path}: 'regex_rules': bad pattern {exc.pattern!r}: {exc}"
-        ) from exc
+    for pattern, _ in regex_rules:
+        try:
+            re.compile(pattern)
+        except (re.error, OverflowError, RecursionError) as exc:
+            raise ModelFormatError(
+                f"{meta_path}: 'regex_rules': bad pattern {pattern!r}: {exc}"
+            ) from exc
     lexicon = parse_lexicon(_read(path / LEXICON_FILE))
     tree = parse_tree(_read(path / TREE_FILE))
     audit: tuple[dict, ...] = ()
     audit_path = path / AUDIT_FILE
     if audit_path.exists():
-        audit = tuple(
-            json.loads(line)
-            for line in _read(audit_path).splitlines()
-            if line.strip()
-        )
+        try:
+            audit = tuple(
+                json.loads(line)
+                for line in _read(audit_path).splitlines()
+                if line.strip()
+            )
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ModelFormatError(f"{audit_path}: {exc}") from exc
     return Model(
         lexicon=lexicon,
         tree=tree,
@@ -231,3 +254,5 @@ def _read(path: Path) -> str:
             return handle.read()
     except FileNotFoundError:
         raise ModelFormatError(f"missing model file: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"{path}: not UTF-8 text: {exc}") from None

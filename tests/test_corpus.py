@@ -82,8 +82,14 @@ def test_write_rejects_unwritable_tokens():
 
 
 def test_write_renders_plain_pairs_and_empty_sentences_as_blank_lines():
-    sentences = [[("a", "X"), ("1/2", "CD")], [], iter([("b", "Y")])]
+    sentences = [(["a", "1/2"], ["X", "CD"]), ([], []), (("b",), ("Y",))]
     assert write_tagged_corpus(sentences) == "a/X 1/2/CD\n\nb/Y\n"
+    assert write_tagged_corpus(iter(sentences)) == "a/X 1/2/CD\n\nb/Y\n"
+
+
+def test_write_rejects_words_and_tags_of_different_lengths():
+    with pytest.raises(ValueError, match="2 words but 1 tags"):
+        write_tagged_corpus([(["a", "b"], ["X"])])
 
 
 def test_whitespace_pattern_is_str_isspace():
@@ -111,14 +117,25 @@ _piece = st.one_of(
 @example([[("a", "NN")], [("b c", "NN")]], "/")
 @example([[("a", "NN")], [], [("b", "NN"), ("", "NN")]], "::")
 def test_writer_fails_like_the_per_token_checks(sentences, separator):
+    columns = [([w for w, _ in s], [t for _, t in s]) for s in sentences]
+    assert_writes_like_the_reference(columns, sentences, separator)
+    # a TaggedCorpus holds no empty sentence
+    non_empty = [s for s in sentences if s]
+    corpus = TaggedCorpus.from_pairs(non_empty)
+    assert_writes_like_the_reference(corpus, non_empty, separator)
+
+
+def assert_writes_like_the_reference(corpus, sentences, separator):
+    """``write_tagged_corpus(corpus)`` equals the per-token writer on
+    the same sentences as pairs: the same text or the same error."""
     try:
         want = reference_write_tagged_corpus(sentences, separator)
     except ValueError as exc:
         with pytest.raises(ValueError) as got:
-            write_tagged_corpus(sentences, separator)
+            write_tagged_corpus(corpus, separator)
         assert str(got.value) == str(exc)
     else:
-        assert write_tagged_corpus(sentences, separator) == want
+        assert write_tagged_corpus(corpus, separator) == want
 
 
 def test_empty_sentence_rejected():

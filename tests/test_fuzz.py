@@ -1,0 +1,204 @@
+"""Fuzzing the text parsers and the model loader.
+
+Any input must either parse or raise the package's own format error;
+a bare TypeError, KeyError, IndexError or AttributeError is a bug.
+The inputs are built from fragments of the real formats, so that most
+of them get past the first check.
+"""
+
+import json
+import random
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from rippletag.corpus import CorpusParseError, read_tagged_corpus
+from rippletag.lexicon import LexiconFormatError, parse_lexicon
+from rippletag.scrdr import TreeFormatError, parse_tree
+from rippletag.tagger import (
+    AUDIT_FILE,
+    LEXICON_FILE,
+    META_FILE,
+    TREE_FILE,
+    Model,
+    ModelFormatError,
+    load_model,
+    save_model,
+)
+
+from helpers import random_lexicon, random_tree
+
+
+def _texts(fragments):
+    """Text glued from format fragments, random characters and line breaks."""
+    piece = st.one_of(
+        st.sampled_from(fragments),
+        st.text(max_size=3),
+        st.sampled_from(["\n", "\t", "\r", "\r\n", " ", " ", ""]),
+    )
+    return st.lists(piece, max_size=40).map("".join)
+
+
+_TREE_FRAGMENTS = [
+    'if True then tag = ""',
+    "if ",
+    "True",
+    " then tag = ",
+    '"NN"',
+    '"',
+    '\\"',
+    "\\\\",
+    "\\",
+    "word == ",
+    "currentTag == ",
+    "suffix2 == ",
+    "prev1Tag == ",
+    "nosuch == ",
+    " == ",
+    " and ",
+    "\t",
+    "\t\t",
+    "\n",
+]
+
+_LEXICON_FRAGMENTS = [
+    "%%NUM%%\tCD\n",
+    "%%CAP%%\tNNP\n",
+    "%%LOW%%\tNN\n",
+    "%%S2%%",
+    "%%S3%%ing",
+    "%%S5%%",
+    "%%S9%%",
+    "%%",
+    "the\tDT\n",
+    "\t",
+    "\n",
+]
+
+_CORPUS_FRAGMENTS = ["the/DT", "1/2/CD", "/", "//", "a/", "/NN", " ", "\n", "::"]
+
+
+@given(_texts(_TREE_FRAGMENTS))
+def test_parse_tree_parses_or_raises_its_format_error(text):
+    try:
+        parse_tree(text)
+    except TreeFormatError:
+        pass
+
+
+@given(_texts(_LEXICON_FRAGMENTS))
+def test_parse_lexicon_parses_or_raises_its_format_error(text):
+    try:
+        parse_lexicon(text)
+    except LexiconFormatError:
+        pass
+
+
+@given(_texts(_CORPUS_FRAGMENTS), st.sampled_from(["/", "::", "_"]))
+def test_read_tagged_corpus_parses_or_raises_its_format_error(text, separator):
+    try:
+        read_tagged_corpus(text, separator)
+    except CorpusParseError:
+        pass
+
+
+# What load_model may raise for a malformed model directory.
+_MODEL_ERRORS = (ModelFormatError, TreeFormatError, LexiconFormatError)
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+_REGEX_RULES = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from([".*ing$", "^[A-Z]", "(", "a{99999999999}", "[", "x"]),
+            st.sampled_from(["VBG", "", "NN"]),
+        ).map(list),
+        _JSON_VALUES,
+    ),
+    max_size=3,
+)
+
+_META = st.one_of(
+    _JSON_VALUES,
+    st.fixed_dictionaries(
+        {"format": st.sampled_from([1, 1.0, True, 2, "1", None])},
+        optional={
+            "mode": st.sampled_from(["generic", "english-regex", "klingon", 5]),
+            "separator": st.one_of(st.sampled_from(["/", "", "::"]), _JSON_VALUES),
+            "regex_rules": st.one_of(_REGEX_RULES, _JSON_VALUES),
+        },
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    """Files of a small valid model, by name."""
+    rng = random.Random(7)
+    model = Model(lexicon=random_lexicon(rng), tree=random_tree(rng, 12))
+    directory = tmp_path_factory.mktemp("model")
+    save_model(model, directory)
+    return {
+        name: (directory / name).read_bytes()
+        for name in (TREE_FILE, LEXICON_FILE, META_FILE)
+    }
+
+
+def _load_with(tmp_path, saved, name, data):
+    """load_model on the saved model with file ``name`` set to ``data``."""
+    for file_name, content in {**saved, name: data}.items():
+        (tmp_path / file_name).write_bytes(content)
+    try:
+        load_model(tmp_path)
+    except _MODEL_ERRORS:
+        pass
+
+
+# tmp_path is reused across examples; each example rewrites every file
+_fuzz_settings = settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_fuzz_settings
+@given(st.one_of(_META.map(json.dumps), _texts(['{"format": 1', "}", ","])))
+# re.compile raises OverflowError or RecursionError for these
+# patterns, json.loads RecursionError for this nesting
+@example('{"format": 1, "regex_rules": [["a{99999999999}", "NN"]]}')
+@example('{"format": 1, "regex_rules": [["%s", "NN"]]}' % ("(" * 1000 + ")" * 1000))
+@example("[" * 100000)
+def test_load_model_survives_any_meta_file(tmp_path, saved_model, text):
+    _load_with(tmp_path, saved_model, META_FILE, text.encode())
+
+
+@_fuzz_settings
+@given(_texts(_LEXICON_FRAGMENTS))
+def test_load_model_survives_any_lexicon_file(tmp_path, saved_model, text):
+    _load_with(tmp_path, saved_model, LEXICON_FILE, text.encode())
+
+
+@_fuzz_settings
+@given(_texts(_TREE_FRAGMENTS))
+def test_load_model_survives_any_tree_file(tmp_path, saved_model, text):
+    _load_with(tmp_path, saved_model, TREE_FILE, text.encode())
+
+
+@_fuzz_settings
+@given(_texts(['{"rule": "if True"}', "{", "}", "[", "]", '"', ":", "1", "\n"]))
+@example("{}\n{")
+def test_load_model_survives_any_audit_file(tmp_path, saved_model, text):
+    _load_with(tmp_path, saved_model, AUDIT_FILE, text.encode())
+
+
+@_fuzz_settings
+@given(
+    st.sampled_from([META_FILE, LEXICON_FILE, TREE_FILE, AUDIT_FILE]),
+    st.binary(max_size=40),
+)
+def test_load_model_survives_bytes_that_are_not_utf8(
+    tmp_path, saved_model, name, data
+):
+    _load_with(tmp_path, saved_model, name, data)

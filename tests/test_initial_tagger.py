@@ -128,6 +128,9 @@ def test_parse_regex_rules():
         parse_regex_rules("no-tab VBG\n")
     with pytest.raises(ValueError, match="bad pattern"):
         parse_regex_rules("(unclosed\tNN\n")
+    # re.compile raises OverflowError, not re.error, for these
+    with pytest.raises(ValueError, match="bad pattern"):
+        parse_regex_rules("a{99999999999}\tNN\n")
 
 
 def test_default_rule_order_is_most_specific_first():

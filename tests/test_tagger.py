@@ -2,12 +2,15 @@ import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rippletag.lexicon import Lexicon
 from rippletag.scrdr import (
+    FIELD_INDEX,
     Node,
     Rule,
     context_columns,
+    evaluate,
     insert_exception,
     new_root,
     parse_tree,
@@ -50,7 +53,7 @@ def assert_walks_like_the_reference(root, compiled, objects):
 
 
 def wide_tree(rng, top_width, extra):
-    """Tree whose top chain is long enough to get the value index."""
+    """Tree whose top chain has ``top_width`` entries, plus ``extra`` rules."""
     root = new_root()
     top = [insert_exception(root, random_rule(rng)) for _ in range(top_width)]
     nodes = list(top)
@@ -73,7 +76,6 @@ class TestCompiledChain:
         for _ in range(20):
             root = wide_tree(rng, rng.randint(8, 20), rng.randint(0, 25))
             compiled = compile_chain(root.except_child)
-            assert compiled[1] is not None
             objects = [random_object(rng) for _ in range(60)]
             assert_walks_like_the_reference(root, compiled, objects)
 
@@ -105,11 +107,56 @@ class TestCompiledChain:
                 for i, obj in enumerate(reference_make_tag_objects(words, tags)):
                     assert run_chain(compiled, cols, i) == expected_conclusion(root, obj)
 
-    def test_short_chains_skip_the_index(self):
+    def test_chains_of_every_length_match_the_plain_walk(self):
         rng = random.Random(33)
-        root = wide_tree(rng, 7, 0)
+        for width in (1, 2, 7, 8, 9, 31, 45):
+            root = wide_tree(rng, width, rng.randint(0, 10))
+            compiled = compile_chain(root.except_child)
+            objects = [random_object(rng) for _ in range(60)]
+            assert_walks_like_the_reference(root, compiled, objects)
+
+    @pytest.mark.parametrize("width", [1, 7, 8, 20])
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_always_true_rule_below_the_root_is_rejected(self, width, nested):
+        # parse_tree and insert_exception refuse such a rule, so only a
+        # hand-built tree can hold one; it ends a chain of `width` entries
+        rng = random.Random(width)
+        root = new_root()
+        parent = insert_exception(root, random_rule(rng)) if nested else root
+        chain = [
+            insert_exception(parent, random_rule(rng)) for _ in range(width - 1)
+        ]
+        bad = Node(Rule((), "NN"), parent.level + 1)
+        if chain:
+            chain[-1].ifnot_child = bad
+        else:
+            parent.except_child = bad
+        with pytest.raises(ValueError, match="always-true"):
+            compile_chain(root.except_child)
+
+    def test_earliest_entry_wins_across_first_test_fields(self):
+        # the entry that fires first in chain order wins, whichever
+        # field its first test reads
+        root = new_root()
+        insert_exception(root, Rule(((4, "w"), (7, "t")), "late-word"))
+        insert_exception(root, Rule(((1, "p"),), "prev2"))
+        insert_exception(root, Rule(((4, "w"),), "word"))
+        insert_exception(root, Rule(((12, "abcd"),), "suffix"))
         compiled = compile_chain(root.except_child)
-        assert compiled[1] is None
+        rng = random.Random(1)
+        base = random_object(rng)._replace(
+            prev2Tag="p", word="w", next1Tag="x", suffix4="abcd"
+        )
+        objects = [
+            base,
+            base._replace(next1Tag="t"),
+            base._replace(prev2Tag=None),
+            base._replace(prev2Tag=None, word="v"),
+            base._replace(prev2Tag=None, word="v", suffix4=None),
+        ]
+        cols = tuple(list(column) for column in zip(*objects))
+        got = [run_chain(compiled, cols, i) for i in range(len(objects))]
+        assert got == ["prev2", "late-word", "word", "suffix", None]
 
     def test_index_candidates_keep_chain_order(self):
         root = new_root()
@@ -124,6 +171,72 @@ class TestCompiledChain:
         cols = tuple(list(column) for column in zip(obj, off))
         assert run_chain(compiled, cols, 0) == "c6"
         assert run_chain(compiled, cols, 1) == "fallback"
+
+
+# Values the property's rules test: words and suffixes the sentences
+# hold, tags, and shapes only a hand-edited model file can hold
+# (suffixes of the wrong length, a space inside a value, "").
+_VALUES = ["a", "b", "ab", "ba", "aab", "bab", "abab", "X", "Y", "a b", "ab ", ""]
+_FIELDS = list(FIELD_INDEX.values())
+# a few first tests, so that entries share them
+_FIRST_TESTS = [
+    (FIELD_INDEX["currentTag"], "X"),
+    (FIELD_INDEX["word"], "ab"),
+    (FIELD_INDEX["prev1Tag"], "Y"),
+    (FIELD_INDEX["suffix2"], "ab"),
+    (FIELD_INDEX["suffix3"], "bab"),
+    (FIELD_INDEX["suffix4"], "X"),
+]
+
+
+@st.composite
+def _rules(draw):
+    first = draw(st.one_of(st.sampled_from(_FIRST_TESTS), st.tuples(
+        st.sampled_from(_FIELDS), st.sampled_from(_VALUES)
+    )))
+    more = draw(st.dictionaries(
+        st.sampled_from(_FIELDS), st.sampled_from(_VALUES), max_size=2
+    ))
+    more.pop(first[0], None)
+    tests = tuple(sorted([first, *more.items()]))
+    return Rule(tests, draw(st.sampled_from(["X", "Y", "Z"])))
+
+
+@st.composite
+def _trees(draw):
+    """A root chain of 1 to 40 entries, plus rules under random nodes."""
+    root = new_root()
+    nodes = [root]
+    for rule in draw(st.lists(_rules(), min_size=1, max_size=40)):
+        nodes.append(insert_exception(root, rule))
+    for where, rule in draw(st.lists(st.tuples(st.integers(0, 10**6), _rules()),
+                                     max_size=30)):
+        nodes.append(insert_exception(nodes[where % len(nodes)], rule))
+    return root
+
+
+_WORDS = st.text("ab", min_size=1, max_size=5)
+
+_LEXICON = Lexicon(
+    word_tags={"a": "X", "ab": "Y", "bab": "X", "abab": "Z"},
+    suffix_tags={n: {} for n in (2, 3, 4, 5)},
+    numeric_tag="Z",
+    capitalized_tag="Z",
+    lowercase_tag="Y",
+)
+
+
+@given(_trees(), st.lists(st.lists(_WORDS, min_size=1, max_size=7), max_size=6))
+def test_tagger_walks_a_parsed_tree_like_the_reference(root, sentences):
+    tree = parse_tree(serialize_tree(root))
+    tagger = Tagger(Model(lexicon=_LEXICON, tree=tree))
+    for words in sentences:
+        guesses = tagger.initial.tag_sentence(words)
+        want = []
+        for obj, guess in zip(reference_make_tag_objects(words, guesses), guesses):
+            node = evaluate(tree, obj).node
+            want.append(guess if node is tree else node.rule.conclusion)
+        assert tagger.tag_sentence(words) == want
 
 
 class TestTagger:
@@ -197,6 +310,14 @@ class TestPersistence:
         assert meta["regex_rules"] == [list(r) for r in toy_model.regex_rules]
 
     def test_audit_file_only_written_when_present(self, toy_model, tmp_path):
+        quiet = Model(lexicon=toy_model.lexicon, tree=toy_model.tree)
+        save_model(quiet, tmp_path / "m")
+        assert not (tmp_path / "m" / AUDIT_FILE).exists()
+        assert load_model(tmp_path / "m").audit == ()
+
+    def test_saving_without_an_audit_removes_the_old_one(self, toy_model, tmp_path):
+        assert toy_model.audit
+        save_model(toy_model, tmp_path / "m")
         quiet = Model(lexicon=toy_model.lexicon, tree=toy_model.tree)
         save_model(quiet, tmp_path / "m")
         assert not (tmp_path / "m" / AUDIT_FILE).exists()
