@@ -59,6 +59,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _fold_count(text: str) -> int:
+    value = _positive_int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 folds, got {value}")
+    return value
+
+
 def _separator(text: str) -> str:
     if not text:
         raise argparse.ArgumentTypeError("the separator must not be empty")
@@ -135,7 +142,7 @@ def build_parser() -> _Parser:
 
     p_xval = sub.add_parser("xval", help="k-fold cross-validation on one corpus")
     p_xval.add_argument("--corpus", required=True, help="tagged corpus file")
-    p_xval.add_argument("--folds", type=_positive_int, required=True)
+    p_xval.add_argument("--folds", type=_fold_count, required=True)
     p_xval.add_argument("--report", required=True, help="JSON report output file")
     _add_train_options(p_xval)
     p_xval.set_defaults(func=cmd_xval)

@@ -61,25 +61,12 @@ class TaggedCorpus:
     def tagset(self) -> frozenset[str]:
         return frozenset(t.tag for t in self.tokens())
 
-    def tags_in_order(self) -> tuple[str, ...]:
-        """Distinct tags in order of first occurrence (deterministic)."""
-        seen: dict[str, None] = {}
-        for token in self.tokens():
-            seen.setdefault(token.tag, None)
-        return tuple(seen)
-
     @cached_property
     def token_count(self) -> int:
         return sum(len(s) for s in self.sentences)
 
     def vocabulary(self) -> set[str]:
         return {t.word for t in self.tokens()}
-
-    def word_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for token in self.tokens():
-            counts[token.word] = counts.get(token.word, 0) + 1
-        return counts
 
     def __len__(self) -> int:
         return len(self.sentences)

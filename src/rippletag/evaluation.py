@@ -166,8 +166,6 @@ def cross_validate(
     corpus: TaggedCorpus,
     k: int = 10,
     options: TrainOptions = TrainOptions(),
-    with_level_curve: bool = True,
-    speed_repeats: int = 10,
 ) -> dict:
     """Contiguous k-fold cross-validation of the whole pipeline.
 
@@ -190,7 +188,9 @@ def cross_validate(
         tagger = Tagger(model)
         vocabulary = train.vocabulary()
         words = [[t.word for t in s] for s in test.sentences]
-        initial_pred = tagger.initial.tag_corpus_words(words)
+        initial_pred = TaggedCorpus.from_pairs(
+            [zip(s, tagger.initial.tag_sentence(s)) for s in words]
+        )
         final_pred = tagger.tag_sentences(words)
         initial_metrics = score_tagging(test, initial_pred, vocabulary)
         final_metrics = score_tagging(test, final_pred, vocabulary)
@@ -208,9 +208,8 @@ def cross_validate(
             }
         )
         if number == 1:
-            if with_level_curve:
-                curve = level_curve(model, test)
-            speed = measure_tagging_speed(tagger, words, repeats=speed_repeats)
+            curve = level_curve(model, test)
+            speed = measure_tagging_speed(tagger, words)
     return {
         "folds": fold_rows,
         "mean": {

@@ -26,10 +26,12 @@ from __future__ import annotations
 
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
-from .corpus import TaggedCorpus, Token
+from .corpus import TaggedCorpus
 from .lexicon import SUFFIX_LENGTHS, Lexicon, contains_digit, is_capitalized
 
 MODE_GENERIC = "generic"
@@ -169,12 +171,6 @@ class InitialTagger:
             for n in sorted(SUFFIX_LENGTHS, reverse=True)
         )
 
-    def tag_word(self, word: str) -> str:
-        known = self.lexicon.most_frequent_tag(word)
-        if known is not None:
-            return known
-        return self.guess_unknown(word)
-
     def guess_unknown(self, word: str) -> str:
         """First guess from the unknown-word chain, ignoring any lexicon entry."""
         for test, tag in self._newline_rules if "\n" in word else self._regex_rules:
@@ -199,24 +195,18 @@ class InitialTagger:
         get, guess = self.lexicon.word_tags.get, self.guess_unknown
         return [tag if (tag := get(w)) is not None else guess(w) for w in words]
 
-    def tag_corpus_words(self, sentences: list[list[str]]) -> TaggedCorpus:
-        return TaggedCorpus.from_pairs(
-            [zip(words, self.tag_sentence(words)) for words in sentences]
-        )
 
+def initialize_corpus(gold: TaggedCorpus, tagger: InitialTagger) -> list[list[str]]:
+    """First-guess tags for the gold corpus, one list per sentence.
 
-def initialize_corpus(gold: TaggedCorpus, tagger: InitialTagger) -> TaggedCorpus:
-    """Re-tag the gold corpus with first guesses, keeping its layout.
-
-    Words that occur once in gold get the unknown-word guess, as they
-    would in unseen text, so the learner also sees unknown-word errors.
+    The guesses are those of ``tagger.tag_sentence``, except that words
+    which occur once in gold get the unknown-word guess, as they would
+    in unseen text, so the learner also sees unknown-word errors.
     """
-    counts = gold.word_counts()
-    sentences = []
-    for sentence in gold.sentences:
-        tokens = []
-        for t in sentence:
-            guess = tagger.guess_unknown if counts[t.word] == 1 else tagger.tag_word
-            tokens.append(Token(t.word, guess(t.word)))
-        sentences.append(tuple(tokens))
-    return TaggedCorpus(tuple(sentences))
+    sentences = [[t.word for t in sentence] for sentence in gold.sentences]
+    counts = Counter(chain.from_iterable(sentences))
+    guess = tagger.guess_unknown
+    return [
+        [guess(w) if counts[w] == 1 else t for w, t in zip(s, tagger.tag_sentence(s))]
+        for s in sentences
+    ]

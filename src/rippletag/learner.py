@@ -35,7 +35,7 @@ from itertools import chain, compress, repeat
 from operator import eq, itemgetter, not_
 from typing import Callable, NamedTuple
 
-from .corpus import TaggedCorpus, check_aligned
+from .corpus import AlignmentError, TaggedCorpus
 from .initial_tagger import (
     DEFAULT_ENGLISH_RULES,
     MODE_GENERIC,
@@ -447,29 +447,39 @@ def _same_records(filed: list[Record], walked: list[Record]) -> bool:
 
 
 def learn_tree(
-    initialized: TaggedCorpus,
+    first_guesses: list[list[str]],
     gold: TaggedCorpus,
     thresholds: Thresholds = Thresholds(),
     max_level: int = DEFAULT_MAX_LEVEL,
 ) -> LearnResult:
-    """Grow an exception tree that corrects the initialized corpus toward gold.
+    """Grow an exception tree that corrects the first guesses toward gold.
 
-    Both corpora must share the same words in the same layout; the
-    initialized one carries first-guess tags, the gold one the truth.
-    Raises LearnerStateError if a new rule moves other wrong records
-    than it was scored on, or if the self-check finds the records out
-    of step with the finished tree.
+    ``first_guesses`` holds one list of first-guess tags per gold
+    sentence, as long as that sentence.  Raises AlignmentError if it
+    does not, and LearnerStateError if a new rule moves other wrong
+    records than it was scored on, or if the self-check finds the
+    records out of step with the finished tree.
     """
-    check_aligned(initialized, gold)
+    if len(first_guesses) != len(gold):
+        raise AlignmentError(
+            f"sentence counts differ: {len(first_guesses)} vs {len(gold)}"
+        )
+    for i, (tags, sentence) in enumerate(zip(first_guesses, gold.sentences), start=1):
+        if len(tags) != len(sentence):
+            raise AlignmentError(
+                f"sentence {i}: token counts differ ({len(tags)} vs {len(sentence)})"
+            )
     if max_level < 1:
         raise ValueError(f"max_level must be at least 1, got {max_level}")
+    # distinct first-guess tags in order of first occurrence
+    seed_tags = list(dict.fromkeys(chain.from_iterable(first_guesses)))
     learning = _Learning(thresholds, max_level)
     learning.audit.append(
         {
             "event": "begin",
             "sentences": len(gold),
             "tokens": gold.token_count,
-            "seed_tags": list(initialized.tags_in_order()),
+            "seed_tags": seed_tags,
             "layer2_threshold": thresholds.layer2,
             "deeper_threshold": thresholds.deeper,
             # Floors are always strict; kept so audit.jsonl bytes stay the same.
@@ -479,14 +489,11 @@ def learn_tree(
     )
 
     all_records: list[Record] = []
-    for init_sent, gold_sent in zip(initialized.sentences, gold.sentences):
-        words = [t.word for t in init_sent]
-        tags = [t.tag for t in init_sent]
-        objects = make_tag_objects(words, tags)
-        for obj, gold_token in zip(objects, gold_sent):
-            all_records.append(Record(obj, gold_token.tag))
+    for tags, sentence in zip(first_guesses, gold.sentences):
+        words, gold_tags = zip(*sentence)
+        all_records.extend(map(Record, make_tag_objects(words, tags), gold_tags))
 
-    seeds = [learning.seed(tag) for tag in initialized.tags_in_order()]
+    seeds = [learning.seed(tag) for tag in seed_tags]
     by_tag = {node.rule.conclusion: node for node in seeds}
     for r in all_records:
         node = by_tag[r.obj.currentTag]
@@ -511,9 +518,8 @@ def train_model(gold: TaggedCorpus, options: TrainOptions = TrainOptions()):
         lexicon,
         InitialTaggerOptions(mode=options.mode, regex_rules=options.regex_rules),
     )
-    initialized = initialize_corpus(gold, initial)
     result = learn_tree(
-        initialized,
+        initialize_corpus(gold, initial),
         gold,
         thresholds=options.thresholds,
         max_level=options.max_level,

@@ -50,9 +50,6 @@ class Lexicon:
     capitalized_tag: str
     lowercase_tag: str
 
-    def most_frequent_tag(self, word: str) -> str | None:
-        return self.word_tags.get(word)
-
     @property
     def tagset(self) -> frozenset[str]:
         tags = set(self.word_tags.values())

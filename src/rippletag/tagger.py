@@ -62,28 +62,41 @@ class Model:
 def compile_chain(first: Node | None) -> _Chain | None:
     """Compile one if-not chain (a node and its if-not siblings).
 
-    Raises ValueError for an always-true rule, which only the root may
-    hold.
+    Chains are compiled from a worklist, exception chains before the
+    chain that holds them, so a tree of any depth compiles without
+    recursion.  Raises ValueError for an always-true rule, which only
+    the root may hold.
     """
     if first is None:
         return None
-    tables: dict[int, dict[str, list[_Entry]]] = {}
-    starts: dict[int, int] = {}
-    pos = 0
-    node: Node | None = first
-    while node is not None:
-        tests = node.rule.tests
-        if not tests:
-            raise ValueError(f"always-true rule below the root: {node!r}")
-        field_idx, value = tests[0]
-        sub = compile_chain(node.except_child)
-        entry = (pos, tests[1:], node.rule.conclusion, sub)
-        tables.setdefault(field_idx, {}).setdefault(value, []).append(entry)
-        starts.setdefault(field_idx, pos)
-        pos += 1
-        node = node.ifnot_child
-    # in order of each field's first entry, as the dicts keep insertion order
-    return pos, tuple((starts[f], f, table) for f, table in tables.items())
+    # every chain's first node, each after the chain that holds it
+    heads = [first]
+    for head in heads:
+        node: Node | None = head
+        while node is not None:
+            if node.except_child is not None:
+                heads.append(node.except_child)
+            node = node.ifnot_child
+    compiled: dict[Node, _Chain] = {}
+    for head in reversed(heads):
+        tables: dict[int, dict[str, list[_Entry]]] = {}
+        starts: dict[int, int] = {}
+        pos = 0
+        node = head
+        while node is not None:
+            tests = node.rule.tests
+            if not tests:
+                raise ValueError(f"always-true rule below the root: {node!r}")
+            field_idx, value = tests[0]
+            sub = compiled.pop(node.except_child, None)
+            entry = (pos, tests[1:], node.rule.conclusion, sub)
+            tables.setdefault(field_idx, {}).setdefault(value, []).append(entry)
+            starts.setdefault(field_idx, pos)
+            pos += 1
+            node = node.ifnot_child
+        # in order of each field's first entry, as the dicts keep insertion order
+        compiled[head] = pos, tuple((starts[f], f, t) for f, t in tables.items())
+    return compiled[first]
 
 
 def run_chain(

@@ -15,7 +15,7 @@ import re
 from collections import Counter
 
 from rippletag.corpus import TaggedCorpus, _check_token
-from rippletag.initial_tagger import MODE_ENGLISH, InitialTaggerOptions
+from rippletag.initial_tagger import MODE_ENGLISH, InitialTagger, InitialTaggerOptions
 from rippletag.learner import _KEY_GETTERS, Record, Selection, Thresholds
 from rippletag.lexicon import (
     SUFFIX_LENGTHS,
@@ -426,3 +426,43 @@ def reference_guess_unknown(
         if tag is not None:
             return tag
     return reference_default_tag(lexicon, word)
+
+
+def reference_initialize_corpus(
+    gold: TaggedCorpus, tagger: InitialTagger
+) -> list[list[str]]:
+    """Per-token first guesses for training, one list per sentence.
+
+    A word that occurs once in gold gets ``reference_guess_unknown``;
+    any other word its lexicon tag, or that guess if it has none.
+    ``initialize_corpus`` re-guesses such words after
+    ``InitialTagger.tag_sentence``; it must answer as this does.
+    """
+    counts = Counter(t.word for t in gold.tokens())
+    lexicon, options = tagger.lexicon, tagger.options
+    first_guesses = []
+    for sentence in gold.sentences:
+        tags = []
+        for word, _ in sentence:
+            tag = None if counts[word] == 1 else lexicon.word_tags.get(word)
+            if tag is None:
+                tag = reference_guess_unknown(lexicon, options, word)
+            tags.append(tag)
+        first_guesses.append(tags)
+    return first_guesses
+
+
+def deep_tree_text(depth: int) -> str:
+    """Model text for a tree nested ``depth`` levels deep.
+
+    Level k holds two rules: ``word == "wk"`` concluding ``Lk``, then
+    ``prev1Word == "x"`` concluding ``Ck``, under which level k + 1
+    hangs.  So after an ``x`` the word ``wk`` is tagged ``Lk``, another
+    ``x`` is tagged ``C<depth>``, and nothing else fires.
+    """
+    lines = ['if True then tag = ""']
+    for k in range(1, depth + 1):
+        tabs = "\t" * k
+        lines.append(f'{tabs}if word == "w{k}" then tag = "L{k}"')
+        lines.append(f'{tabs}if prev1Word == "x" then tag = "C{k}"')
+    return "".join(line + "\n" for line in lines)

@@ -196,12 +196,9 @@ def test_3_training_audit_replays_against_full_reevaluation(toy, toy_model):
     with verdict(3, "every learned rule clears its floor and the audit replays exactly"):
         lexicon = build_lexicon(toy)
         tagger = InitialTagger(lexicon, InitialTaggerOptions())
-        initialized = initialize_corpus(toy, tagger)
         records = []
-        for init_sent, gold_sent in zip(initialized.sentences, toy.sentences):
-            objs = make_tag_objects(
-                [t.word for t in init_sent], [t.tag for t in init_sent]
-            )
+        for tags, gold_sent in zip(initialize_corpus(toy, tagger), toy.sentences):
+            objs = make_tag_objects([t.word for t in gold_sent], tags)
             for obj, gold_tok in zip(objs, gold_sent):
                 records.append((obj, gold_tok.tag))
 
@@ -229,7 +226,7 @@ def test_3_training_audit_replays_against_full_reevaluation(toy, toy_model):
 
 def test_4_learned_model_beats_first_guesses_by_a_point(toy):
     with verdict(4, "10-fold mean accuracy beats the first-guess tagger by >=1.0 point"):
-        report = cross_validate(toy, k=10, with_level_curve=False, speed_repeats=1)
+        report = cross_validate(toy, k=10)
         initial = report["mean"]["initial"]["accuracy"]
         final = report["mean"]["final"]["accuracy"]
         gain = (final - initial) * 100

@@ -9,6 +9,8 @@ from rippletag.cli import main
 from rippletag.corpus import read_tagged_corpus
 from rippletag.data import toy_corpus_path
 
+from helpers import deep_tree_text
+
 MICRO = "the/DT can/NN fell/VBD\n" * 6 + "you/PRP can/MD go/VB\n" * 5
 
 
@@ -226,6 +228,23 @@ class TestTag:
         assert code == 0
         assert out.read_text() == "as/IN investors/NNS anticipate/VBP a/DT recovery/NN\n"
 
+    def test_a_model_nested_deeper_than_the_recursion_limit_tags(
+        self, trained_dir, tmp_path, capsys
+    ):
+        depth = sys.getrecursionlimit() + 200
+        model_dir = tmp_path / "deep"
+        shutil.copytree(trained_dir, model_dir)
+        (model_dir / "model.rdr").write_text(deep_tree_text(depth), encoding="utf-8")
+        raw = tmp_path / "raw.txt"
+        raw.write_text(f"x w{depth} x x\n", encoding="utf-8")
+        out = tmp_path / "out.tagged"
+        code = main(
+            ["tag", "--model", str(model_dir), "--input", str(raw), "--output", str(out)]
+        )
+        assert code == 0
+        tags = [token.rpartition("/")[2] for token in out.read_text().split()]
+        assert tags[1:] == [f"L{depth}", tags[0], f"C{depth}"]
+
     @pytest.mark.parametrize(
         "key, value",
         [
@@ -440,6 +459,7 @@ class TestUsageErrors:
             ["eval", "--gold", "x", "--pred", "y", "--separator", ""],
             ["train", "--corpus", "x", "--model", "y", "--workers", "2"],
             ["train", "--corpus", "x", "--model", "y", "--init-from", "z"],
+            ["xval", "--corpus", "x", "--report", "y", "--folds", "1"],
         ],
     )
     def test_bad_invocations_exit_with_one(self, argv, capsys):

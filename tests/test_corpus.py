@@ -143,11 +143,6 @@ def test_empty_sentence_rejected():
         TaggedCorpus(((),))
 
 
-def test_tags_in_order_follows_first_occurrence():
-    corpus = read_tagged_corpus("a/Z b/A c/Z d/M\n")
-    assert corpus.tags_in_order() == ("Z", "A", "M")
-
-
 def test_strip_tags_and_read_raw():
     corpus = read_tagged_corpus("the/DT dog/NN\nran/VBD\n")
     raw = strip_tags(corpus)

@@ -173,7 +173,7 @@ class TestSpeed:
 
 @pytest.fixture(scope="module")
 def report(toy):
-    return cross_validate(toy, k=3, options=TrainOptions(), speed_repeats=1)
+    return cross_validate(toy, k=3, options=TrainOptions())
 
 
 class TestCrossValidate:
@@ -206,24 +206,15 @@ class TestCrossValidate:
 
     def test_curve_and_speed_come_from_the_first_fold(self, report):
         assert report["level_curve"][0]["level"] == 0
-        assert report["speed"]["repeats"] == 1
+        assert report["speed"]["repeats"] == 10
         assert report["speed"]["tokens"] == report["folds"][0]["test_tokens"]
-
-    def test_curve_can_be_disabled(self, toy):
-        report = cross_validate(
-            toy, k=2, with_level_curve=False, speed_repeats=1
-        )
-        assert report["level_curve"] is None
-        assert report["speed"] is not None
 
     def test_duplicated_corpus_makes_every_fold_identical(self):
         block = (
             "the/DT can/NN fell/VBD\n" * 6 + "you/PRP can/MD go/VB\n" * 5
         )
         corpus = read_tagged_corpus(block * 10)
-        report = cross_validate(
-            corpus, k=10, with_level_curve=False, speed_repeats=1
-        )
+        report = cross_validate(corpus, k=10)
         finals = [row["final"] for row in report["folds"]]
         initials = [row["initial"] for row in report["folds"]]
         assert all(row == finals[0] for row in finals)

@@ -1,6 +1,6 @@
 import re
 import sys
-from itertools import product
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +9,7 @@ from rippletag.corpus import read_tagged_corpus
 from rippletag.initial_tagger import (
     DEFAULT_ENGLISH_RULES,
     MODE_ENGLISH,
+    MODE_GENERIC,
     InitialTagger,
     InitialTaggerOptions,
     _match_is_exact,
@@ -17,7 +18,12 @@ from rippletag.initial_tagger import (
 )
 from rippletag.lexicon import Lexicon, build_lexicon
 
-from helpers import reference_guess_unknown, reference_suffix_tag
+from helpers import (
+    random_tagged_text,
+    reference_guess_unknown,
+    reference_initialize_corpus,
+    reference_suffix_tag,
+)
 
 CORPUS = (
     "the/DT dog/NN runs/VBZ\n"
@@ -36,22 +42,22 @@ def tagger():
 
 
 def test_known_word_gets_its_majority_tag(tagger):
-    assert tagger.tag_word("dog") == "NN"
-    assert tagger.tag_word("the") == "DT"
+    assert tagger.tag_sentence(["dog"]) == ["NN"]
+    assert tagger.tag_sentence(["the"]) == ["DT"]
 
 
 def test_unknown_with_digit_gets_numeric_default(tagger):
-    assert tagger.tag_word("42") == "CD"
-    assert tagger.tag_word("B-52") == "CD"
+    assert tagger.tag_sentence(["42"]) == ["CD"]
+    assert tagger.tag_sentence(["B-52"]) == ["CD"]
 
 
 def test_unknown_capitalized_gets_capitalized_default(tagger):
-    assert tagger.tag_word("London") == "NNP"
+    assert tagger.tag_sentence(["London"]) == ["NNP"]
 
 
 def test_unknown_lowercase_gets_lowercase_default(tagger):
     # no suffix table entry applies to this word
-    assert tagger.tag_word("zzz") == "NN"
+    assert tagger.tag_sentence(["zzz"]) == ["NN"]
 
 
 def test_suffix_guess_prefers_longer_suffixes():
@@ -64,17 +70,18 @@ def test_suffix_guess_prefers_longer_suffixes():
     assert reference_suffix_tag(lexicon, "zally", 4) == "JJ"
     assert reference_suffix_tag(lexicon, "zly", 2) == "RB"
     tagger = InitialTagger(lexicon)
-    assert tagger.tag_word("totally") == "JJ"
-    assert tagger.tag_word("oddly") == "RB"
+    assert tagger.tag_sentence(["totally"]) == ["JJ"]
+    assert tagger.tag_sentence(["oddly"]) == ["RB"]
 
 
 def test_hapax_masking_ignores_the_word_entry(tagger):
     # "sat" occurs once; in the initialized corpus it falls through to
     # the defaults, while tagging still uses its lexicon entry
     gold = read_tagged_corpus(CORPUS)
-    first_guesses = dict(initialize_corpus(gold, tagger).tokens())
+    words = [t.word for t in gold.tokens()]
+    first_guesses = dict(zip(words, chain.from_iterable(initialize_corpus(gold, tagger))))
     assert first_guesses["sat"] == "NN"
-    assert tagger.tag_word("sat") == "VBD"
+    assert tagger.tag_sentence(["sat"]) == ["VBD"]
     # frequent words are unaffected
     assert first_guesses["the"] == "DT"
 
@@ -83,10 +90,27 @@ def test_initialize_corpus_keeps_layout():
     gold = read_tagged_corpus(CORPUS)
     tagger = InitialTagger(build_lexicon(gold))
     init = initialize_corpus(gold, tagger)
-    assert [len(s) for s in init.sentences] == [len(s) for s in gold.sentences]
-    assert [t.word for t in init.tokens()] == [t.word for t in gold.tokens()]
+    assert [len(tags) for tags in init] == [len(s) for s in gold.sentences]
     # every known word with a single tag keeps it
-    assert list(init.tokens())[0].tag == "DT"
+    assert init[0][0] == "DT"
+
+
+@pytest.mark.parametrize("mode", [MODE_GENERIC, MODE_ENGLISH])
+def test_initialize_corpus_equals_the_per_token_reference_on_toy(toy, mode):
+    tagger = InitialTagger(build_lexicon(toy), InitialTaggerOptions(mode=mode))
+    assert initialize_corpus(toy, tagger) == reference_initialize_corpus(toy, tagger)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.integers(1, 400),
+    st.sampled_from([MODE_GENERIC, MODE_ENGLISH]),
+)
+def test_initialize_corpus_equals_the_per_token_reference(rng, n_tokens, mode):
+    gold = read_tagged_corpus(random_tagged_text(rng, n_tokens))
+    tagger = InitialTagger(build_lexicon(gold), InitialTaggerOptions(mode=mode))
+    assert initialize_corpus(gold, tagger) == reference_initialize_corpus(gold, tagger)
 
 
 def test_english_mode_applies_regex_rules_to_unknowns():
@@ -95,11 +119,11 @@ def test_english_mode_applies_regex_rules_to_unknowns():
     )
     options = InitialTaggerOptions(mode="english-regex")
     tagger = InitialTagger(build_lexicon(corpus), options)
-    assert tagger.tag_word("sadness") == "NN"
-    assert tagger.tag_word("Ex-president") == "NN"
-    assert tagger.tag_word("borrowed") == "VBN"
-    assert tagger.tag_word("cats") == "NNS"
-    assert tagger.tag_word("Lisbon") == "NNP"
+    assert tagger.tag_sentence(["sadness"]) == ["NN"]
+    assert tagger.tag_sentence(["Ex-president"]) == ["NN"]
+    assert tagger.tag_sentence(["borrowed"]) == ["VBN"]
+    assert tagger.tag_sentence(["cats"]) == ["NNS"]
+    assert tagger.tag_sentence(["Lisbon"]) == ["NNP"]
 
 
 def test_english_mode_drops_rules_whose_tag_is_not_in_training():
@@ -107,12 +131,12 @@ def test_english_mode_drops_rules_whose_tag_is_not_in_training():
     corpus = read_tagged_corpus("dog/NN dog/NN Rome/NNP 3/CD\n")
     options = InitialTaggerOptions(mode="english-regex")
     tagger = InitialTagger(build_lexicon(corpus), options)
-    assert tagger.tag_word("running") == "NN"
+    assert tagger.tag_sentence(["running"]) == ["NN"]
 
 
 def test_generic_mode_ignores_regex_rules(tagger):
     # "ness" would match the English rules, but mode is generic
-    assert tagger.tag_word("darkness") == "NN"  # lowercase default, not a rule
+    assert tagger.tag_sentence(["darkness"]) == ["NN"]  # lowercase default, not a rule
     assert tagger.options.mode == "generic"
 
 

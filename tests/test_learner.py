@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import rippletag.learner as learner
 
-from rippletag.corpus import AlignmentError, TaggedCorpus, read_tagged_corpus
+from rippletag.corpus import AlignmentError, read_tagged_corpus
 from rippletag.initial_tagger import MODE_ENGLISH, MODE_GENERIC
 from rippletag.learner import (
     DEFAULT_MAX_LEVEL,
@@ -64,10 +64,15 @@ def obj(**kw):
     return TagObject(**fields)
 
 
+def tags_of(corpus):
+    """A corpus's tags, one list per sentence, as ``learn_tree`` takes them."""
+    return [[t.tag for t in sentence] for sentence in corpus.sentences]
+
+
 def micro_corpora():
-    """Gold plus a first-guess version where modal "can" starts as NN."""
+    """First guesses where modal "can" starts as NN, plus gold."""
     gold = read_tagged_corpus(MICRO)
-    init = read_tagged_corpus(MICRO.replace("can/MD", "can/NN"))
+    init = tags_of(read_tagged_corpus(MICRO.replace("can/MD", "can/NN")))
     return init, gold
 
 
@@ -275,13 +280,13 @@ class TestLearnTree:
 
     def test_perfect_initialization_learns_only_seeds(self):
         _, gold = micro_corpora()
-        result = learn_tree(gold, gold)
+        result = learn_tree(tags_of(gold), gold)
         assert set(layer_census(result.root)) == {1}
 
     def test_floor_of_three_blocks_a_three_record_error_class(self):
         text = "the/DT can/NN fell/VBD\n" * 6 + "you/PRP can/MD go/VB\n" * 3
         gold = read_tagged_corpus(text)
-        init = read_tagged_corpus(text.replace("can/MD", "can/NN"))
+        init = tags_of(read_tagged_corpus(text.replace("can/MD", "can/NN")))
         stuck = learn_tree(init, gold, thresholds=Thresholds(layer2=3))
         assert set(layer_census(stuck.root)) == {1}
         fixed = learn_tree(init, gold, thresholds=Thresholds(layer2=2))
@@ -289,9 +294,17 @@ class TestLearnTree:
 
     def test_mismatched_corpora_are_rejected(self):
         init, gold = micro_corpora()
-        other = read_tagged_corpus("a/DT b/NN")
-        with pytest.raises(AlignmentError):
-            learn_tree(other, gold)
+        with pytest.raises(AlignmentError, match="sentence counts differ"):
+            learn_tree([["DT", "NN"]], gold)
+        with pytest.raises(AlignmentError, match="sentence counts differ"):
+            learn_tree(init + [["DT"]], gold)
+
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_first_guesses_of_another_sentence_length_are_rejected(self, change):
+        init, gold = micro_corpora()
+        init[4] = init[4][:change] if change < 0 else init[4] + ["NN"]
+        with pytest.raises(AlignmentError, match="sentence 5: token counts differ"):
+            learn_tree(init, gold)
 
     def test_max_level_below_one_is_rejected(self):
         init, gold = micro_corpora()
@@ -406,10 +419,8 @@ def candidate_snapshot(candidates):
 
 
 def all_nn(corpus):
-    """The corpus with every token first-guessed NN: one seed, many selections."""
-    return TaggedCorpus.from_pairs(
-        [[(t.word, "NN") for t in sentence] for sentence in corpus.sentences]
-    )
+    """First guesses of NN for every token: one seed, many selections."""
+    return [["NN"] * len(sentence) for sentence in corpus.sentences]
 
 
 class TestIncrementalSelection:

@@ -31,19 +31,19 @@ def lex(text):
 
 def test_most_frequent_tag_wins():
     lexicon = lex("run/VB run/VB run/NN\n")
-    assert lexicon.most_frequent_tag("run") == "VB"
+    assert lexicon.word_tags.get("run") == "VB"
 
 
 def test_tag_tie_goes_to_earliest_seen_tag():
     # both tags occur twice; NN appeared first in the corpus
     lexicon = lex("deal/NN deal/VB deal/VB deal/NN\n")
-    assert lexicon.most_frequent_tag("deal") == "NN"
+    assert lexicon.word_tags.get("deal") == "NN"
     lexicon = lex("deal/VB deal/NN deal/NN deal/VB\n")
-    assert lexicon.most_frequent_tag("deal") == "VB"
+    assert lexicon.word_tags.get("deal") == "VB"
 
 
 def test_unknown_word_has_no_entry():
-    assert lex("a/DT\n").most_frequent_tag("b") is None
+    assert lex("a/DT\n").word_tags.get("b") is None
 
 
 def test_suffix_entries_need_enough_evidence():
@@ -102,8 +102,8 @@ def test_hapax_words_recorded():
     gold = read_tagged_corpus("a/DT a/DT b/NN\n")
     tagger = InitialTagger(build_lexicon(gold))
     # "b" occurs once, so training sees the lowercase default, not NN
-    assert [t.tag for t in initialize_corpus(gold, tagger).tokens()] == ["DT"] * 3
-    assert tagger.tag_word("b") == "NN"
+    assert initialize_corpus(gold, tagger) == [["DT"] * 3]
+    assert tagger.tag_sentence(["b"]) == ["NN"]
 
 
 def test_contains_digit_and_is_capitalized():

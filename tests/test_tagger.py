@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -31,6 +32,7 @@ from rippletag.tagger import (
 )
 
 from helpers import (
+    deep_tree_text,
     random_object,
     random_rule,
     random_tree,
@@ -226,17 +228,35 @@ _LEXICON = Lexicon(
 )
 
 
+def evaluated_tags(tagger, words):
+    """The tags of ``scrdr.evaluate``, a first guess where only the root fires."""
+    tree = tagger.model.tree
+    guesses = tagger.initial.tag_sentence(words)
+    tags = []
+    for obj, guess in zip(reference_make_tag_objects(words, guesses), guesses):
+        node = evaluate(tree, obj).node
+        tags.append(guess if node is tree else node.rule.conclusion)
+    return tags
+
+
 @given(_trees(), st.lists(st.lists(_WORDS, min_size=1, max_size=7), max_size=6))
 def test_tagger_walks_a_parsed_tree_like_the_reference(root, sentences):
     tree = parse_tree(serialize_tree(root))
     tagger = Tagger(Model(lexicon=_LEXICON, tree=tree))
     for words in sentences:
-        guesses = tagger.initial.tag_sentence(words)
-        want = []
-        for obj, guess in zip(reference_make_tag_objects(words, guesses), guesses):
-            node = evaluate(tree, obj).node
-            want.append(guess if node is tree else node.rule.conclusion)
-        assert tagger.tag_sentence(words) == want
+        assert tagger.tag_sentence(words) == evaluated_tags(tagger, words)
+
+
+def test_a_tree_nested_deeper_than_the_recursion_limit_tags_like_evaluate():
+    depth = sys.getrecursionlimit() + 200
+    tagger = Tagger(Model(lexicon=_LEXICON, tree=parse_tree(deep_tree_text(depth))))
+    words = ["x", "w1", "x", f"w{depth}", "x", "x", "w7", "w7"]
+    tags = tagger.tag_sentence(words)
+    assert tags == evaluated_tags(tagger, words)
+    first = tagger.initial.tag_sentence(words)
+    assert tags == [
+        first[0], "L1", first[2], f"L{depth}", first[4], f"C{depth}", "L7", first[7]
+    ]
 
 
 class TestTagger:
