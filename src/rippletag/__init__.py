@@ -13,7 +13,6 @@ from .corpus import (
     read_raw,
     read_tagged_corpus,
     split_folds,
-    strip_tags,
     write_tagged_corpus,
 )
 from .data import load_toy_corpus, toy_corpus_path
@@ -88,7 +87,6 @@ __all__ = [
     "serialize_lexicon",
     "serialize_tree",
     "split_folds",
-    "strip_tags",
     "toy_corpus_path",
     "train_model",
     "truncate",

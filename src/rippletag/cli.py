@@ -37,7 +37,6 @@ _DEFAULTS = {
     "separator": _TRAIN_DEFAULTS.separator,
     "mode": _TRAIN_DEFAULTS.mode,
     "max_level": _TRAIN_DEFAULTS.max_level,
-    "folds": 10,
 }
 
 
@@ -256,16 +255,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_xval(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    options = _train_options(args, config)
-    folds = _resolve(args, "folds", config)
+    options = _train_options(args, _load_config(args.config))
     corpus = read_tagged_corpus(_read_text(args.corpus), options.separator)
-    report = cross_validate(corpus, k=folds, options=options)
+    report = cross_validate(corpus, k=args.folds, options=options)
     with open(args.report, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     mean = report["mean"]
     print(
-        f"{folds}-fold: first-guess accuracy {mean['initial']['accuracy']:.4f}, "
+        f"{args.folds}-fold: first-guess accuracy {mean['initial']['accuracy']:.4f}, "
         f"final accuracy {mean['final']['accuracy']:.4f} -> {args.report}",
         file=sys.stderr,
     )

@@ -151,13 +151,6 @@ def _check_token(word: str, tag: str, separator: str) -> None:
         raise ValueError(f"separator {separator!r} inside tag {tag!r}")
 
 
-def strip_tags(corpus: TaggedCorpus) -> str:
-    """Raw text with the same sentence/token layout, tags removed."""
-    return "".join(
-        " ".join(t.word for t in sentence) + "\n" for sentence in corpus.sentences
-    )
-
-
 def read_lines(text: str) -> list[list[str]]:
     """Whitespace-tokenized lines, blank ones kept as empty lists.
 

@@ -258,13 +258,19 @@ def insert_exception(parent: Node, rule: Rule) -> Node:
 
 
 def iter_nodes(root: Node) -> Iterator[Node]:
-    """All nodes in serialization order: node, exceptions, then if-nots."""
-    current: Node | None = root
-    while current is not None:
-        yield current
-        if current.except_child is not None:
-            yield from iter_nodes(current.except_child)
-        current = current.ifnot_child
+    """All nodes in serialization order: node, exceptions, then if-nots.
+
+    The walk keeps its own stack, so a tree of any depth is listed
+    without recursion.
+    """
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        if node.ifnot_child is not None:
+            stack.append(node.ifnot_child)
+        if node.except_child is not None:
+            stack.append(node.except_child)
 
 
 def count_rules(root: Node) -> int:
@@ -284,26 +290,15 @@ def truncate(root: Node, max_level: int) -> Node:
     """Copy of the tree keeping only nodes at or below max_level."""
     if max_level < 0:
         raise ValueError(f"max_level must be >= 0, got {max_level}")
-
-    def copy_chain(node: Node) -> Node:
-        head: Node | None = None
-        prev: Node | None = None
-        current: Node | None = node
-        while current is not None:
-            clone = Node(current.rule, current.level)
-            child = current.except_child
-            if child is not None and child.level <= max_level:
-                clone.except_child = copy_chain(child)
-            if prev is None:
-                head = clone
-            else:
-                prev.ifnot_child = clone
-            prev = clone
-            current = current.ifnot_child
-        assert head is not None
-        return head
-
-    return copy_chain(root)
+    clones = {
+        node: Node(node.rule, node.level)
+        for node in iter_nodes(root)
+        if node.level <= max_level
+    }
+    for node, clone in clones.items():
+        clone.except_child = clones.get(node.except_child)
+        clone.ifnot_child = clones.get(node.ifnot_child)
+    return clones[root]
 
 
 # Every character str.splitlines breaks on, which parse_tree splits by.
@@ -383,19 +378,10 @@ def parse_rule_text(s: str, where: str = "rule") -> Rule:
 
 
 def serialize_tree(root: Node) -> str:
-    """Text form, one rule per line, tab indentation equal to level."""
-    lines: list[str] = []
-
-    def emit(node: Node, depth: int) -> None:
-        current: Node | None = node
-        while current is not None:
-            lines.append("\t" * depth + render_rule(current.rule))
-            if current.except_child is not None:
-                emit(current.except_child, depth + 1)
-            current = current.ifnot_child
-
-    emit(root, 0)
-    return "".join(line + "\n" for line in lines)
+    """Text form, one rule per line, indented by one tab per ``node.level``."""
+    return "".join(
+        "\t" * node.level + render_rule(node.rule) + "\n" for node in iter_nodes(root)
+    )
 
 
 def parse_tree(text: str) -> Node:
@@ -435,10 +421,9 @@ def parse_tree(text: str) -> Node:
         if depth == prev_depth + 1:
             last_at_depth[depth - 1].except_child = node
         else:
-            sibling = last_at_depth[depth]
-            while sibling.ifnot_child is not None:
-                sibling = sibling.ifnot_child
-            sibling.ifnot_child = node
+            # the last node read at this depth is the tail of this chain:
+            # each later one replaced it, and a new chain here resets it
+            last_at_depth[depth].ifnot_child = node
         last_at_depth[depth] = node
         prev_depth = depth
     if root is None:

@@ -26,7 +26,7 @@ from .initial_tagger import (
     InitialTaggerOptions,
 )
 from .lexicon import Lexicon, parse_lexicon, serialize_lexicon
-from .scrdr import Node, context_columns, parse_tree, serialize_tree
+from .scrdr import Node, context_columns, iter_nodes, parse_tree, serialize_tree
 
 # Unused here; the benchmark's trace probe looks the name up in this module.
 from .scrdr import make_tag_objects  # noqa: F401
@@ -62,27 +62,22 @@ class Model:
 def compile_chain(first: Node | None) -> _Chain | None:
     """Compile one if-not chain (a node and its if-not siblings).
 
-    Chains are compiled from a worklist, exception chains before the
-    chain that holds them, so a tree of any depth compiles without
-    recursion.  Raises ValueError for an always-true rule, which only
-    the root may hold.
+    The chains' first nodes come from ``iter_nodes``, whose pre-order
+    lists each chain before the chains under it; compiling them in
+    reverse compiles exception chains before the chain that holds them,
+    so a tree of any depth compiles without recursion.  Raises
+    ValueError for an always-true rule, which only the root may hold.
     """
     if first is None:
         return None
-    # every chain's first node, each after the chain that holds it
     heads = [first]
-    for head in heads:
-        node: Node | None = head
-        while node is not None:
-            if node.except_child is not None:
-                heads.append(node.except_child)
-            node = node.ifnot_child
+    heads += (n.except_child for n in iter_nodes(first) if n.except_child is not None)
     compiled: dict[Node, _Chain] = {}
     for head in reversed(heads):
         tables: dict[int, dict[str, list[_Entry]]] = {}
         starts: dict[int, int] = {}
         pos = 0
-        node = head
+        node: Node | None = head
         while node is not None:
             tests = node.rule.tests
             if not tests:

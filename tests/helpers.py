@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 import re
 from collections import Counter
+from typing import Iterator
 
 from rippletag.corpus import TaggedCorpus, _check_token
 from rippletag.initial_tagger import MODE_ENGLISH, InitialTagger, InitialTaggerOptions
@@ -232,6 +233,27 @@ def ref_matches(rule: Rule, obj: TagObject) -> bool:
         if getattr(obj, FIELD_NAMES[field_idx]) != value:
             return False
     return True
+
+
+def reference_iter_nodes(root: Node) -> Iterator[Node]:
+    """Recursive pre-order: node, its exceptions, then its if-nots.
+
+    ``iter_nodes`` walks with its own stack; this is the plain version
+    it must agree with on trees shallower than the recursion limit.
+    """
+    current: Node | None = root
+    while current is not None:
+        yield current
+        if current.except_child is not None:
+            yield from reference_iter_nodes(current.except_child)
+        current = current.ifnot_child
+
+
+def strip_tags(corpus: TaggedCorpus) -> str:
+    """Raw text with the same sentence/token layout, tags removed."""
+    return "".join(
+        " ".join(t.word for t in sentence) + "\n" for sentence in corpus.sentences
+    )
 
 
 def trees_equal(a: Node, b: Node) -> bool:

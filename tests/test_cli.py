@@ -425,6 +425,7 @@ class TestConfig:
             '[1, 2]',
             "{broken",
             '{"workers": 2}',
+            '{"folds": 3}',
         ],
     )
     def test_bad_config_is_a_data_error(self, micro_file, tmp_path, payload, capsys):

@@ -15,11 +15,10 @@ from rippletag.corpus import (
     read_tagged_corpus,
     split_folds,
     split_parts,
-    strip_tags,
     write_tagged_corpus,
 )
 
-from helpers import reference_write_tagged_corpus
+from helpers import reference_write_tagged_corpus, strip_tags
 
 
 def test_parse_basic():

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -28,11 +29,13 @@ from rippletag.scrdr import (
 from helpers import (
     POOL,
     conclude,
+    deep_tree_text,
     random_object,
     random_rule,
     random_tree,
     ref_matches,
     reference_evaluate,
+    reference_iter_nodes,
     reference_make_tag_objects,
     trees_equal,
 )
@@ -229,6 +232,42 @@ def test_truncate_drops_deep_levels(example_tree_text):
     assert trees_equal(truncate(root, 99), root)
 
 
+def assert_truncate_keeps_the_shallow_lines(root, levels=None):
+    """``truncate(root, k)`` serializes to the lines with at most k tabs.
+
+    Checked for each k in ``levels``, by default every level of the tree.
+    """
+    lines = serialize_tree(root).splitlines(keepends=True)
+    depths = [len(line) - len(line.lstrip("\t")) for line in lines]
+    if levels is None:
+        levels = range(max(depths) + 1)
+    for k in levels:
+        kept = [line for line, depth in zip(lines, depths) if depth <= k]
+        assert serialize_tree(truncate(root, k)) == "".join(kept)
+
+
+def test_truncate_keeps_the_shallow_lines_of_random_trees():
+    rng = random.Random(7)
+    for _ in range(40):
+        assert_truncate_keeps_the_shallow_lines(random_tree(rng, rng.randint(1, 40)))
+
+
+# deeper than the recursion limit, so a recursive walk fails on it
+DEEP = sys.getrecursionlimit() + 200
+
+
+def test_a_tree_deeper_than_the_recursion_limit_is_saved_counted_and_cut():
+    text = deep_tree_text(DEEP)
+    root = parse_tree(text)
+    assert serialize_tree(root) == text
+    assert count_rules(root) == 2 * DEEP
+    assert layer_census(root) == {level: 2 for level in range(1, DEEP + 1)}
+    # the text grows as DEEP squared, so cut at a sample of levels, not all
+    levels = [*range(0, DEEP, 97), DEEP - 1, DEEP, DEEP + 1]
+    assert_truncate_keeps_the_shallow_lines(root, levels)
+    assert trees_equal(truncate(root, DEEP), root)
+
+
 def test_truncate_changes_conclusions_where_deep_rules_won(example_tree_text):
     root = parse_tree(example_tree_text)
     obj = obj_for(
@@ -346,6 +385,7 @@ def test_round_trip_many_random_trees():
         again = parse_tree(text)
         assert trees_equal(again, root)
         assert serialize_tree(again) == text
+        assert list(iter_nodes(root)) == list(reference_iter_nodes(root))
 
 
 @pytest.mark.parametrize(

@@ -259,6 +259,14 @@ def test_a_tree_nested_deeper_than_the_recursion_limit_tags_like_evaluate():
     ]
 
 
+def test_a_tree_nested_deeper_than_the_recursion_limit_saves_and_loads(tmp_path):
+    text = deep_tree_text(sys.getrecursionlimit() + 200)
+    save_model(Model(lexicon=_LEXICON, tree=parse_tree(text)), tmp_path / "m")
+    assert (tmp_path / "m" / TREE_FILE).read_text(encoding="utf-8") == text
+    loaded = load_model(tmp_path / "m")
+    assert serialize_tree(loaded.tree) == text
+
+
 class TestTagger:
     def test_reproduces_gold_on_its_training_corpus(self, toy, toy_model):
         tagger = Tagger(toy_model)
