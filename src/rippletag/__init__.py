@@ -28,7 +28,7 @@ from .initial_tagger import (
     InitialTagger,
     InitialTaggerOptions,
 )
-from .learner import Thresholds, TrainOptions, learn_tree, select_rule, train_model
+from .learner import Thresholds, TrainOptions, learn_tree, train_model
 from .lexicon import Lexicon, build_lexicon, parse_lexicon, serialize_lexicon
 from .scrdr import (
     Node,
@@ -83,7 +83,6 @@ __all__ = [
     "read_tagged_corpus",
     "save_model",
     "score_tagging",
-    "select_rule",
     "serialize_lexicon",
     "serialize_tree",
     "split_folds",

@@ -179,9 +179,14 @@ def _resolve(args: argparse.Namespace, key: str, config: dict):
 def _train_options(args: argparse.Namespace, config: dict) -> TrainOptions:
     t1 = _resolve(args, "threshold1", config)
     t2 = _resolve(args, "threshold2", config)
-    for name, value in (("threshold1", t1), ("threshold2", t2)):
+    max_level = _resolve(args, "max_level", config)
+    positive = (("threshold1", t1), ("threshold2", t2), ("max_level", max_level))
+    for name, value in positive:
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
+    separator = _resolve(args, "separator", config)
+    if not separator:
+        raise ValueError("separator must not be empty")
     mode = _resolve(args, "mode", config)
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -194,8 +199,8 @@ def _train_options(args: argparse.Namespace, config: dict) -> TrainOptions:
         thresholds=Thresholds(layer2=t1, deeper=t2),
         mode=mode,
         regex_rules=regex_rules,
-        max_level=_resolve(args, "max_level", config),
-        separator=_resolve(args, "separator", config),
+        max_level=max_level,
+        separator=separator,
     )
 
 

@@ -1,5 +1,10 @@
 """Error-driven construction of the exception tree.
 
+A training record is a row: row ``r`` of the corpus-wide context
+columns (``scrdr.corpus_columns``, in the field layout that the
+tagger's compiled walk reads) is token ``r`` of the corpus, and
+``gold[r]`` is its gold tag.
+
 Layer 1 seeds one node per tag the first-guess tagger produced, each
 passing its tag through unchanged.  Every training token is then filed
 at the node that currently decides it: as a correct record if its gold
@@ -22,18 +27,19 @@ there.  Each move to a child subtracts the leaving records' counts, so
 every record is counted into a node's tables once and out of them at
 most once.  The tables live only while the node is being expanded.
 
-Once the tree is finished, a self-check re-derives every node's
-records from a fresh walk and raises ``LearnerStateError`` on any
-difference.
+Once the tree is finished, a self-check reruns the tagger's compiled
+walk (``tagger.run_chain``) over every row, each node labelled by
+itself, and raises ``LearnerStateError`` unless every node holds
+exactly the records that the walk says it decides.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
-from operator import eq, itemgetter, not_
-from typing import Callable, NamedTuple
+from itertools import compress, repeat
+from operator import eq, not_
+from typing import NamedTuple, Sequence
 
 from .corpus import AlignmentError, TaggedCorpus
 from .initial_tagger import (
@@ -48,23 +54,21 @@ from .scrdr import (
     FIELD_INDEX,
     Node,
     Rule,
-    TagObject,
+    corpus_columns,
     insert_exception,
-    last_fired,
-    make_tag_objects,
     new_root,
     render_rule,
 )
+from .tagger import Model, compile_chain, run_chain
 from .templates import CATALOG, Template, instantiate
 
-# Unused here; the benchmark's probe self-test looks the name up in this module.
-from .scrdr import evaluate  # noqa: F401
+# Unused here; the benchmark's probes look the names up in this module.
+from .scrdr import evaluate, make_tag_objects  # noqa: F401
 
 _CURRENT_TAG = FIELD_INDEX["currentTag"]
-# one key function per CATALOG entry, in catalog order
-_KEY_GETTERS = tuple(itemgetter(*t.fields) for t in CATALOG)
-_OBJ = itemgetter(0)
-_GOLD = itemgetter(1)
+
+# The context columns of all training rows, as ``corpus_columns`` returns them.
+Columns = Sequence[Sequence[str | None]]
 
 DEFAULT_MAX_LEVEL = 50
 
@@ -101,11 +105,6 @@ class TrainOptions:
     separator: str = "/"
 
 
-class Record(NamedTuple):
-    obj: TagObject
-    gold: str
-
-
 class Selection(NamedTuple):
     rule: Rule
     template_id: int
@@ -119,21 +118,34 @@ class LearnResult(NamedTuple):
     audit: list[dict]
 
 
+def _keys(columns: Columns, fields: tuple[int, ...], rows: list[int]) -> list:
+    """Each row's values of ``fields``, in row order.
+
+    A one-field key is the bare value, not a 1-tuple; within one
+    template both sort alike, so the tie-break holds.
+    """
+    if len(fields) == 1:
+        return list(map(columns[fields[0]].__getitem__, rows))
+    return list(zip(*[map(columns[f].__getitem__, rows) for f in fields]))
+
+
 class _NodeRecords:
     __slots__ = ("wrong", "correct", "candidates")
 
     def __init__(self) -> None:
-        self.wrong: list[Record] = []
-        self.correct: list[Record] = []
+        self.wrong: list[int] = []
+        self.correct: list[int] = []
         # the node's candidate tables, only while ``expand`` works on it
         self.candidates: _Candidates | None = None
 
-    def file(self, record: Record, conclusion: str) -> None:
-        """File a record at a node that concludes ``conclusion``.
+    def file(self, rows: list[int], gold: Sequence[str], conclusion: str) -> None:
+        """File records at a node that concludes ``conclusion``.
 
-        The record is correct there iff its gold tag is the conclusion.
+        A record is correct there iff its gold tag is the conclusion.
         """
-        (self.correct if record.gold == conclusion else self.wrong).append(record)
+        hits = list(map(conclusion.__eq__, map(gold.__getitem__, rows)))
+        self.correct += compress(rows, hits)
+        self.wrong += compress(rows, map(not_, hits))
 
 
 class _Table(NamedTuple):
@@ -148,7 +160,6 @@ class _Table(NamedTuple):
     """
 
     template: Template
-    get: Callable[[TagObject], object]
     fixed: dict
     matched: dict
     blocked: dict | None
@@ -164,25 +175,28 @@ class _Candidates:
     and a template left with no candidate is dropped with it.
     """
 
-    __slots__ = ("floor", "golds", "tables", "vetoes")
+    __slots__ = ("columns", "gold", "floor", "conclusions", "tables", "vetoes")
 
     def __init__(
-        self, wrong: list[Record], correct: list[Record] | None, floor: int
+        self,
+        columns: Columns,
+        gold: Sequence[str],
+        wrong: list[int],
+        correct: list[int] | None,
+        floor: int,
     ) -> None:
+        self.columns = columns
+        self.gold = gold
         self.floor = floor
-        objs = list(map(_OBJ, wrong))
-        golds = list(map(_GOLD, wrong))
+        golds = list(map(gold.__getitem__, wrong))
         # every conclusion a candidate here can have
-        self.golds = set(golds)
+        self.conclusions = set(golds)
         # a vetoing node keeps ``blocked`` tables and selects no candidate
         # that matches one of its correct records
         self.vetoes = correct is not None
-        correct_objs = list(map(_OBJ, correct)) if self.vetoes else None
         self.tables: list[_Table] = []
-        for template, get in zip(CATALOG, _KEY_GETTERS):
-            keys = list(map(get, objs))
-            # a one-field getter returns the bare value, not a 1-tuple;
-            # within one template both sort alike, so the tie-break holds
+        for template in CATALOG:
+            keys = _keys(columns, template.fields, wrong)
             single = len(template.fields) == 1
             counts = Counter(zip(keys, golds))
             # the floor filter runs in C; about one candidate in ten passes it
@@ -197,13 +211,13 @@ class _Candidates:
             matched = {values: all_matched[values] for values, _ in fixed}
             blocked = None
             if self.vetoes:
-                all_blocked = Counter(map(get, correct_objs))
+                all_blocked = Counter(_keys(columns, template.fields, correct))
                 blocked = {
                     v: all_blocked[v] for v in all_blocked.keys() & matched.keys()
                 }
-            self.tables.append(_Table(template, get, fixed, matched, blocked))
+            self.tables.append(_Table(template, fixed, matched, blocked))
 
-    def remove(self, wrong: list[Record]) -> None:
+    def remove(self, wrong: list[int]) -> None:
         """Subtract the wrong records that left; drop what falls to the floor.
 
         Each leaving record is projected once per template, counted in
@@ -214,11 +228,10 @@ class _Candidates:
         if not wrong:
             return
         floor = self.floor
-        objs = list(map(_OBJ, wrong))
-        golds = list(map(_GOLD, wrong))
+        golds = list(map(self.gold.__getitem__, wrong))
         for table in self.tables:
             fixed, matched, blocked = table.fixed, table.matched, table.blocked
-            keys = list(map(table.get, objs))
+            keys = _keys(self.columns, table.template.fields, wrong)
             gone = Counter(keys)
             hit = matched.keys() & gone.keys()
             if not hit:
@@ -235,7 +248,7 @@ class _Candidates:
                     del fixed[key]
                     cooled.add(key[0])
             for values in cooled:
-                if not any((values, gold) in fixed for gold in self.golds):
+                if not any((values, gold) in fixed for gold in self.conclusions):
                     del matched[values]
                     if blocked is not None:
                         blocked.pop(values, None)
@@ -243,11 +256,11 @@ class _Candidates:
 
 
 def select_rule(
-    wrong: list[Record],
-    correct: list[Record] | None,
+    wrong: list[int],
+    correct: list[int] | None,
     thresholds: Thresholds,
     level: int,
-    candidates: _Candidates | None = None,
+    candidates: _Candidates,
 ) -> Selection | None:
     """Pick the highest-scoring candidate rule for one node.
 
@@ -255,27 +268,28 @@ def select_rule(
     conclude its gold tag.  Per template, ``matched[values]`` counts the
     wrong records a candidate matches and ``fixed[values, gold]`` those
     it would fix, so its score is fixed minus still-wrong:
-    ``2 * fixed - matched``.  ``correct`` enables the no-regression
-    check: candidates matching any correct record (``blocked[values]``
-    above 0) are discarded.  Pass None to skip it (used at the seed
-    nodes, whose correct sets are most of the corpus).
+    ``2 * fixed - matched``.  Tables built with the node's correct
+    records enable the no-regression check: candidates matching any
+    correct record (``blocked[values]`` above 0) are discarded.  The
+    seed nodes, whose correct sets are most of the corpus, skip it.
 
     The counts live in ``candidates``, the node's tables, which
     ``expand`` builds from the node's records at its first selection
-    and ``migrate`` keeps in step; without them they are built here
-    from ``wrong`` and ``correct``.  They hold only hot candidates,
-    those whose ``fixed`` is above the level's floor.  That loses
-    nothing: since ``matched >= fixed``, a score never exceeds
-    ``fixed``, and ``fixed`` never rises at a node, because records
-    only ever leave it.  The score itself can rise or fall as records
-    leave, so it is recomputed on every call.
+    and ``migrate`` keeps in step.  ``wrong`` and ``correct`` (None
+    where the node does not veto) are the node's records.  They are
+    not read here; they stay the first two parameters because the
+    benchmark's selection probe counts the records each call is handed
+    from their lengths.  The tables hold only hot candidates, those
+    whose ``fixed`` is above the level's floor.  That loses nothing:
+    since ``matched >= fixed``, a score never exceeds ``fixed``, and
+    ``fixed`` never rises at a node, because records only ever leave
+    it.  The score itself can rise or fall as records leave, so it is
+    recomputed on every call.
 
     Ties break on template id, then field values, then conclusion, so
     the choice never depends on iteration order.
     """
     floor = thresholds.for_level(level)
-    if candidates is None:
-        candidates = _Candidates(wrong, correct, floor)
     best = None
     best_score = floor + 1
     for table in candidates.tables:
@@ -301,9 +315,20 @@ def select_rule(
 
 
 class _Learning:
-    """One learning run: tree plus per-node record sets plus audit."""
+    """One learning run: tree plus per-node record sets plus audit.
 
-    def __init__(self, thresholds: Thresholds, max_level: int) -> None:
+    Records are row indices into ``columns`` and ``gold``.
+    """
+
+    def __init__(
+        self,
+        columns: Columns,
+        gold: Sequence[str],
+        thresholds: Thresholds,
+        max_level: int,
+    ) -> None:
+        self.columns = columns
+        self.gold = gold
         self.thresholds = thresholds
         self.max_level = max_level
         self.root = new_root()
@@ -342,8 +367,9 @@ class _Learning:
         if level > self.max_level or not state.wrong:
             return
         correct = state.correct if node.level >= 2 else None
+        floor = self.thresholds.for_level(level)
         state.candidates = _Candidates(
-            state.wrong, correct, self.thresholds.for_level(level)
+            self.columns, self.gold, state.wrong, correct, floor
         )
         while state.wrong:
             selection = select_rule(
@@ -372,7 +398,7 @@ class _Learning:
                     "a": selection.a,
                     "b": selection.b,
                     "score": selection.score,
-                    "threshold": self.thresholds.for_level(level),
+                    "threshold": floor,
                     "moved_wrong": moved_wrong,
                     "moved_correct": moved,
                 }
@@ -393,57 +419,47 @@ class _Learning:
         wanted = tuple(value for _, value in rule.tests)
         if len(fields) == 1:
             wanted = wanted[0]
-        get = itemgetter(*fields)
 
-        def take(records: list[Record]) -> list[Record]:
-            hits = list(map(eq, map(get, map(_OBJ, records)), repeat(wanted)))
-            taken = list(compress(records, hits))
-            records[:] = list(compress(records, map(not_, hits)))
+        def take(rows: list[int]) -> list[int]:
+            hits = list(map(eq, _keys(self.columns, fields, rows), repeat(wanted)))
+            taken = list(compress(rows, hits))
+            rows[:] = list(compress(rows, map(not_, hits)))
             return taken
 
         moved_wrong = take(state.wrong)
         moved_correct = [] if state.candidates.vetoes else take(state.correct)
         child_state = self.records[child]
-        for r in chain(moved_wrong, moved_correct):
-            child_state.file(r, rule.conclusion)
+        child_state.file(moved_wrong + moved_correct, self.gold, rule.conclusion)
         state.candidates.remove(moved_wrong)
         return len(moved_correct)
 
-    def check_against_tree(self, all_records: list[Record]) -> None:
-        """Re-derive every node's record sets from the finished tree.
+    def check_against_tree(self) -> None:
+        """Re-derive every node's rows from the finished tree.
 
-        The incremental moves done during learning must land each
-        record exactly where a fresh tree walk says it belongs; any
-        lost, duplicated or misfiled record means the learner
-        corrupted its own state.
+        Every row is walked by the tagger's compiled walk, with each node
+        labelled by itself, so the check names the deciding node, not
+        just its tag.  The incremental moves done during learning must
+        have filed each row exactly there; any lost, duplicated or
+        misfiled row means the learner corrupted its own state.
         """
-        fresh: dict[Node, tuple[list[Record], list[Record]]] = {
+        compiled = compile_chain(self.root.except_child, lambda node: node)
+        fresh: dict[Node, tuple[list[int], list[int]]] = {
             node: ([], []) for node in self.records
         }
-        for r in all_records:
-            node = last_fired(self.root, r.obj)
-            if node not in fresh:
-                raise LearnerStateError(f"record landed on untracked node {node!r}")
-            fresh[node][r.gold == node.rule.conclusion].append(r)
+        columns, gold = self.columns, self.gold
+        for row in range(len(gold)):
+            node = run_chain(compiled, columns, row)
+            walked = fresh.get(node)
+            if walked is None:
+                raise LearnerStateError(f"row {row} landed on untracked node {node!r}")
+            walked[gold[row] == node.rule.conclusion].append(row)
         for node, state in self.records.items():
             wrong, correct = fresh[node]
-            if not (
-                _same_records(state.wrong, wrong)
-                and _same_records(state.correct, correct)
-            ):
+            # the walk lists each row once, in ascending order
+            if sorted(state.wrong) != wrong or sorted(state.correct) != correct:
                 raise LearnerStateError(
                     f"stale record sets at {render_rule(node.rule)!r}"
                 )
-
-
-def _same_records(filed: list[Record], walked: list[Record]) -> bool:
-    """Whether ``filed`` holds exactly the record objects of ``walked``.
-
-    The walk files each record once, so equal lengths plus equal sets
-    of identities rule out lost, duplicated and swapped records alike;
-    records are compared as objects, since equal records may be many.
-    """
-    return len(filed) == len(walked) and set(map(id, filed)) == set(map(id, walked))
 
 
 def learn_tree(
@@ -471,9 +487,14 @@ def learn_tree(
             )
     if max_level < 1:
         raise ValueError(f"max_level must be at least 1, got {max_level}")
+    columns = corpus_columns(
+        ([word for word, _ in sentence], tags)
+        for sentence, tags in zip(gold.sentences, first_guesses)
+    )
+    gold_tags = [tag for _, tag in gold.tokens()]
     # distinct first-guess tags in order of first occurrence
-    seed_tags = list(dict.fromkeys(chain.from_iterable(first_guesses)))
-    learning = _Learning(thresholds, max_level)
+    seed_tags = list(dict.fromkeys(columns[_CURRENT_TAG]))
+    learning = _Learning(columns, gold_tags, thresholds, max_level)
     learning.audit.append(
         {
             "event": "begin",
@@ -488,31 +509,26 @@ def learn_tree(
         }
     )
 
-    all_records: list[Record] = []
-    for tags, sentence in zip(first_guesses, gold.sentences):
-        words, gold_tags = zip(*sentence)
-        all_records.extend(map(Record, make_tag_objects(words, tags), gold_tags))
-
+    rows_by_tag: dict[str, list[int]] = {tag: [] for tag in seed_tags}
+    for row, tag in enumerate(columns[_CURRENT_TAG]):
+        rows_by_tag[tag].append(row)
     seeds = [learning.seed(tag) for tag in seed_tags]
-    by_tag = {node.rule.conclusion: node for node in seeds}
-    for r in all_records:
-        node = by_tag[r.obj.currentTag]
-        learning.records[node].file(r, node.rule.conclusion)
+    for node in seeds:
+        tag = node.rule.conclusion
+        learning.records[node].file(rows_by_tag[tag], gold_tags, tag)
 
     for node in seeds:
         learning.expand(node)
 
-    learning.check_against_tree(all_records)
+    learning.check_against_tree()
     return LearnResult(learning.root, learning.audit)
 
 
-def train_model(gold: TaggedCorpus, options: TrainOptions = TrainOptions()):
+def train_model(gold: TaggedCorpus, options: TrainOptions = TrainOptions()) -> Model:
     """Full pipeline: lexicon, first guesses, tree.  Returns a Model.
 
     Training starts from the same first-guess chain that tagging uses.
     """
-    from .tagger import Model
-
     lexicon = build_lexicon(gold)
     initial = InitialTagger(
         lexicon,

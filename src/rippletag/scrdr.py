@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from functools import partial
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 FIELD_NAMES = (
     "prev2Word",
@@ -118,6 +118,7 @@ def context_columns(
     lists; the three suffix columns cut a word's suffix only when it is
     read, since a tree walk reads few of them.  They read ``words``
     itself, so it must not change while the columns are in use.
+    Training reads many sentences at once through ``corpus_columns``.
     """
     return (
         *_window(words, tags),
@@ -127,22 +128,34 @@ def context_columns(
     )
 
 
+def corpus_columns(
+    pairs: Iterable[tuple[Sequence[str], Sequence[str]]],
+) -> tuple[list[str | None], ...]:
+    """The context window of many sentences, one column per field.
+
+    ``pairs`` holds one ``(words, tags)`` pair per sentence.  Row ``r``
+    of every column is token ``r`` of the whole input, and each
+    sentence's window is cut as ``context_columns`` cuts it, so no
+    neighbour crosses a sentence edge.  All thirteen columns are lists;
+    the suffixes are cut in one pass over the word column.
+    """
+    columns: list[list[str | None]] = [[] for _ in range(10)]
+    for words, tags in pairs:
+        for column, part in zip(columns, _window(words, tags)):
+            column += part
+    words = columns[FIELD_INDEX["word"]]
+    return (*columns, _suffixes(words, 2), _suffixes(words, 3), _suffixes(words, 4))
+
+
 _new_tag_object = partial(tuple.__new__, TagObject)
 
 
 def make_tag_objects(words: Sequence[str], tags: Sequence[str]) -> list[TagObject]:
     """Build the per-token context objects for one sentence.
 
-    Field ``f`` of object ``i`` is ``context_columns(words, tags)[f][i]``;
-    every object holds its suffixes, so they are cut here in one pass.
+    Object ``i`` is row ``i`` of ``corpus_columns([(words, tags)])``.
     """
-    columns = zip(
-        *_window(words, tags),
-        _suffixes(words, 2),
-        _suffixes(words, 3),
-        _suffixes(words, 4),
-    )
-    return list(map(_new_tag_object, columns))
+    return list(map(_new_tag_object, zip(*corpus_columns([(words, tags)]))))
 
 
 class Rule(NamedTuple):
@@ -216,22 +229,6 @@ def evaluate(root: Node, obj: TagObject) -> EvalResult:
         else:
             current = current.ifnot_child
     return EvalResult(last_fired, tuple(visited))
-
-
-def last_fired(root: Node, obj: TagObject) -> Node:
-    """``evaluate(root, obj).node``, walked without recording the path."""
-    last = root
-    current = root.except_child
-    while current is not None:
-        # Rule.matches, inlined: this walk runs once per training token
-        for i, value in current.rule.tests:
-            if obj[i] != value:
-                current = current.ifnot_child
-                break
-        else:
-            last = current
-            current = current.except_child
-    return last
 
 
 def insert_exception(parent: Node, rule: Rule) -> Node:

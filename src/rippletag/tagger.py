@@ -14,8 +14,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .corpus import TaggedCorpus
 from .initial_tagger import (
@@ -37,8 +38,8 @@ META_FILE = "model.json"
 AUDIT_FILE = "audit.jsonl"
 
 # One compiled entry: (chain position, tests after the first,
-# conclusion, compiled exception chain).
-_Entry = tuple[int, tuple[tuple[int, str], ...], str, "_Chain | None"]
+# label of the node, compiled exception chain).
+_Entry = tuple[int, tuple[tuple[int, str], ...], object, "_Chain | None"]
 # A compiled chain: its length, then one (position of its first entry,
 # field, value -> entries in chain order) table per field that some
 # entry tests first, ordered by that position.
@@ -59,8 +60,14 @@ class Model:
     audit: tuple[dict, ...] = ()
 
 
-def compile_chain(first: Node | None) -> _Chain | None:
+def compile_chain(
+    first: Node | None, label: Callable[[Node], object]
+) -> _Chain | None:
     """Compile one if-not chain (a node and its if-not siblings).
+
+    Each entry holds ``label(node)``, which ``run_chain`` returns for
+    the node that decides a token: ``Tagger`` labels each node with its
+    conclusion, the learner's self-check with the node itself.
 
     The chains' first nodes come from ``iter_nodes``, whose pre-order
     lists each chain before the chains under it; compiling them in
@@ -84,7 +91,7 @@ def compile_chain(first: Node | None) -> _Chain | None:
                 raise ValueError(f"always-true rule below the root: {node!r}")
             field_idx, value = tests[0]
             sub = compiled.pop(node.except_child, None)
-            entry = (pos, tests[1:], node.rule.conclusion, sub)
+            entry = (pos, tests[1:], label(node), sub)
             tables.setdefault(field_idx, {}).setdefault(value, []).append(entry)
             starts.setdefault(field_idx, pos)
             pos += 1
@@ -95,17 +102,18 @@ def compile_chain(first: Node | None) -> _Chain | None:
 
 
 def run_chain(
-    compiled: _Chain, cols: Sequence[Sequence[str | None]], i: int
-) -> str | None:
-    """Deepest conclusion fired in this chain for token ``i``, or None.
+    compiled: _Chain | None, cols: Sequence[Sequence[str | None]], i: int
+) -> object:
+    """The label of the deepest node fired in this chain for token ``i``.
 
-    ``cols`` are the sentence's ``context_columns``: field ``f`` of the
-    token is ``cols[f][i]``.  In each chain the earliest entry whose
+    None if no node fires; the label is what ``compile_chain`` stored.
+    ``cols`` are ``context_columns`` or ``corpus_columns``: field ``f``
+    of the token is ``cols[f][i]``.  In each chain the earliest entry whose
     tests all hold fires, and the walk goes on into its exceptions; a
     field whose first entry comes after the entry found so far is not
     probed.
     """
-    conclusion = None
+    label = None
     chain: _Chain | None = compiled
     while chain is not None:
         cutoff, tables = chain
@@ -128,8 +136,8 @@ def run_chain(
                     break
         if fired is None:
             break
-        _, _, conclusion, chain = fired
-    return conclusion
+        _, _, label, chain = fired
+    return label
 
 
 class Tagger:
@@ -147,7 +155,9 @@ class Tagger:
         )
         if model.tree.rule.tests:
             raise ValueError("model tree has a non-default root")
-        self._compiled = compile_chain(model.tree.except_child)
+        self._compiled = compile_chain(
+            model.tree.except_child, attrgetter("rule.conclusion")
+        )
 
     def tag_sentence(self, words: list[str]) -> list[str]:
         initial_tags = self.initial.tag_sentence(words)

@@ -13,11 +13,12 @@ from __future__ import annotations
 import random
 import re
 from collections import Counter
-from typing import Iterator
+from operator import itemgetter
+from typing import Iterator, NamedTuple
 
 from rippletag.corpus import TaggedCorpus, _check_token
 from rippletag.initial_tagger import MODE_ENGLISH, InitialTagger, InitialTaggerOptions
-from rippletag.learner import _KEY_GETTERS, Record, Selection, Thresholds
+from rippletag.learner import Selection, Thresholds
 from rippletag.lexicon import (
     SUFFIX_LENGTHS,
     SUFFIX_MIN_COUNT,
@@ -39,6 +40,22 @@ from rippletag.templates import CATALOG, Template, instantiate
 POOL = ("alpha", "beta", "gamma", "delta", "NN", "VB", "ing", "ed")
 
 TEMPLATE_BY_ID = {t.id: t for t in CATALOG}
+
+
+class Record(NamedTuple):
+    """One token as the reference scorers read it: context and gold tag.
+
+    The learner keeps tokens as rows of corpus-wide columns;
+    ``records_of`` turns rows back into records.
+    """
+
+    obj: TagObject
+    gold: str
+
+
+def records_of(columns, gold, rows) -> list[Record]:
+    """The records of ``rows`` of the context ``columns`` and ``gold`` tags."""
+    return [Record(TagObject(*(col[r] for col in columns)), gold[r]) for r in rows]
 
 
 def reference_make_tag_objects(words: list[str], tags: list[str]) -> list[TagObject]:
@@ -103,7 +120,8 @@ def reference_select_rule(
     golds = [r.gold for r in wrong]
     correct_objs = None if correct is None else [r.obj for r in correct]
     best = None
-    for template, get in zip(CATALOG, _KEY_GETTERS):
+    for template in CATALOG:
+        get = itemgetter(*template.fields)
         # a one-field getter returns the bare value, not a 1-tuple;
         # within one template both sort alike, so the tie-break holds
         single = len(template.fields) == 1

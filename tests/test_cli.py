@@ -444,6 +444,31 @@ class TestConfig:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "payload, option",
+        [('{"max_level": 0}', "max_level"), ('{"separator": ""}', "separator")],
+    )
+    def test_bad_config_value_fails_before_the_corpus_is_read(
+        self, tmp_path, payload, option, capsys
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(payload, encoding="utf-8")
+        code = main(
+            [
+                "train",
+                "--corpus",
+                str(tmp_path / "no-such-corpus"),
+                "--model",
+                str(tmp_path / "m"),
+                "--config",
+                str(config),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert option in err
+        assert "no-such-corpus" not in err
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(

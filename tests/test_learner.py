@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rippletag.learner as learner
+import rippletag.scrdr as scrdr
 
 from rippletag.corpus import AlignmentError, read_tagged_corpus
 from rippletag.initial_tagger import MODE_ENGLISH, MODE_GENERIC
 from rippletag.learner import (
     DEFAULT_MAX_LEVEL,
     LearnerStateError,
-    Record,
     Selection,
     Thresholds,
     TrainOptions,
@@ -36,9 +36,11 @@ from rippletag.templates import CATALOG, instantiate
 
 from helpers import (
     POOL,
+    Record,
     project,
     random_object,
     random_tagged_text,
+    records_of,
     ref_matches,
     reference_candidate_tables,
     reference_select_rule,
@@ -74,6 +76,26 @@ def micro_corpora():
     gold = read_tagged_corpus(MICRO)
     init = tags_of(read_tagged_corpus(MICRO.replace("can/MD", "can/NN")))
     return init, gold
+
+
+def columns_of(records):
+    """The records' contexts as context columns, one row per record."""
+    return tuple([r.obj[f] for r in records] for f in range(len(FIELD_NAMES)))
+
+
+def select(wrong, correct, thresholds, level):
+    """``select_rule`` on record lists: rows of their columns, fresh tables.
+
+    Wrong records are rows 0 to len(wrong) - 1, correct ones follow.
+    """
+    records = wrong + (correct or [])
+    columns, gold = columns_of(records), [r.gold for r in records]
+    wrong_rows = list(range(len(wrong)))
+    correct_rows = None if correct is None else list(range(len(wrong), len(records)))
+    candidates = _Candidates(
+        columns, gold, wrong_rows, correct_rows, thresholds.for_level(level)
+    )
+    return select_rule(wrong_rows, correct_rows, thresholds, level, candidates)
 
 
 def oracle_select(wrong, correct, thresholds, level):
@@ -117,14 +139,14 @@ class TestThresholds:
 
 class TestSelectRule:
     def test_empty_wrong_set_selects_nothing(self):
-        assert select_rule([], None, Thresholds(), 2) is None
+        assert select([], None, Thresholds(), 2) is None
 
     def test_uniform_context_scores_every_record(self):
         wrong = [
             Record(obj(prev1Tag="PRP", word=w, currentTag="NN"), "MD")
             for w in ("can", "may", "must", "will")
         ]
-        sel = select_rule(wrong, None, Thresholds(), 2)
+        sel = select(wrong, None, Thresholds(), 2)
         assert sel is not None
         assert (sel.a, sel.b, sel.score) == (4, 0, 4)
         assert sel.template_id == 15
@@ -138,9 +160,9 @@ class TestSelectRule:
             for w in ("w1a", "w2b", "w3c", "w4d")
         ]
         correct = [Record(obj(prev1Tag="X", next1Tag="Z", word="w5e", currentTag="A"), "A")]
-        free = select_rule(wrong, None, Thresholds(), 3)
+        free = select(wrong, None, Thresholds(), 3)
         assert free.template_id == 15
-        vetoed = select_rule(wrong, correct, Thresholds(), 3)
+        vetoed = select(wrong, correct, Thresholds(), 3)
         assert vetoed.template_id == 17
         assert vetoed.rule.tests == ((7, "Y"),)
         assert (vetoed.a, vetoed.b, vetoed.score) == (4, 0, 4)
@@ -151,7 +173,7 @@ class TestSelectRule:
             [Record(obj(word=f"p{i}", **shared), "B") for i in range(6)]
             + [Record(obj(word=f"q{i}", **shared), "C") for i in range(2)]
         )
-        sel = select_rule(wrong, None, Thresholds(), 2)
+        sel = select(wrong, None, Thresholds(), 2)
         assert (sel.a, sel.b, sel.score) == (6, 2, 4)
         assert sel.rule.conclusion == "B"
 
@@ -160,8 +182,8 @@ class TestSelectRule:
             Record(obj(prev1Tag="X", word=f"w{i}", currentTag="A"), "B")
             for i in range(3)
         ]
-        assert select_rule(wrong, None, Thresholds(layer2=3), 2) is None
-        sel = select_rule(wrong, None, Thresholds(layer2=2), 2)
+        assert select(wrong, None, Thresholds(layer2=3), 2) is None
+        sel = select(wrong, None, Thresholds(layer2=2), 2)
         assert sel.score == 3
 
     def test_ties_break_on_template_then_values_then_conclusion(self):
@@ -169,7 +191,7 @@ class TestSelectRule:
             Record(obj(prev1Word="to", prev1Tag="TO", word="walk", currentTag="NN"), "VB")
             for _ in range(4)
         ]
-        sel = select_rule(wrong, None, Thresholds(), 2)
+        sel = select(wrong, None, Thresholds(), 2)
         assert sel.template_id == 2
         assert sel.rule.tests == ((2, "to"),)
 
@@ -191,7 +213,7 @@ class TestSelectRule:
         )
         thresholds = rng.choice([Thresholds(1, 1), Thresholds(2, 2)])
         level = rng.choice([2, 3, 4])
-        assert select_rule(wrong, correct, thresholds, level) == oracle_select(
+        assert select(wrong, correct, thresholds, level) == oracle_select(
             wrong, correct, thresholds, level
         )
 
@@ -225,7 +247,7 @@ class TestSelectRule:
         correct = None if n_correct is None else records(n_correct)
         thresholds = rng.choice([Thresholds(1, 1), Thresholds(2, 2), Thresholds(3, 2)])
         level = spec.get("level") or rng.choice([2, 3, 4])
-        assert select_rule(wrong, correct, thresholds, level) == oracle_select(
+        assert select(wrong, correct, thresholds, level) == oracle_select(
             wrong, correct, thresholds, level
         )
 
@@ -351,6 +373,29 @@ class TestSelfCheck:
         with pytest.raises(LearnerStateError, match="stale record sets"):
             learn_tree(init, gold)
 
+    def test_a_row_moved_to_another_node_with_the_same_conclusion_fails(
+        self, monkeypatch
+    ):
+        # modal "can" starts as NN in five sentences and as VB in five,
+        # so two exceptions conclude MD, one under each seed
+        gold = read_tagged_corpus("you/PRP can/MD go/VB\n" * 10)
+        init = [["PRP", "NN", "VB"]] * 5 + [["PRP", "VB", "VB"]] * 5
+        check = _Learning.check_against_tree
+        modal_nodes = []
+
+        def moving_check(self):
+            modal = [s for n, s in self.records.items() if n.rule.conclusion == "MD"]
+            modal_nodes.append(len(modal))
+            # the row keeps its tag and its correctness, only its node changes
+            modal[1].correct.append(modal[0].correct.pop())
+            check(self)
+
+        assert serialize_tree(learn_tree(init, gold).root).count('tag = "MD"') == 2
+        monkeypatch.setattr(_Learning, "check_against_tree", moving_check)
+        with pytest.raises(LearnerStateError, match="stale record sets"):
+            learn_tree(init, gold)
+        assert modal_nodes == [2]
+
     def test_migrate_that_moves_nothing_raises(self, monkeypatch):
         # without the check, expand selects and attaches the same rule forever
         monkeypatch.setattr(_Learning, "migrate", lambda self, state, child: 0)
@@ -365,6 +410,14 @@ class TestOnToyCorpus:
         b = train_model(toy)
         assert serialize_tree(a.tree) == serialize_tree(b.tree)
         assert a.audit == b.audit
+
+    def test_training_builds_no_tag_objects(self, toy, monkeypatch):
+        def refuse(words, tags):
+            raise AssertionError("training built per-token context objects")
+
+        monkeypatch.setattr(learner, "make_tag_objects", refuse)
+        monkeypatch.setattr(scrdr, "make_tag_objects", refuse)
+        assert layer_census(train_model(toy).tree) == {1: 18, 2: 5, 3: 1}
 
     def test_toy_tree_shape_is_pinned(self, toy_model):
         assert layer_census(toy_model.tree) == {1: 18, 2: 5, 3: 1}
@@ -431,12 +484,19 @@ class TestIncrementalSelection:
     def test_every_selection_equals_the_recounting_reference(
         self, toy, corpus, monkeypatch
     ):
-        select = learner.select_rule
+        original = learner.select_rule
         seen = Counter()
 
-        def checked(wrong, correct, thresholds, level, *rest):
-            got = select(wrong, correct, thresholds, level, *rest)
-            assert got == reference_select_rule(wrong, correct, thresholds, level)
+        def checked(wrong, correct, thresholds, level, candidates):
+            got = original(wrong, correct, thresholds, level, candidates)
+            columns, gold = candidates.columns, candidates.gold
+            want = reference_select_rule(
+                records_of(columns, gold, wrong),
+                None if correct is None else records_of(columns, gold, correct),
+                thresholds,
+                level,
+            )
+            assert got == want
             seen[got is None, correct is None] += 1
             return got
 
@@ -456,19 +516,30 @@ class TestIncrementalSelection:
     def test_each_record_is_counted_once_per_node_when_filled_and_once_when_it_leaves(
         self, toy, monkeypatch
     ):
-        # (node, phase, template, record) -> times a template key was taken
+        # (node, phase, template fields, row) -> times a table read the row
         counts = Counter()
         where = []
-        phase = ["fill"]
+        phase = [None]
+        keys = learner._keys
 
-        def counting(index, get):
-            def get_counted(obj):
-                counts[where[-1], phase[0], index, id(obj)] += 1
-                return get(obj)
+        def counted_keys(columns, fields, rows):
+            # only the table reads count, not the partition in ``migrate``
+            if phase[0] is not None:
+                for row in rows:
+                    counts[where[-1], phase[0], fields, row] += 1
+            return keys(columns, fields, rows)
 
-            return get_counted
+        def in_phase(name, method):
+            def tracked(*args):
+                phase[0] = name
+                try:
+                    return method(*args)
+                finally:
+                    phase[0] = None
 
-        expand, migrate = _Learning.expand, _Learning.migrate
+            return tracked
+
+        expand = _Learning.expand
 
         def tracked_expand(self, node):
             where.append(node)
@@ -477,20 +548,12 @@ class TestIncrementalSelection:
             finally:
                 where.pop()
 
-        def tracked_migrate(self, state, child):
-            phase[0] = "leave"
-            try:
-                return migrate(self, state, child)
-            finally:
-                phase[0] = "fill"
-
-        monkeypatch.setattr(
-            learner,
-            "_KEY_GETTERS",
-            tuple(counting(i, g) for i, g in enumerate(learner._KEY_GETTERS)),
-        )
+        monkeypatch.setattr(learner, "_keys", counted_keys)
         monkeypatch.setattr(_Learning, "expand", tracked_expand)
-        monkeypatch.setattr(_Learning, "migrate", tracked_migrate)
+        monkeypatch.setattr(
+            _Candidates, "__init__", in_phase("fill", _Candidates.__init__)
+        )
+        monkeypatch.setattr(_Candidates, "remove", in_phase("leave", _Candidates.remove))
         learn_tree(all_nn(toy), toy)
         recounted = [key for key, n in counts.items() if n > 1]
         assert recounted == []
@@ -501,32 +564,39 @@ class TestIncrementalSelection:
     def test_tables_stay_equal_to_fresh_counts(self, rng, floor, vetoes):
         pool, golds = POOL[:3], POOL[:4]
 
-        def records(n):
+        def draw(n):
             return [
                 Record(random_object(rng, pool, none_rate=0.3), rng.choice(golds))
                 for _ in range(n)
             ]
 
-        learning = _Learning(Thresholds(floor, floor), DEFAULT_MAX_LEVEL)
+        wrong = draw(rng.randint(0, 40))
+        records = wrong + draw(rng.randint(0, 20))
+        columns, gold = columns_of(records), [r.gold for r in records]
+        learning = _Learning(columns, gold, Thresholds(floor, floor), DEFAULT_MAX_LEVEL)
         node = learning.seed("X")
         state = learning.records[node]
-        state.wrong = records(rng.randint(0, 40))
-        state.correct = records(rng.randint(0, 20))
+        state.wrong = list(range(len(wrong)))
+        state.correct = list(range(len(wrong), len(records)))
         correct = state.correct if vetoes else None
-        state.candidates = _Candidates(state.wrong, correct, floor)
-        assert candidate_snapshot(state.candidates) == reference_candidate_tables(
-            state.wrong, correct, floor
-        )
+
+        def fresh_counts():
+            return reference_candidate_tables(
+                [records[r] for r in state.wrong],
+                None if correct is None else [records[r] for r in correct],
+                floor,
+            )
+
+        state.candidates = _Candidates(columns, gold, state.wrong, correct, floor)
+        assert candidate_snapshot(state.candidates) == fresh_counts()
         for _ in range(rng.randint(1, 8)):
             remaining = state.wrong + state.correct
             if not remaining:
                 break
             template = rng.choice(CATALOG)
-            values = project(template, rng.choice(remaining).obj)
+            values = project(template, records[rng.choice(remaining)].obj)
             if values is None:
                 continue
             child = learning.attach(node, instantiate(template, values, rng.choice(golds)))
             learning.migrate(state, child)
-            assert candidate_snapshot(state.candidates) == reference_candidate_tables(
-                state.wrong, correct, floor
-            )
+            assert candidate_snapshot(state.candidates) == fresh_counts()

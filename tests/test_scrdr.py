@@ -12,6 +12,7 @@ from rippletag.scrdr import (
     TagObject,
     TreeFormatError,
     context_columns,
+    corpus_columns,
     count_rules,
     evaluate,
     insert_exception,
@@ -84,6 +85,38 @@ def test_mismatched_lengths_rejected():
         make_tag_objects(["a"], ["X", "Y"])
     with pytest.raises(ValueError):
         context_columns(["a", "b"], ["X"])
+    with pytest.raises(ValueError):
+        corpus_columns([(["a"], ["X"]), (["a", "b"], ["X"])])
+
+
+@given(
+    st.lists(
+        st.lists(st.text("abc", min_size=1, max_size=6), min_size=1, max_size=4),
+        min_size=1,
+        max_size=6,
+    ),
+    st.data(),
+)
+def test_corpus_columns_are_the_reference_objects_of_all_sentences(sentences, data):
+    # up to four tokens per sentence, so one-token sentences and the
+    # windows that reach across no edge, one edge and both are common
+    pairs = []
+    for words in sentences:
+        n = len(words)
+        tags = data.draw(st.lists(st.sampled_from("XY"), min_size=n, max_size=n))
+        pairs.append((words, tags))
+    want = [obj for pair in pairs for obj in reference_make_tag_objects(*pair)]
+    columns = corpus_columns(pairs)
+    assert len(columns) == len(FIELD_NAMES)
+    assert all(type(column) is list for column in columns)
+    assert [TagObject(*row) for row in zip(*columns)] == want
+
+
+def test_corpus_columns_keep_one_token_sentences_apart():
+    columns = corpus_columns([(["a"], ["X"]), (["bcd"], ["Y"]), (["e"], ["Z"])])
+    row = TagObject(*(column[1] for column in columns))
+    assert row == reference_make_tag_objects(["bcd"], ["Y"])[0]
+    assert row.prev1Word is None and row.next1Word is None
 
 
 @given(st.lists(st.text("abcdefg", min_size=1, max_size=6), min_size=1, max_size=9))

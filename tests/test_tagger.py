@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -41,6 +42,10 @@ from helpers import (
 )
 
 
+# Labels every compiled node with its conclusion, as ``Tagger`` does.
+CONCLUSION = attrgetter("rule.conclusion")
+
+
 def expected_conclusion(root, obj):
     """What the compiled walk should return, per the plain tree walk."""
     last, _ = reference_evaluate(root, obj)
@@ -52,6 +57,20 @@ def assert_walks_like_the_reference(root, compiled, objects):
     cols = tuple(list(column) for column in zip(*objects))
     for i, obj in enumerate(objects):
         assert run_chain(compiled, cols, i) == expected_conclusion(root, obj)
+
+
+def assert_names_the_deciding_node(root, compiled, objects):
+    """The node-labelled walk of token i returns ``evaluate``'s node.
+
+    Where only the root fires, the walk returns None.  Returns what
+    the walk returned, token by token.
+    """
+    cols = tuple(list(column) for column in zip(*objects))
+    got = [run_chain(compiled, cols, i) for i in range(len(objects))]
+    for obj, walked in zip(objects, got):
+        node = evaluate(root, obj).node
+        assert walked is (None if node is root else node)
+    return got
 
 
 def wide_tree(rng, top_width, extra):
@@ -69,15 +88,37 @@ class TestCompiledChain:
         rng = random.Random(31)
         for _ in range(40):
             root = random_tree(rng, rng.randint(1, 30))
-            compiled = compile_chain(root.except_child)
+            compiled = compile_chain(root.except_child, CONCLUSION)
             objects = [random_object(rng) for _ in range(50)]
             assert_walks_like_the_reference(root, compiled, objects)
+
+    def test_node_labels_name_the_node_evaluate_returns(self):
+        rng = random.Random(35)
+        for _ in range(40):
+            root = random_tree(rng, rng.randint(1, 30))
+            compiled = compile_chain(root.except_child, lambda node: node)
+            objects = [random_object(rng) for _ in range(50)]
+            assert_names_the_deciding_node(root, compiled, objects)
+
+    def test_node_labels_on_a_tree_deeper_than_the_recursion_limit(self):
+        depth = sys.getrecursionlimit() + 200
+        root = parse_tree(deep_tree_text(depth))
+        compiled = compile_chain(root.except_child, lambda node: node)
+        base = random_object(random.Random(36))._replace(prev1Word="x")
+        objects = [
+            base._replace(word=word)
+            for word in ("w1", f"w{depth // 2}", f"w{depth}", "x", "other")
+        ]
+        objects += [base._replace(prev1Word=None, word=w) for w in ("w1", "w2")]
+        got = assert_names_the_deciding_node(root, compiled, objects)
+        levels = [None if node is None else node.level for node in got]
+        assert levels == [1, depth // 2, depth, depth, depth, 1, None]
 
     def test_long_chains_are_indexed_and_still_match(self):
         rng = random.Random(32)
         for _ in range(20):
             root = wide_tree(rng, rng.randint(8, 20), rng.randint(0, 25))
-            compiled = compile_chain(root.except_child)
+            compiled = compile_chain(root.except_child, CONCLUSION)
             objects = [random_object(rng) for _ in range(60)]
             assert_walks_like_the_reference(root, compiled, objects)
 
@@ -103,7 +144,7 @@ class TestCompiledChain:
                 tests = tuple(sorted((f, obj[f]) for f in picked))
                 rule = Rule(tests, rng.choice("XYZ"))
                 nodes.append(insert_exception(rng.choice(nodes), rule))
-            compiled = compile_chain(root.except_child)
+            compiled = compile_chain(root.except_child, CONCLUSION)
             for words, tags in sentences:
                 cols = context_columns(words, tags)
                 for i, obj in enumerate(reference_make_tag_objects(words, tags)):
@@ -113,7 +154,7 @@ class TestCompiledChain:
         rng = random.Random(33)
         for width in (1, 2, 7, 8, 9, 31, 45):
             root = wide_tree(rng, width, rng.randint(0, 10))
-            compiled = compile_chain(root.except_child)
+            compiled = compile_chain(root.except_child, CONCLUSION)
             objects = [random_object(rng) for _ in range(60)]
             assert_walks_like_the_reference(root, compiled, objects)
 
@@ -134,7 +175,7 @@ class TestCompiledChain:
         else:
             parent.except_child = bad
         with pytest.raises(ValueError, match="always-true"):
-            compile_chain(root.except_child)
+            compile_chain(root.except_child, CONCLUSION)
 
     def test_earliest_entry_wins_across_first_test_fields(self):
         # the entry that fires first in chain order wins, whichever
@@ -144,7 +185,7 @@ class TestCompiledChain:
         insert_exception(root, Rule(((1, "p"),), "prev2"))
         insert_exception(root, Rule(((4, "w"),), "word"))
         insert_exception(root, Rule(((12, "abcd"),), "suffix"))
-        compiled = compile_chain(root.except_child)
+        compiled = compile_chain(root.except_child, CONCLUSION)
         rng = random.Random(1)
         base = random_object(rng)._replace(
             prev2Tag="p", word="w", next1Tag="x", suffix4="abcd"
@@ -166,7 +207,7 @@ class TestCompiledChain:
             tests = ((4, "w"), (7, f"t{i}"))
             insert_exception(root, Rule(tests, f"c{i}"))
         insert_exception(root, Rule(((4, "w"),), "fallback"))
-        compiled = compile_chain(root.except_child)
+        compiled = compile_chain(root.except_child, CONCLUSION)
         rng = random.Random(0)
         obj = random_object(rng)._replace(word="w", next1Tag="t6")
         off = random_object(rng)._replace(word="w", next1Tag="none-such")
