@@ -78,8 +78,14 @@ def read_tagged_corpus(text: str, separator: str = DEFAULT_SEPARATOR) -> TaggedC
     Only ``\n`` ends a line, so line numbers in errors count ``\n``
     and other Unicode line breaks inside a line act as spaces.
 
+    Strings are interned per call, through dicts local to it: within
+    one result, equal words are one object, equal tags are one object
+    and equal tokens are one ``Token``.  Two calls share nothing.
+
     Raises CorpusParseError when a token has no separator at all.
     """
+    strings: dict[str, str] = {}
+    known: dict[str, Token] = {}
     sentences: list[Sentence] = []
     for lineno, line in enumerate(text.split("\n"), start=1):
         parts = line.split()
@@ -87,16 +93,21 @@ def read_tagged_corpus(text: str, separator: str = DEFAULT_SEPARATOR) -> TaggedC
             continue
         tokens = []
         for part in parts:
-            word, sep, tag = part.rpartition(separator)
-            if not sep:
-                raise CorpusParseError(
-                    f"line {lineno}: token {part!r} has no {separator!r} separator"
+            token = known.get(part)
+            if token is None:
+                word, sep, tag = part.rpartition(separator)
+                if not sep:
+                    raise CorpusParseError(
+                        f"line {lineno}: token {part!r} has no {separator!r} separator"
+                    )
+                if not word or not tag:
+                    raise CorpusParseError(
+                        f"line {lineno}: token {part!r} has an empty word or tag"
+                    )
+                token = known[part] = Token(
+                    strings.setdefault(word, word), strings.setdefault(tag, tag)
                 )
-            if not word or not tag:
-                raise CorpusParseError(
-                    f"line {lineno}: token {part!r} has an empty word or tag"
-                )
-            tokens.append(Token(word, tag))
+            tokens.append(token)
         sentences.append(tuple(tokens))
     return TaggedCorpus(tuple(sentences))
 

@@ -23,9 +23,13 @@ manner of Ngai & Florian's "fast lane" transformation-based learning
 counted once per template into candidate tables (``_Candidates``),
 which keep only the candidates above the level's floor: records never
 enter a node after it is created, so no other candidate can ever win
-there.  Each move to a child subtracts the leaving records' counts, so
-every record is counted into a node's tables once and out of them at
-most once.  The tables live only while the node is being expanded.
+there.  The wrong records are split by gold tag first, and each gold
+group's bare template values are counted on their own, so a count
+never builds a (values, gold) pair per record.  Each move to a child
+subtracts the leaving records' counts, split by gold tag the same way
+and filtered to the values that are still hot, so every record is
+counted into a node's tables once and out of them at most once.  The
+tables live only while the node is being expanded.
 
 Once the tree is finished, a self-check reruns the tagger's compiled
 walk (``tagger.run_chain``) over every row, each node labelled by
@@ -39,7 +43,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import eq, not_
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import AlignmentError, TaggedCorpus
 from .initial_tagger import (
@@ -129,6 +133,18 @@ def _keys(columns: Columns, fields: tuple[int, ...], rows: list[int]) -> list:
     return list(zip(*[map(columns[f].__getitem__, rows) for f in fields]))
 
 
+def _rows_by(values: Sequence[str], rows: Iterable[int]) -> dict[str, list[int]]:
+    """``rows`` grouped by ``values[row]``.
+
+    Groups come in order of their value's first occurrence, and each
+    keeps its rows in the order given.
+    """
+    groups: dict[str, list[int]] = {}
+    for row in rows:
+        groups.setdefault(values[row], []).append(row)
+    return groups
+
+
 class _NodeRecords:
     __slots__ = ("wrong", "correct", "candidates")
 
@@ -153,10 +169,13 @@ class _Table(NamedTuple):
 
     ``fixed[values, gold]`` counts the wrong records with these values
     and this gold tag, for hot candidates only: those above the floor
-    whose values contain no None.  ``matched[values]`` counts all wrong
-    records with these values and ``blocked[values]`` the correct ones
-    (None when the node does not veto); both hold the values of hot
-    candidates only, and ``blocked`` no zero counts.
+    whose values contain no None.  It is read off the count of the
+    bare values within that gold tag's group of wrong records.
+    ``matched[values]`` counts all wrong records with these values, the
+    sum over the gold groups (a single group's count when there is one),
+    and ``blocked[values]`` the correct ones (None when the node does
+    not veto); both hold the values of hot candidates only, and
+    ``blocked`` no zero counts.
     """
 
     template: Template
@@ -188,27 +207,34 @@ class _Candidates:
         self.columns = columns
         self.gold = gold
         self.floor = floor
-        golds = list(map(gold.__getitem__, wrong))
+        groups = _rows_by(gold, wrong)
         # every conclusion a candidate here can have
-        self.conclusions = set(golds)
+        self.conclusions = set(groups)
         # a vetoing node keeps ``blocked`` tables and selects no candidate
         # that matches one of its correct records
         self.vetoes = correct is not None
         self.tables: list[_Table] = []
         for template in CATALOG:
-            keys = _keys(columns, template.fields, wrong)
             single = len(template.fields) == 1
-            counts = Counter(zip(keys, golds))
-            # the floor filter runs in C; about one candidate in ten passes it
-            fixed = {
-                key: counts[key]
-                for key in compress(counts, map(floor.__lt__, counts.values()))
-                if not ((key[0] is None) if single else (None in key[0]))
-            }
+            fixed = {}
+            counted = []
+            for conclusion, rows in groups.items():
+                counts = Counter(_keys(columns, template.fields, rows))
+                counted.append(counts)
+                # the floor filter runs in C; few values pass it
+                for values in compress(counts, map(floor.__lt__, counts.values())):
+                    if not ((values is None) if single else (None in values)):
+                        fixed[values, conclusion] = counts[values]
             if not fixed:
                 continue
-            all_matched = Counter(keys)
-            matched = {values: all_matched[values] for values, _ in fixed}
+            hot = {values for values, _ in fixed}
+            if len(counted) == 1:
+                matched = {values: counted[0][values] for values in hot}
+            else:
+                matched = {
+                    values: sum(counts.get(values, 0) for counts in counted)
+                    for values in hot
+                }
             blocked = None
             if self.vetoes:
                 all_blocked = Counter(_keys(columns, template.fields, correct))
@@ -220,33 +246,35 @@ class _Candidates:
     def remove(self, wrong: list[int]) -> None:
         """Subtract the wrong records that left; drop what falls to the floor.
 
-        Each leaving record is projected once per template, counted in
-        C, and only the entries both counted and still hot are visited.
-        No correct record leaves a vetoing node, so ``blocked`` only
-        loses the values that cool.
+        The leaving records are split by gold tag, as in the fill.  Per
+        template and gold group, each record is projected once, and the
+        values still in ``matched`` (the hot ones) are filtered out in C
+        before they are counted; only those counts are subtracted from
+        ``matched`` and from the group's ``fixed`` entries.  No correct
+        record leaves a vetoing node, so ``blocked`` only loses the
+        values that cool.
         """
         if not wrong:
             return
         floor = self.floor
-        golds = list(map(self.gold.__getitem__, wrong))
+        groups = _rows_by(self.gold, wrong)
         for table in self.tables:
             fixed, matched, blocked = table.fixed, table.matched, table.blocked
-            keys = _keys(self.columns, table.template.fields, wrong)
-            gone = Counter(keys)
-            hit = matched.keys() & gone.keys()
-            if not hit:
-                continue
-            for values in hit:
-                matched[values] -= gone[values]
-            gone_fixed = Counter(zip(keys, golds))
             cooled = set()
-            for key in fixed.keys() & gone_fixed.keys():
-                a = fixed[key] - gone_fixed[key]
-                if a > floor:
-                    fixed[key] = a
-                else:
-                    del fixed[key]
-                    cooled.add(key[0])
+            for conclusion, rows in groups.items():
+                keys = _keys(self.columns, table.template.fields, rows)
+                gone = Counter(compress(keys, map(matched.__contains__, keys)))
+                for values, n in gone.items():
+                    matched[values] -= n
+                    key = values, conclusion
+                    a = fixed.get(key)
+                    if a is None:
+                        continue
+                    if a - n > floor:
+                        fixed[key] = a - n
+                    else:
+                        del fixed[key]
+                        cooled.add(values)
             for values in cooled:
                 if not any((values, gold) in fixed for gold in self.conclusions):
                     del matched[values]
@@ -492,8 +520,9 @@ def learn_tree(
         for sentence, tags in zip(gold.sentences, first_guesses)
     )
     gold_tags = [tag for _, tag in gold.tokens()]
-    # distinct first-guess tags in order of first occurrence
-    seed_tags = list(dict.fromkeys(columns[_CURRENT_TAG]))
+    # rows by first-guess tag, in order of the tag's first occurrence
+    rows_by_tag = _rows_by(columns[_CURRENT_TAG], range(len(gold_tags)))
+    seed_tags = list(rows_by_tag)
     learning = _Learning(columns, gold_tags, thresholds, max_level)
     learning.audit.append(
         {
@@ -509,9 +538,6 @@ def learn_tree(
         }
     )
 
-    rows_by_tag: dict[str, list[int]] = {tag: [] for tag in seed_tags}
-    for row, tag in enumerate(columns[_CURRENT_TAG]):
-        rows_by_tag[tag].append(row)
     seeds = [learning.seed(tag) for tag in seed_tags]
     for node in seeds:
         tag = node.rule.conclusion

@@ -81,8 +81,12 @@ class _Suffixes:
 
 
 def _suffixes(words: Sequence[str], n: int) -> list[str | None]:
-    """The last ``n`` characters of each word, None unless it is longer."""
-    return [word[-n:] if len(word) > n else None for word in words]
+    """The last ``n`` characters of each word, None unless it is longer.
+
+    Each distinct word is cut once, so all its tokens share one suffix.
+    """
+    cut = {word: word[-n:] if len(word) > n else None for word in set(words)}
+    return list(map(cut.__getitem__, words))
 
 
 def _window(words: Sequence[str], tags: Sequence[str]) -> tuple[list[str | None], ...]:
@@ -137,7 +141,7 @@ def corpus_columns(
     of every column is token ``r`` of the whole input, and each
     sentence's window is cut as ``context_columns`` cuts it, so no
     neighbour crosses a sentence edge.  All thirteen columns are lists;
-    the suffixes are cut in one pass over the word column.
+    the suffixes are cut once per distinct word of the word column.
     """
     columns: list[list[str | None]] = [[] for _ in range(10)]
     for words, tags in pairs:

@@ -49,6 +49,22 @@ def test_parse_custom_separator():
     assert corpus.sentences[0] == (Token("la", "DT"), Token("maison", "NC"))
 
 
+def test_equal_words_and_tags_are_one_object_within_a_read():
+    text = "the/DT can/NN fell/VBD\nyou/PRP can/MD go/VB\nthe/DT dog/NN\n"
+    corpus = read_tagged_corpus(text)
+    (the, can_nn, _), (_, can_md, _), (the_again, dog) = corpus.sentences
+    assert can_nn.word is can_md.word
+    assert the.word is the_again.word and the.tag is the_again.tag
+    assert can_nn.tag is dog.tag
+    for field in ("word", "tag"):
+        values = [getattr(token, field) for token in corpus.tokens()]
+        assert len({id(value) for value in values}) == len(set(values))
+    # a second read builds its own strings and an equal corpus
+    again = read_tagged_corpus(text)
+    assert again == corpus
+    assert again.sentences[0][1].word is not can_nn.word
+
+
 def test_parse_error_names_the_line():
     with pytest.raises(CorpusParseError, match="line 3"):
         read_tagged_corpus("a/DT\nb/NN\nc\n")

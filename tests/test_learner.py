@@ -25,6 +25,7 @@ from rippletag.learner import (
     train_model,
 )
 from rippletag.scrdr import (
+    FIELD_INDEX,
     FIELD_NAMES,
     TagObject,
     layer_census,
@@ -560,9 +561,15 @@ class TestIncrementalSelection:
         assert {phase for _, phase, _, _ in counts} == {"fill", "leave"}
 
     @settings(max_examples=80, deadline=None)
-    @given(st.randoms(use_true_random=False), st.integers(1, 3), st.booleans())
-    def test_tables_stay_equal_to_fresh_counts(self, rng, floor, vetoes):
-        pool, golds = POOL[:3], POOL[:4]
+    @given(
+        st.randoms(use_true_random=False),
+        st.integers(1, 3),
+        st.booleans(),
+        st.sampled_from((1, 2, 4)),
+    )
+    def test_tables_stay_equal_to_fresh_counts(self, rng, floor, vetoes, n_golds):
+        # one gold tag fills each table from a single group, more sum the groups
+        pool, golds = POOL[:3], POOL[:n_golds]
 
         def draw(n):
             return [
@@ -600,3 +607,24 @@ class TestIncrementalSelection:
             child = learning.attach(node, instantiate(template, values, rng.choice(golds)))
             learning.migrate(state, child)
             assert candidate_snapshot(state.candidates) == fresh_counts()
+
+    def test_a_value_hot_under_two_golds_stays_when_one_cools(self):
+        # "w" fixes three A records and two B records; one correct record
+        # blocks it.  Moving one B record away cools (w, B) but not (w, A).
+        records = [Record(obj(word="w"), "A")] * 3 + [Record(obj(word="w"), "B")] * 2
+        records += [Record(obj(word="w"), "C")]
+        columns, gold = columns_of(records), [r.gold for r in records]
+        wrong, correct = [0, 1, 2, 3, 4], [5]
+        word = (FIELD_INDEX["word"],)
+        candidates = _Candidates(columns, gold, wrong, correct, 1)
+        (table,) = [t for t in candidates.tables if t.template.fields == word]
+        assert table.fixed == {("w", "A"): 3, ("w", "B"): 2}
+        assert table.matched == {"w": 5}
+        assert table.blocked == {"w": 1}
+        candidates.remove([4])
+        (table,) = [t for t in candidates.tables if t.template.fields == word]
+        assert table.fixed == {("w", "A"): 3}
+        assert table.matched == {"w": 4}
+        assert table.blocked == {"w": 1}
+        candidates.remove([0, 1])
+        assert candidates.tables == []

@@ -119,6 +119,17 @@ def test_corpus_columns_keep_one_token_sentences_apart():
     assert row.prev1Word is None and row.next1Word is None
 
 
+def test_corpus_columns_share_the_suffixes_of_one_word():
+    # two equal words that are separate string objects, in two sentences
+    first, second = "".join(["walk", "ed"]), "".join(["wal", "ked"])
+    assert first is not second
+    columns = corpus_columns([([first, "x"], ["V", "X"]), (["y", second], ["Y", "V"])])
+    for n in (2, 3, 4):
+        column = columns[FIELD_INDEX[f"suffix{n}"]]
+        assert column[0] == "walked"[-n:]
+        assert column[0] is column[3]
+
+
 @given(st.lists(st.text("abcdefg", min_size=1, max_size=6), min_size=1, max_size=9))
 def test_context_objects_mirror_the_sentence(words):
     tags = [f"T{i % 3}" for i in range(len(words))]
