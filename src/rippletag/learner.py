@@ -172,10 +172,9 @@ class _Table(NamedTuple):
     whose values contain no None.  It is read off the count of the
     bare values within that gold tag's group of wrong records.
     ``matched[values]`` counts all wrong records with these values, the
-    sum over the gold groups (a single group's count when there is one),
-    and ``blocked[values]`` the correct ones (None when the node does
-    not veto); both hold the values of hot candidates only, and
-    ``blocked`` no zero counts.
+    sum over the gold groups, and ``blocked[values]`` the correct ones
+    (None when the node does not veto); both hold the values of hot
+    candidates only, and ``blocked`` no zero counts.
     """
 
     template: Template
@@ -228,13 +227,7 @@ class _Candidates:
             if not fixed:
                 continue
             hot = {values for values, _ in fixed}
-            if len(counted) == 1:
-                matched = {values: counted[0][values] for values in hot}
-            else:
-                matched = {
-                    values: sum(counts.get(values, 0) for counts in counted)
-                    for values in hot
-                }
+            matched = {values: sum(c[values] for c in counted) for values in hot}
             blocked = None
             if self.vetoes:
                 all_blocked = Counter(_keys(columns, template.fields, correct))

@@ -81,12 +81,8 @@ class _Suffixes:
 
 
 def _suffixes(words: Sequence[str], n: int) -> list[str | None]:
-    """The last ``n`` characters of each word, None unless it is longer.
-
-    Each distinct word is cut once, so all its tokens share one suffix.
-    """
-    cut = {word: word[-n:] if len(word) > n else None for word in set(words)}
-    return list(map(cut.__getitem__, words))
+    """The last ``n`` characters of each word, None unless it is longer."""
+    return [word[-n:] if len(word) > n else None for word in words]
 
 
 def _window(words: Sequence[str], tags: Sequence[str]) -> tuple[list[str | None], ...]:
@@ -141,14 +137,19 @@ def corpus_columns(
     of every column is token ``r`` of the whole input, and each
     sentence's window is cut as ``context_columns`` cuts it, so no
     neighbour crosses a sentence edge.  All thirteen columns are lists;
-    the suffixes are cut once per distinct word of the word column.
+    the suffixes are cut once per distinct word of the word column, so
+    all tokens of a word share its suffix strings.
     """
     columns: list[list[str | None]] = [[] for _ in range(10)]
     for words, tags in pairs:
         for column, part in zip(columns, _window(words, tags)):
             column += part
     words = columns[FIELD_INDEX["word"]]
-    return (*columns, _suffixes(words, 2), _suffixes(words, 3), _suffixes(words, 4))
+    distinct = list(set(words))
+    for n in (2, 3, 4):
+        cut = dict(zip(distinct, _suffixes(distinct, n)))
+        columns.append(list(map(cut.__getitem__, words)))
+    return tuple(columns)
 
 
 _new_tag_object = partial(tuple.__new__, TagObject)
@@ -159,7 +160,8 @@ def make_tag_objects(words: Sequence[str], tags: Sequence[str]) -> list[TagObjec
 
     Object ``i`` is row ``i`` of ``corpus_columns([(words, tags)])``.
     """
-    return list(map(_new_tag_object, zip(*corpus_columns([(words, tags)]))))
+    suffixes = [_suffixes(words, n) for n in (2, 3, 4)]
+    return list(map(_new_tag_object, zip(*_window(words, tags), *suffixes)))
 
 
 class Rule(NamedTuple):
