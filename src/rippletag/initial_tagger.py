@@ -20,6 +20,22 @@ pattern then runs from j exactly as before: without a backreference
 nothing after the repeat depends on where the match began.  Such rules
 run with ``match``; every other rule, and every rule on a word with a
 newline, runs with ``search``.
+
+Each maximal run of consecutive joinable rules is compiled into one
+pattern ``(r0)|(r1)|...`` run with ``match``, so a word costs one call
+into the regex engine per run, not one per rule.  At offset 0 an
+alternation tries its branches in order and leaves a branch only when
+it cannot match there at all, which is when that rule's own ``match``
+returns None; so the first rule that matches still wins.  Its tag is
+read from ``lastindex``, which is the rule's wrapper group: that group
+closes after every group inside it.
+A rule is joinable when ``match`` is exact for it, it compiles with
+the default flags, it has no named group (two rules could name the
+same one) and its text holds no inline global-flag group such as
+``(?u)`` (Python 3.11 rejects one inside a pattern, and 3.10 applies
+it to the whole pattern).  Every other rule is a matcher of its own,
+in its place in the order, as are the rules of a run nested too deep
+for the joined pattern to compile.
 """
 
 from __future__ import annotations
@@ -29,7 +45,8 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, groupby
+from typing import Callable
 
 from .corpus import TaggedCorpus
 from .lexicon import SUFFIX_LENGTHS, Lexicon, contains_digit, is_capitalized
@@ -106,11 +123,6 @@ def _match_is_exact(pattern: str, flags: int) -> bool:
             import sre_parse as parser
     except ImportError:
         return False
-    try:
-        parsed = parser.parse(pattern, flags)
-    except re.error:
-        return False
-    multiline = parsed.state.flags & re.MULTILINE
 
     def starts_anchored(items) -> bool:
         if not len(items):
@@ -140,7 +152,50 @@ def _match_is_exact(pattern: str, flags: int) -> bool:
             return any(map(refers_back, node))
         return False
 
-    return starts_anchored(parsed) and not refers_back(parsed)
+    try:
+        parsed = parser.parse(pattern, flags)
+        multiline = parsed.state.flags & re.MULTILINE
+        return starts_anchored(parsed) and not refers_back(parsed)
+    except (re.error, RecursionError):
+        # RecursionError: groups nested deeper than these walks reach,
+        # which ``re.compile`` may still accept
+        return False
+
+
+_DEFAULT_FLAGS = re.compile("").flags
+# an inline global-flag group, as opposed to a scoped ``(?i:...)``
+_GLOBAL_FLAG_GROUP = re.compile(r"\(\?[aiLmstux]+\)")
+
+
+def _joinable(p: re.Pattern[str]) -> bool:
+    """Whether ``p`` can be one branch of a joined alternation."""
+    return (
+        p.flags == _DEFAULT_FLAGS
+        and not p.groupindex
+        and not _GLOBAL_FLAG_GROUP.search(p.pattern)
+        and _match_is_exact(p.pattern, p.flags)
+    )
+
+
+# A matcher is (test, tags): ``test(word)`` returns a match or None,
+# and ``tags[match.lastindex]`` is the tag of the rule that matched.
+_Matcher = tuple[Callable[[str], "re.Match[str] | None"], dict]
+
+
+def _alone(test, p: re.Pattern[str], tag: str) -> _Matcher:
+    """A matcher for one rule: its tag, whichever group closed last."""
+    return test, dict.fromkeys([None, *range(1, p.groups + 1)], tag)
+
+
+def _joined(rules: list[tuple[re.Pattern[str], str]]) -> _Matcher:
+    """One matcher for consecutive joinable rules: ``(r0)|(r1)|...``."""
+    tags = {}
+    group = 1
+    for p, tag in rules:
+        tags[group] = tag
+        group += 1 + p.groups
+    joined = re.compile("|".join(f"({p.pattern})" for p, _ in rules))
+    return joined.match, tags
 
 
 class InitialTagger:
@@ -159,13 +214,22 @@ class InitialTagger:
                 for pattern, tag in compile_regex_rules(self.options.regex_rules)
                 if tag in known_tags
             )
-        # (test, tag) per rule, in order; a test returns a match or None
-        self._regex_rules = tuple(
-            (p.match if _match_is_exact(p.pattern, p.flags) else p.search, tag)
-            for p, tag in rules
-        )
+        # matchers in rule order: one per run of joinable rules, one per other rule
+        matchers: list[_Matcher] = []
+        for joinable, group in groupby(rules, key=lambda rule: _joinable(rule[0])):
+            run = list(group)
+            if joinable:
+                try:
+                    matchers.append(_joined(run))
+                    continue
+                except RecursionError:
+                    pass  # each wrapper group nests its rule one level deeper
+            for p, tag in run:
+                exact = _match_is_exact(p.pattern, p.flags)
+                matchers.append(_alone(p.match if exact else p.search, p, tag))
+        self._regex_rules = tuple(matchers)
         # ``.`` stops at a newline, so a word holding one runs them all by search
-        self._newline_rules = tuple((p.search, tag) for p, tag in rules)
+        self._newline_rules = tuple(_alone(p.search, p, tag) for p, tag in rules)
         self._suffix_tables = tuple(
             (n, lexicon.suffix_tags.get(n, {}))
             for n in sorted(SUFFIX_LENGTHS, reverse=True)
@@ -173,9 +237,10 @@ class InitialTagger:
 
     def guess_unknown(self, word: str) -> str:
         """First guess from the unknown-word chain, ignoring any lexicon entry."""
-        for test, tag in self._newline_rules if "\n" in word else self._regex_rules:
-            if test(word):
-                return tag
+        for test, tags in self._newline_rules if "\n" in word else self._regex_rules:
+            m = test(word)
+            if m:
+                return tags[m.lastindex]
         lexicon = self.lexicon
         if contains_digit(word):
             return lexicon.numeric_tag

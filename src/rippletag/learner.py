@@ -174,13 +174,16 @@ class _Table(NamedTuple):
     ``matched[values]`` counts all wrong records with these values, the
     sum over the gold groups, and ``blocked[values]`` the correct ones
     (None when the node does not veto); both hold the values of hot
-    candidates only, and ``blocked`` no zero counts.
+    candidates only, and ``blocked`` no zero counts.  ``hot[values]``
+    counts the gold tags that these values have a ``fixed`` entry with,
+    so values leave ``matched`` and ``blocked`` when it falls to 0.
     """
 
     template: Template
     fixed: dict
     matched: dict
     blocked: dict | None
+    hot: Counter
 
 
 class _Candidates:
@@ -193,7 +196,7 @@ class _Candidates:
     and a template left with no candidate is dropped with it.
     """
 
-    __slots__ = ("columns", "gold", "floor", "conclusions", "tables", "vetoes")
+    __slots__ = ("columns", "gold", "floor", "tables", "vetoes")
 
     def __init__(
         self,
@@ -207,8 +210,6 @@ class _Candidates:
         self.gold = gold
         self.floor = floor
         groups = _rows_by(gold, wrong)
-        # every conclusion a candidate here can have
-        self.conclusions = set(groups)
         # a vetoing node keeps ``blocked`` tables and selects no candidate
         # that matches one of its correct records
         self.vetoes = correct is not None
@@ -226,7 +227,7 @@ class _Candidates:
                         fixed[values, conclusion] = counts[values]
             if not fixed:
                 continue
-            hot = {values for values, _ in fixed}
+            hot = Counter(values for values, _ in fixed)
             matched = {values: sum(c[values] for c in counted) for values in hot}
             blocked = None
             if self.vetoes:
@@ -234,7 +235,7 @@ class _Candidates:
                 blocked = {
                     v: all_blocked[v] for v in all_blocked.keys() & matched.keys()
                 }
-            self.tables.append(_Table(template, fixed, matched, blocked))
+            self.tables.append(_Table(template, fixed, matched, blocked, hot))
 
     def remove(self, wrong: list[int]) -> None:
         """Subtract the wrong records that left; drop what falls to the floor.
@@ -245,17 +246,16 @@ class _Candidates:
         before they are counted; only those counts are subtracted from
         ``matched`` and from the group's ``fixed`` entries.  No correct
         record leaves a vetoing node, so ``blocked`` only loses the
-        values that cool.
+        values that cool: those whose last ``fixed`` entry goes.
         """
         if not wrong:
             return
         floor = self.floor
         groups = _rows_by(self.gold, wrong)
         for table in self.tables:
-            fixed, matched, blocked = table.fixed, table.matched, table.blocked
-            cooled = set()
+            template, fixed, matched, blocked, hot = table
             for conclusion, rows in groups.items():
-                keys = _keys(self.columns, table.template.fields, rows)
+                keys = _keys(self.columns, template.fields, rows)
                 gone = Counter(compress(keys, map(matched.__contains__, keys)))
                 for values, n in gone.items():
                     matched[values] -= n
@@ -265,14 +265,13 @@ class _Candidates:
                         continue
                     if a - n > floor:
                         fixed[key] = a - n
-                    else:
-                        del fixed[key]
-                        cooled.add(values)
-            for values in cooled:
-                if not any((values, gold) in fixed for gold in self.conclusions):
-                    del matched[values]
-                    if blocked is not None:
-                        blocked.pop(values, None)
+                        continue
+                    del fixed[key]
+                    hot[values] -= 1
+                    if not hot[values]:
+                        del hot[values], matched[values]
+                        if blocked is not None:
+                            blocked.pop(values, None)
         self.tables = [table for table in self.tables if table.fixed]
 
 

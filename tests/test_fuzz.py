@@ -22,6 +22,7 @@ from rippletag.tagger import (
     TREE_FILE,
     Model,
     ModelFormatError,
+    Tagger,
     load_model,
     save_model,
 )
@@ -112,15 +113,34 @@ _JSON_VALUES = st.recursive(
     max_leaves=8,
 )
 
-_REGEX_RULES = st.lists(
-    st.one_of(
-        st.tuples(
-            st.sampled_from([".*ing$", "^[A-Z]", "(", "a{99999999999}", "[", "x"]),
-            st.sampled_from(["VBG", "", "NN"]),
-        ).map(list),
-        _JSON_VALUES,
+# Rule pairs that compile alone but not joined into one alternation:
+# a group name defined twice, and an inline global flag past the start.
+# NN is in the saved model's tagset, so both rules reach the compile.
+_UNJOINABLE_PAIRS = [
+    [["(?P<g>^a)", "NN"], ["(?P<g>.*b)", "NN"]],
+    [[".*a", "NN"], ["(?u)^c", "NN"]],
+]
+
+
+def _english_meta(regex_rules):
+    return json.dumps({"format": 1, "mode": "english-regex", "regex_rules": regex_rules})
+
+
+_REGEX_RULES = st.one_of(
+    st.lists(
+        st.one_of(
+            st.tuples(
+                st.sampled_from(
+                    [".*ing$", "^[A-Z]", "(", "a{99999999999}", "[", "x",
+                     "(?P<g>^a)", "(?u)^c"]
+                ),
+                st.sampled_from(["VBG", "", "NN"]),
+            ).map(list),
+            _JSON_VALUES,
+        ),
+        max_size=3,
     ),
-    max_size=3,
+    st.sampled_from(_UNJOINABLE_PAIRS),
 )
 
 _META = st.one_of(
@@ -141,6 +161,7 @@ def saved_model(tmp_path_factory):
     """Files of a small valid model, by name."""
     rng = random.Random(7)
     model = Model(lexicon=random_lexicon(rng), tree=random_tree(rng, 12))
+    assert "NN" in model.lexicon.tagset
     directory = tmp_path_factory.mktemp("model")
     save_model(model, directory)
     return {
@@ -150,13 +171,17 @@ def saved_model(tmp_path_factory):
 
 
 def _load_with(tmp_path, saved, name, data):
-    """load_model on the saved model with file ``name`` set to ``data``."""
+    """load_model on the saved model with file ``name`` set to ``data``.
+
+    A model that loads must also build a ``Tagger``.
+    """
     for file_name, content in {**saved, name: data}.items():
         (tmp_path / file_name).write_bytes(content)
     try:
-        load_model(tmp_path)
+        model = load_model(tmp_path)
     except _MODEL_ERRORS:
-        pass
+        return
+    Tagger(model)
 
 
 # tmp_path is reused across examples; each example rewrites every file
@@ -170,6 +195,8 @@ _fuzz_settings = settings(suppress_health_check=[HealthCheck.function_scoped_fix
 @example('{"format": 1, "regex_rules": [["a{99999999999}", "NN"]]}')
 @example('{"format": 1, "regex_rules": [["%s", "NN"]]}' % ("(" * 1000 + ")" * 1000))
 @example("[" * 100000)
+@example(_english_meta(_UNJOINABLE_PAIRS[0]))
+@example(_english_meta(_UNJOINABLE_PAIRS[1]))
 def test_load_model_survives_any_meta_file(tmp_path, saved_model, text):
     _load_with(tmp_path, saved_model, META_FILE, text.encode())
 

@@ -249,10 +249,12 @@ def _chain(rules):
 
 
 def test_every_default_english_rule_runs_with_match():
+    # the defaults are all joinable: one matcher, run with ``match``,
+    # whose wrapper groups map to the rules' tags in order
     tagger = _chain(DEFAULT_ENGLISH_RULES)
-    tests = [test for test, _ in tagger._regex_rules]
-    assert len(tests) == len(DEFAULT_ENGLISH_RULES)
-    assert all(test.__name__ == "match" for test in tests)
+    ((test, tags),) = tagger._regex_rules
+    assert test.__name__ == "match"
+    assert list(tags.values()) == [tag for _, tag in DEFAULT_ENGLISH_RULES]
     for word in _WORDS:
         assert tagger.guess_unknown(word) == reference_guess_unknown(
             _LEXICON, tagger.options, word
@@ -265,13 +267,73 @@ def test_without_the_regex_parser_every_rule_runs_with_search(monkeypatch):
     _match_is_exact.cache_clear()
     try:
         tagger = _chain(DEFAULT_ENGLISH_RULES)
-        assert all(test.__name__ == "search" for test, _ in tagger._regex_rules)
+        # nothing is joinable: one ``search`` matcher per rule
+        assert len(tagger._regex_rules) == len(DEFAULT_ENGLISH_RULES)
+        for (test, tags), (_, tag) in zip(tagger._regex_rules, DEFAULT_ENGLISH_RULES):
+            assert test.__name__ == "search"
+            assert set(tags.values()) == {tag}
         for word in _WORDS:
             assert tagger.guess_unknown(word) == reference_guess_unknown(
                 _LEXICON, tagger.options, word
             )
     finally:
         _match_is_exact.cache_clear()
+
+
+def test_runs_of_joinable_rules_share_one_matcher():
+    rules = [
+        (".*a$", "R1"),
+        ("^b", "R2"),
+        ("(?i)^x", "R1"),  # other flags
+        (".*x", "R2"),
+        ("(?P<g>^a)", "R1"),  # a named group
+        ("(?u)^b", "R2"),  # an inline global flag, though the default one
+        ("x", "R1"),  # needs ``search``
+        ("^a", "R2"),
+        (r"\Ab", "R1"),
+    ]
+    tagger = _chain(rules)
+    layout = [(test.__name__, len(set(tags.values()))) for test, tags in tagger._regex_rules]
+    assert layout == [
+        ("match", 2),
+        ("match", 1),
+        ("match", 1),
+        ("match", 1),
+        ("match", 1),
+        ("search", 1),
+        ("match", 2),
+    ]
+    for word in _WORDS + ["b", "x", "Xa", "ba", "xa"]:
+        assert tagger.guess_unknown(word) == reference_guess_unknown(
+            _LEXICON, tagger.options, word
+        )
+
+
+def test_a_rule_too_deep_to_join_keeps_a_matcher_of_its_own():
+    # a wrapper group nests its rule one level deeper, which a rule
+    # nested up to the limit of ``re.compile`` cannot take
+    def nested(depth):
+        return "(?:" * depth + "^a" + ")" * depth
+
+    def compiles(depth):
+        try:
+            re.compile(nested(depth))  # also caches it for ``_chain``
+        except RecursionError:
+            return False
+        return True
+
+    low, high = 1, 10_000  # compiles at low, not at high
+    assert compiles(low) and not compiles(high)
+    while high - low > 1:
+        middle = (low + high) // 2
+        low, high = (middle, high) if compiles(middle) else (low, middle)
+    for depth in range(max(1, low - 10), low + 1):
+        assert compiles(depth)
+        tagger = _chain([(nested(depth), "R1"), ("^b", "R2")])
+        for word in ["a", "b", "ab", "x"]:
+            assert tagger.guess_unknown(word) == reference_guess_unknown(
+                _LEXICON, tagger.options, word
+            )
 
 
 def _group(opener_and_body):
@@ -296,7 +358,7 @@ _TOKENS = st.sampled_from(
     [".*", ".*?", ".+", ".*+", ".?", "^", r"\A", "$", "a", "b", "x", "X", "1",
      "-", "[ab]", "[A-Z]", r"\d", "(?<=a)", r"(.*)x\1"]
 )
-_GROUP_OPENERS = st.sampled_from(["(", "(?:", "(?s:"])
+_GROUP_OPENERS = st.sampled_from(["(", "(?:", "(?s:", "(?P<g>"])
 _INNER = st.one_of(
     _TOKENS, st.tuples(_GROUP_OPENERS, _alternation(_TOKENS)).map(_group)
 )
@@ -305,10 +367,10 @@ _ELEMENTS = st.one_of(
     _TOKENS, _INNER, st.tuples(_GROUP_OPENERS, _alternation(_INNER)).map(_group)
 )
 _PATTERNS = st.tuples(
-    st.sampled_from(["", "(?m)", "(?s)"]), _alternation(_ELEMENTS)
+    st.sampled_from(["", "(?m)", "(?s)", "(?u)", "(?i)", "(?a)"]), _alternation(_ELEMENTS)
 ).map("".join).filter(_compiles)
 _RULES = st.lists(
-    st.tuples(_PATTERNS, st.sampled_from(["R1", "R2", "ZZ"])), min_size=1, max_size=2
+    st.tuples(_PATTERNS, st.sampled_from(["R1", "R2", "ZZ"])), min_size=1, max_size=4
 )
 
 

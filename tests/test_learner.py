@@ -594,8 +594,14 @@ class TestIncrementalSelection:
                 floor,
             )
 
+        def check():
+            assert candidate_snapshot(state.candidates) == fresh_counts()
+            # each hot value counts the gold tags it has a ``fixed`` entry with
+            for table in state.candidates.tables:
+                assert table.hot == Counter(values for values, _ in table.fixed)
+
         state.candidates = _Candidates(columns, gold, state.wrong, correct, floor)
-        assert candidate_snapshot(state.candidates) == fresh_counts()
+        check()
         for _ in range(rng.randint(1, 8)):
             remaining = state.wrong + state.correct
             if not remaining:
@@ -606,7 +612,7 @@ class TestIncrementalSelection:
                 continue
             child = learning.attach(node, instantiate(template, values, rng.choice(golds)))
             learning.migrate(state, child)
-            assert candidate_snapshot(state.candidates) == fresh_counts()
+            check()
 
     def test_a_value_hot_under_two_golds_stays_when_one_cools(self):
         # "w" fixes three A records and two B records; one correct record
