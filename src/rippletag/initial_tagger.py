@@ -79,6 +79,24 @@ def compile_regex_rules(
     return tuple((re.compile(pattern), tag) for pattern, tag in rules)
 
 
+# ``re`` parses and compiles nested groups by recursion, so a rule nested
+# near the recursion limit compiles where it is checked and fails a few
+# frames deeper, where ``InitialTagger`` compiles it again once ``re``'s
+# cache has dropped it.  Every group opens with a "(", so capping them
+# caps the nesting, far below the limit.
+MAX_RULE_PARENS = 100
+
+
+def check_regex_rule(pattern: str) -> None:
+    """Raise ValueError unless ``pattern`` compiles, at any call depth."""
+    if pattern.count("(") > MAX_RULE_PARENS:
+        raise ValueError(f"more than {MAX_RULE_PARENS} '(' in one rule")
+    try:
+        re.compile(pattern)
+    except (re.error, OverflowError, RecursionError) as exc:
+        raise ValueError(str(exc)) from exc
+
+
 def parse_regex_rules(text: str) -> tuple[tuple[str, str], ...]:
     """One 'pattern<TAB>tag' per line; blank lines are skipped."""
     rules = []
@@ -89,8 +107,8 @@ def parse_regex_rules(text: str) -> tuple[tuple[str, str], ...]:
         if not sep or not pattern or not tag.strip():
             raise ValueError(f"line {lineno}: expected 'pattern<TAB>tag'")
         try:
-            re.compile(pattern)
-        except (re.error, OverflowError, RecursionError) as exc:
+            check_regex_rule(pattern)
+        except ValueError as exc:
             raise ValueError(f"line {lineno}: bad pattern {pattern!r}: {exc}") from exc
         rules.append((pattern, tag.strip()))
     return tuple(rules)

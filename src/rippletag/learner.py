@@ -19,17 +19,26 @@ exception.
 
 Selection does not recount a node's records for every rule, in the
 manner of Ngai & Florian's "fast lane" transformation-based learning
-(NAACL 2001).  When a node's first selection runs, its records are
-counted once per template into candidate tables (``_Candidates``),
-which keep only the candidates above the level's floor: records never
-enter a node after it is created, so no other candidate can ever win
-there.  The wrong records are split by gold tag first, and each gold
-group's bare template values are counted on their own, so a count
-never builds a (values, gold) pair per record.  Each move to a child
-subtracts the leaving records' counts, split by gold tag the same way
-and filtered to the values that are still hot, so every record is
-counted into a node's tables once and out of them at most once.  The
-tables live only while the node is being expanded.
+(NAACL 2001).  Each node keeps one candidate table per template
+(``_Candidates``), holding only the candidates above the level's
+floor: records never enter a node after it is created, so no other
+candidate can ever win there.  The wrong records are split by gold tag
+first, and each gold group's bare template values are counted on their
+own, so counting a table never builds a (values, gold) pair per
+record; subtracting builds one only for a leaving record whose values
+are still hot.
+
+The tables are lazy.  At the node's first selection only the
+single-field templates are counted; each table's bound, its largest
+count, caps every score it can give, and a multi-field template starts
+unfilled, bounded by its fields' tables.  A move to a child only logs
+the records that leave.  Selection visits the tables by descending
+bound, brings each one up to date as it visits it (counting it, or
+subtracting the records that left since its last visit) and stops at
+the first table whose bound is below the best score found, so a table
+that cannot hold the winner is not counted at all.  A table reads at
+most the node's records at its first selection plus those that left
+it.  The tables live only while the node is being expanded.
 
 Once the tree is finished, a self-check reruns the tagger's compiled
 walk (``tagger.run_chain``) over every row, each node labelled by
@@ -42,7 +51,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import eq, not_
+from operator import attrgetter, eq, not_
 from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import AlignmentError, TaggedCorpus
@@ -164,8 +173,8 @@ class _NodeRecords:
         self.wrong += compress(rows, map(not_, hits))
 
 
-class _Table(NamedTuple):
-    """One template's candidate counts at one node.
+class _Table:
+    """One template's candidate counts at one node, brought up to date on demand.
 
     ``fixed[values, gold]`` counts the wrong records with these values
     and this gold tag, for hot candidates only: those above the floor
@@ -177,26 +186,44 @@ class _Table(NamedTuple):
     candidates only, and ``blocked`` no zero counts.  ``hot[values]``
     counts the gold tags that these values have a ``fixed`` entry with,
     so values leave ``matched`` and ``blocked`` when it falls to 0.
+
+    The counts are those of the node's rows when the first ``seen``
+    rows of ``_Candidates.left`` had left it; ``seen`` is None, and the
+    counts are None, while the table is unfilled.  ``bound`` is at
+    least the largest ``fixed`` count of the node's current rows, and
+    equal to it right after ``_Candidates.refresh``.
     """
 
-    template: Template
-    fixed: dict
-    matched: dict
-    blocked: dict | None
-    hot: Counter
+    __slots__ = ("template", "bound", "seen", "fixed", "matched", "blocked", "hot")
+
+    def __init__(self, template: Template, bound: int = 0) -> None:
+        self.template = template
+        self.bound = bound
+        self.seen: int | None = None
+        self.fixed: dict | None = None
+        self.matched: dict | None = None
+        self.blocked: dict | None = None
+        self.hot: Counter | None = None
 
 
 class _Candidates:
-    """Every candidate rule of one node that can still win there.
+    """The candidate tables of one node: every template that can still win.
 
-    Filled once from the node's records; ``remove`` keeps it in step as
-    records leave for a new child.  Records never enter a node after
-    it is created, so a candidate's ``fixed`` count only falls: one at
-    or below the floor can never win again and is dropped for good,
-    and a template left with no candidate is dropped with it.
+    The single-field templates are counted when the node's first
+    selection runs.  A multi-field template starts unfilled, its bound
+    the smallest of its fields' tables' bounds, since a tuple of values
+    cannot occur in a gold group more often than any one of its values;
+    it is not kept at all when that bound is at or below the floor.
+    ``remove`` only logs the wrong rows that leave, and ``refresh``
+    brings a table up to date when ``select_rule`` visits it.  Records
+    never enter a node after it is created, so a ``fixed`` count, and
+    with it every bound, only falls: a table whose bound falls to the
+    floor can never give the winner again and is dropped for good.
     """
 
-    __slots__ = ("columns", "gold", "floor", "tables", "vetoes")
+    __slots__ = (
+        "columns", "gold", "floor", "wrong", "correct", "left", "tables", "_groups"
+    )
 
     def __init__(
         self,
@@ -209,70 +236,128 @@ class _Candidates:
         self.columns = columns
         self.gold = gold
         self.floor = floor
-        groups = _rows_by(gold, wrong)
-        # a vetoing node keeps ``blocked`` tables and selects no candidate
-        # that matches one of its correct records
-        self.vetoes = correct is not None
-        self.tables: list[_Table] = []
+        # the node's own lists, which ``migrate`` keeps in step; a vetoing
+        # node keeps ``blocked`` counts over ``correct`` and selects no
+        # candidate that matches one of its correct records
+        self.wrong = wrong
+        self.correct = correct
+        # the wrong rows that left the node, in the order they left
+        self.left: list[int] = []
+        # ``wrong`` grouped by gold tag, until rows leave
+        self._groups: dict[str, list[int]] | None = None
+        singles = {}
         for template in CATALOG:
-            single = len(template.fields) == 1
-            fixed = {}
-            counted = []
-            for conclusion, rows in groups.items():
-                counts = Counter(_keys(columns, template.fields, rows))
-                counted.append(counts)
-                # the floor filter runs in C; few values pass it
-                for values in compress(counts, map(floor.__lt__, counts.values())):
-                    if not ((values is None) if single else (None in values)):
-                        fixed[values, conclusion] = counts[values]
-            if not fixed:
-                continue
-            hot = Counter(values for values, _ in fixed)
-            matched = {values: sum(c[values] for c in counted) for values in hot}
-            blocked = None
-            if self.vetoes:
-                all_blocked = Counter(_keys(columns, template.fields, correct))
+            if len(template.fields) == 1:
+                table = _Table(template)
+                self.refresh(table)
+                if table.bound > floor:
+                    singles[template.fields[0]] = table
+        self.tables = list(singles.values())
+        for template in CATALOG:
+            parents = [singles.get(field) for field in template.fields]
+            if len(parents) > 1 and None not in parents:
+                bound = min(parent.bound for parent in parents)
+                self.tables.append(_Table(template, bound))
+
+    @property
+    def vetoes(self) -> bool:
+        return self.correct is not None
+
+    def remove(self, wrong: list[int]) -> None:
+        """Log the wrong records that left for a new child."""
+        if wrong:
+            self.left += wrong
+            self._groups = None
+
+    def by_bound(self) -> list[_Table]:
+        """The tables whose bound is above the floor, largest bound first."""
+        self.tables = [table for table in self.tables if table.bound > self.floor]
+        self.tables.sort(key=attrgetter("bound"), reverse=True)
+        return self.tables
+
+    def refresh(self, table: _Table) -> None:
+        """Bring ``table`` up to the node's current rows; its bound becomes exact.
+
+        An unfilled table is counted from the rows that remain.  A
+        stale one subtracts the rows that left since it was last
+        brought up to date, unless more left than remain: then it is
+        recounted from the rows that remain.  All three give exactly
+        the counts of a fresh fill.
+        """
+        left = self.left
+        if table.seen is None or len(left) - table.seen > len(self.wrong):
+            self._count(table)
+        elif table.seen < len(left):
+            self._subtract(table, left[table.seen :])
+        table.seen = len(left)
+        table.bound = max(table.fixed.values(), default=0)
+
+    def _count(self, table: _Table) -> None:
+        """Count ``table`` from the node's current rows."""
+        columns, floor, fields = self.columns, self.floor, table.template.fields
+        single = len(fields) == 1
+        if self._groups is None:
+            self._groups = _rows_by(self.gold, self.wrong)
+        fixed = {}
+        counted = []
+        for conclusion, rows in self._groups.items():
+            counts = Counter(_keys(columns, fields, rows))
+            counted.append(counts)
+            # the floor filter runs in C; few values pass it
+            for values in compress(counts, map(floor.__lt__, counts.values())):
+                if not ((values is None) if single else (None in values)):
+                    fixed[values, conclusion] = counts[values]
+        hot = Counter(values for values, _ in fixed)
+        matched = {values: sum(c[values] for c in counted) for values in hot}
+        blocked = None
+        if self.correct is not None and matched:
+            if table.seen is None:
+                all_blocked = Counter(_keys(columns, fields, self.correct))
                 blocked = {
                     v: all_blocked[v] for v in all_blocked.keys() & matched.keys()
                 }
-            self.tables.append(_Table(template, fixed, matched, blocked, hot))
+            else:
+                # no correct record leaves a vetoing node: only values that
+                # cooled leave ``blocked``
+                blocked = {v: n for v, n in table.blocked.items() if v in matched}
+        table.fixed, table.matched, table.hot = fixed, matched, hot
+        table.blocked = blocked
 
-    def remove(self, wrong: list[int]) -> None:
-        """Subtract the wrong records that left; drop what falls to the floor.
+    def _subtract(self, table: _Table, rows: list[int]) -> None:
+        """Subtract the wrong records ``rows`` that left; drop what cools.
 
-        The leaving records are split by gold tag, as in the fill.  Per
-        template and gold group, each record is projected once, and the
-        values still in ``matched`` (the hot ones) are filtered out in C
-        before they are counted; only those counts are subtracted from
-        ``matched`` and from the group's ``fixed`` entries.  No correct
-        record leaves a vetoing node, so ``blocked`` only loses the
+        Each record is projected once, and the values still in
+        ``matched`` (the hot ones) are filtered out in C before they
+        are counted with their gold tag; only those counts are
+        subtracted from ``matched`` and ``fixed``.  A ``fixed`` entry
+        that falls to the floor goes, and ``blocked`` only loses the
         values that cool: those whose last ``fixed`` entry goes.
         """
-        if not wrong:
-            return
         floor = self.floor
-        groups = _rows_by(self.gold, wrong)
-        for table in self.tables:
-            template, fixed, matched, blocked, hot = table
-            for conclusion, rows in groups.items():
-                keys = _keys(self.columns, template.fields, rows)
-                gone = Counter(compress(keys, map(matched.__contains__, keys)))
-                for values, n in gone.items():
-                    matched[values] -= n
-                    key = values, conclusion
-                    a = fixed.get(key)
-                    if a is None:
-                        continue
-                    if a - n > floor:
-                        fixed[key] = a - n
-                        continue
-                    del fixed[key]
-                    hot[values] -= 1
-                    if not hot[values]:
-                        del hot[values], matched[values]
-                        if blocked is not None:
-                            blocked.pop(values, None)
-        self.tables = [table for table in self.tables if table.fixed]
+        fixed, matched, hot = table.fixed, table.matched, table.hot
+        blocked = table.blocked
+        keys = _keys(self.columns, table.template.fields, rows)
+        hits = list(map(matched.__contains__, keys))
+        golds = map(self.gold.__getitem__, rows)
+        gone = Counter(zip(compress(keys, hits), compress(golds, hits)))
+        for (values, conclusion), n in gone.items():
+            m = matched.get(values)
+            if m is None:
+                continue  # cooled under another gold tag earlier in this loop
+            matched[values] = m - n
+            key = values, conclusion
+            a = fixed.get(key)
+            if a is None:
+                continue
+            if a - n > floor:
+                fixed[key] = a - n
+                continue
+            del fixed[key]
+            hot[values] -= 1
+            if not hot[values]:
+                del hot[values], matched[values]
+                if blocked is not None:
+                    blocked.pop(values, None)
 
 
 def select_rule(
@@ -294,8 +379,8 @@ def select_rule(
     seed nodes, whose correct sets are most of the corpus, skip it.
 
     The counts live in ``candidates``, the node's tables, which
-    ``expand`` builds from the node's records at its first selection
-    and ``migrate`` keeps in step.  ``wrong`` and ``correct`` (None
+    ``expand`` creates at the node's first selection and ``migrate``
+    tells of every record that leaves.  ``wrong`` and ``correct`` (None
     where the node does not veto) are the node's records.  They are
     not read here; they stay the first two parameters because the
     benchmark's selection probe counts the records each call is handed
@@ -303,8 +388,12 @@ def select_rule(
     whose ``fixed`` is above the level's floor.  That loses nothing:
     since ``matched >= fixed``, a score never exceeds ``fixed``, and
     ``fixed`` never rises at a node, because records only ever leave
-    it.  The score itself can rise or fall as records leave, so it is
-    recomputed on every call.
+    it.  For the same reason a table's bound, its largest ``fixed``,
+    caps every score it can give.  Tables are visited by descending
+    bound and brought up to date only when visited; the scan stops at
+    the first table whose bound is below the best score so far.  One
+    whose bound equals it is still visited, so the tie-break stays
+    exact.
 
     Ties break on template id, then field values, then conclusion, so
     the choice never depends on iteration order.
@@ -312,7 +401,12 @@ def select_rule(
     floor = thresholds.for_level(level)
     best = None
     best_score = floor + 1
-    for table in candidates.tables:
+    for table in candidates.by_bound():
+        if table.bound < best_score:
+            break
+        candidates.refresh(table)
+        if table.bound < best_score:
+            continue
         template, matched, blocked = table.template, table.matched, table.blocked
         for (values, conclusion), a in table.fixed.items():
             m = matched[values]

@@ -12,7 +12,6 @@ conditions that cannot fire.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -25,6 +24,7 @@ from .initial_tagger import (
     MODES,
     InitialTagger,
     InitialTaggerOptions,
+    check_regex_rule,
 )
 from .lexicon import Lexicon, parse_lexicon, serialize_lexicon
 from .scrdr import Node, context_columns, iter_nodes, parse_tree, serialize_tree
@@ -233,8 +233,8 @@ def load_model(directory: str | Path) -> Model:
         )
     for pattern, _ in regex_rules:
         try:
-            re.compile(pattern)
-        except (re.error, OverflowError, RecursionError) as exc:
+            check_regex_rule(pattern)
+        except ValueError as exc:
             raise ModelFormatError(
                 f"{meta_path}: 'regex_rules': bad pattern {pattern!r}: {exc}"
             ) from exc

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from rippletag.corpus import read_tagged_corpus
 from rippletag.initial_tagger import (
     DEFAULT_ENGLISH_RULES,
+    MAX_RULE_PARENS,
     MODE_ENGLISH,
     MODE_GENERIC,
     InitialTagger,
@@ -155,6 +156,10 @@ def test_parse_regex_rules():
     # re.compile raises OverflowError, not re.error, for these
     with pytest.raises(ValueError, match="bad pattern"):
         parse_regex_rules("a{99999999999}\tNN\n")
+    # nested groups compile by recursion; a rule holds at most so many
+    assert parse_regex_rules("(a)" * MAX_RULE_PARENS + "\tNN\n")
+    with pytest.raises(ValueError, match=f"more than {MAX_RULE_PARENS}"):
+        parse_regex_rules("(a)" * (MAX_RULE_PARENS + 1) + "\tNN\n")
 
 
 def test_default_rule_order_is_most_specific_first():

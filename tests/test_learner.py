@@ -459,10 +459,20 @@ class TestOnToyCorpus:
         assert got == {**self.PINNED_SHA256, "model.json": self.PINNED_CONFIG_SHA256[mode]}
 
 
+def up_to_date(candidates):
+    """Bring every table of a node up to date; returns the ones still kept."""
+    for table in candidates.tables:
+        candidates.refresh(table)
+    return candidates.by_bound()
+
+
 def candidate_snapshot(candidates):
-    """A node's tables in ``reference_candidate_tables`` form: values as tuples."""
+    """A node's tables in ``reference_candidate_tables`` form: values as tuples.
+
+    Brings every table up to date first.
+    """
     snapshot = {}
-    for t in candidates.tables:
+    for t in up_to_date(candidates):
         wrap = (lambda v: (v,)) if len(t.template.fields) == 1 else (lambda v: v)
         snapshot[t.template.id] = (
             {(wrap(v), gold): a for (v, gold), a in t.fixed.items()},
@@ -475,6 +485,54 @@ def candidate_snapshot(candidates):
 def all_nn(corpus):
     """First guesses of NN for every token: one seed, many selections."""
     return [["NN"] * len(sentence) for sentence in corpus.sentences]
+
+
+class RandomNode:
+    """One node over random records, moved apart by random rules.
+
+    Its first ``n_wrong`` records are wrong, the rest correct; ``move``
+    attaches a child and migrates what it captures, as the learner does.
+    """
+
+    def __init__(self, rng, floor, vetoes, n_golds):
+        # one gold tag fills each table from a single group, more sum the groups
+        self.rng, self.golds = rng, POOL[:n_golds]
+        pool = POOL[:3]
+
+        def draw(n):
+            return [
+                Record(random_object(rng, pool, none_rate=0.3), rng.choice(self.golds))
+                for _ in range(n)
+            ]
+
+        wrong = draw(rng.randint(0, 40))
+        self.records = records = wrong + draw(rng.randint(0, 20))
+        columns, gold = columns_of(records), [r.gold for r in records]
+        self.thresholds = Thresholds(floor, floor)
+        self.learning = _Learning(columns, gold, self.thresholds, DEFAULT_MAX_LEVEL)
+        self.node = self.learning.seed("X")
+        self.state = state = self.learning.records[self.node]
+        state.wrong = list(range(len(wrong)))
+        state.correct = list(range(len(wrong), len(records)))
+        self.correct = state.correct if vetoes else None
+        state.candidates = _Candidates(columns, gold, state.wrong, self.correct, floor)
+
+    def rows(self, rows):
+        return None if rows is None else [self.records[r] for r in rows]
+
+    def move(self, rule=None):
+        """Attach ``rule``, or a random rule if None, and migrate to it."""
+        rng, state = self.rng, self.state
+        if rule is None:
+            remaining = state.wrong + state.correct
+            if not remaining:
+                return
+            template = rng.choice(CATALOG)
+            values = project(template, self.records[rng.choice(remaining)].obj)
+            if values is None:
+                return
+            rule = instantiate(template, values, rng.choice(self.golds))
+        self.learning.migrate(state, self.learning.attach(self.node, rule))
 
 
 class TestIncrementalSelection:
@@ -514,29 +572,36 @@ class TestIncrementalSelection:
             train_model(toy, TrainOptions(mode=corpus.removeprefix("toy-")))
             assert seen[False, True] > 0
 
-    def test_each_record_is_counted_once_per_node_when_filled_and_once_when_it_leaves(
+    # rows that the eager tables (filled for every template, and kept exact
+    # after every move) read from a node's lists on toy-all-NN
+    EAGER_TABLE_READS = 300_845
+
+    def test_a_table_reads_at_most_its_fill_rows_plus_the_rows_that_left(
         self, toy, monkeypatch
     ):
-        # (node, phase, template fields, row) -> times a table read the row
-        counts = Counter()
+        # (node, template fields) -> rows read from the node's lists
+        reads = Counter()
+        # node -> rows at its fill (wrong, plus correct where it vetoes),
+        # plus the rows that left it since
+        budget = Counter()
+        paths = Counter()
         where = []
-        phase = [None]
+        inside = [0]
         keys = learner._keys
 
         def counted_keys(columns, fields, rows):
             # only the table reads count, not the partition in ``migrate``
-            if phase[0] is not None:
-                for row in rows:
-                    counts[where[-1], phase[0], fields, row] += 1
+            if inside[0]:
+                reads[where[-1], fields] += len(rows)
             return keys(columns, fields, rows)
 
-        def in_phase(name, method):
-            def tracked(*args):
-                phase[0] = name
+        def inside_tables(method):
+            def tracked(self, *args):
+                inside[0] += 1
                 try:
-                    return method(*args)
+                    return method(self, *args)
                 finally:
-                    phase[0] = None
+                    inside[0] -= 1
 
             return tracked
 
@@ -549,16 +614,37 @@ class TestIncrementalSelection:
             finally:
                 where.pop()
 
+        init, remove = _Candidates.__init__, _Candidates.remove
+        count, subtract = _Candidates._count, _Candidates._subtract
+
+        def tracked_init(self, columns, gold, wrong, correct, floor):
+            budget[where[-1]] += len(wrong) + len(correct or ())
+            init(self, columns, gold, wrong, correct, floor)
+
+        def tracked_remove(self, wrong):
+            budget[where[-1]] += len(wrong)
+            remove(self, wrong)
+
+        def tracked_count(self, table):
+            paths["fill" if table.seen is None else "recount"] += 1
+            count(self, table)
+
+        def tracked_subtract(self, table, rows):
+            paths["subtract"] += 1
+            subtract(self, table, rows)
+
         monkeypatch.setattr(learner, "_keys", counted_keys)
         monkeypatch.setattr(_Learning, "expand", tracked_expand)
-        monkeypatch.setattr(
-            _Candidates, "__init__", in_phase("fill", _Candidates.__init__)
-        )
-        monkeypatch.setattr(_Candidates, "remove", in_phase("leave", _Candidates.remove))
+        monkeypatch.setattr(_Candidates, "__init__", inside_tables(tracked_init))
+        monkeypatch.setattr(_Candidates, "refresh", inside_tables(_Candidates.refresh))
+        monkeypatch.setattr(_Candidates, "remove", tracked_remove)
+        monkeypatch.setattr(_Candidates, "_count", tracked_count)
+        monkeypatch.setattr(_Candidates, "_subtract", tracked_subtract)
         learn_tree(all_nn(toy), toy)
-        recounted = [key for key, n in counts.items() if n > 1]
-        assert recounted == []
-        assert {phase for _, phase, _, _ in counts} == {"fill", "leave"}
+        over = {key: n for key, n in reads.items() if n > budget[key[0]]}
+        assert over == {}
+        assert set(paths) == {"fill", "recount", "subtract"}
+        assert 0 < sum(reads.values()) < self.EAGER_TABLE_READS
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -568,51 +654,57 @@ class TestIncrementalSelection:
         st.sampled_from((1, 2, 4)),
     )
     def test_tables_stay_equal_to_fresh_counts(self, rng, floor, vetoes, n_golds):
-        # one gold tag fills each table from a single group, more sum the groups
-        pool, golds = POOL[:3], POOL[:n_golds]
-
-        def draw(n):
-            return [
-                Record(random_object(rng, pool, none_rate=0.3), rng.choice(golds))
-                for _ in range(n)
-            ]
-
-        wrong = draw(rng.randint(0, 40))
-        records = wrong + draw(rng.randint(0, 20))
-        columns, gold = columns_of(records), [r.gold for r in records]
-        learning = _Learning(columns, gold, Thresholds(floor, floor), DEFAULT_MAX_LEVEL)
-        node = learning.seed("X")
-        state = learning.records[node]
-        state.wrong = list(range(len(wrong)))
-        state.correct = list(range(len(wrong), len(records)))
-        correct = state.correct if vetoes else None
-
-        def fresh_counts():
-            return reference_candidate_tables(
-                [records[r] for r in state.wrong],
-                None if correct is None else [records[r] for r in correct],
-                floor,
-            )
+        node = RandomNode(rng, floor, vetoes, n_golds)
+        state = node.state
 
         def check():
-            assert candidate_snapshot(state.candidates) == fresh_counts()
-            # each hot value counts the gold tags it has a ``fixed`` entry with
+            fresh = reference_candidate_tables(
+                node.rows(state.wrong), node.rows(node.correct), floor
+            )
+            # unfilled or stale, a table's bound caps its fresh counts
             for table in state.candidates.tables:
+                fixed = fresh.get(table.template.id, ({},))[0]
+                assert table.bound >= max(fixed.values(), default=0)
+            # left stale now and then, so tables fall behind by several moves
+            if rng.random() < 0.5:
+                return
+            assert candidate_snapshot(state.candidates) == fresh
+            for table in state.candidates.tables:
+                # each hot value counts the gold tags it has a ``fixed`` entry with
                 assert table.hot == Counter(values for values, _ in table.fixed)
+                assert table.bound == max(table.fixed.values())
 
-        state.candidates = _Candidates(columns, gold, state.wrong, correct, floor)
         check()
         for _ in range(rng.randint(1, 8)):
-            remaining = state.wrong + state.correct
-            if not remaining:
-                break
-            template = rng.choice(CATALOG)
-            values = project(template, records[rng.choice(remaining)].obj)
-            if values is None:
-                continue
-            child = learning.attach(node, instantiate(template, values, rng.choice(golds)))
-            learning.migrate(state, child)
+            node.move()
             check()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.randoms(use_true_random=False),
+        st.integers(1, 3),
+        st.booleans(),
+        st.sampled_from((1, 2, 4)),
+    )
+    def test_selections_between_random_moves_equal_the_reference(
+        self, rng, floor, vetoes, n_golds
+    ):
+        # tables visited in one selection and skipped in the next fall
+        # behind by different numbers of moves
+        node = RandomNode(rng, floor, vetoes, n_golds)
+        state = node.state
+        for _ in range(rng.randint(1, 10)):
+            got = select_rule(
+                state.wrong, node.correct, node.thresholds, 2, state.candidates
+            )
+            want = reference_select_rule(
+                node.rows(state.wrong), node.rows(node.correct), node.thresholds, 2
+            )
+            assert got == want
+            if got is not None and rng.random() < 0.5:
+                node.move(got.rule)
+            for _ in range(rng.randint(0, 3)):
+                node.move()
 
     def test_a_value_hot_under_two_golds_stays_when_one_cools(self):
         # "w" fixes three A records and two B records; one correct record
@@ -623,14 +715,16 @@ class TestIncrementalSelection:
         wrong, correct = [0, 1, 2, 3, 4], [5]
         word = (FIELD_INDEX["word"],)
         candidates = _Candidates(columns, gold, wrong, correct, 1)
-        (table,) = [t for t in candidates.tables if t.template.fields == word]
+        (table,) = [t for t in up_to_date(candidates) if t.template.fields == word]
         assert table.fixed == {("w", "A"): 3, ("w", "B"): 2}
         assert table.matched == {"w": 5}
         assert table.blocked == {"w": 1}
+        wrong.remove(4)
         candidates.remove([4])
-        (table,) = [t for t in candidates.tables if t.template.fields == word]
+        (table,) = [t for t in up_to_date(candidates) if t.template.fields == word]
         assert table.fixed == {("w", "A"): 3}
         assert table.matched == {"w": 4}
         assert table.blocked == {"w": 1}
+        wrong[:] = [2, 3]
         candidates.remove([0, 1])
-        assert candidates.tables == []
+        assert up_to_date(candidates) == []

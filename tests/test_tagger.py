@@ -1,11 +1,14 @@
 import json
 import random
+import re
 import sys
+from dataclasses import replace
 from operator import attrgetter
 
 import pytest
 from hypothesis import given, strategies as st
 
+from rippletag.initial_tagger import MAX_RULE_PARENS, MODE_ENGLISH
 from rippletag.lexicon import Lexicon
 from rippletag.scrdr import (
     FIELD_INDEX,
@@ -415,6 +418,38 @@ class TestPersistence:
             meta_path.write_text(json.dumps({"format": fmt}))
             with pytest.raises(ModelFormatError):
                 load_model(tmp_path / "m")
+
+    @staticmethod
+    def nested_rules(depth):
+        """A rule nesting ``depth`` groups around ``^a``, then 600 rules that
+        push it out of ``re``'s cache of compiled patterns."""
+        nested = "(?:" * depth + "^a" + ")" * depth
+        return ((nested, "NN"),) + tuple((f"^x{i}", "NN") for i in range(600))
+
+    def test_a_rule_nested_near_the_recursion_limit_fails_to_load(
+        self, toy_model, tmp_path
+    ):
+        # the deepest nesting that compiles here; ``re`` caches it, so a
+        # check that compiles it again just finds it there, while the
+        # tagger compiles it afresh a few frames deeper
+        depth, too_deep = 1, sys.getrecursionlimit()
+        while too_deep - depth > 1:
+            mid = (depth + too_deep) // 2
+            try:
+                re.compile(self.nested_rules(mid)[0][0])
+                depth = mid
+            except RecursionError:
+                too_deep = mid
+        rules = self.nested_rules(depth)
+        save_model(replace(toy_model, mode=MODE_ENGLISH, regex_rules=rules), tmp_path)
+        with pytest.raises(ModelFormatError, match="bad pattern"):
+            Tagger(load_model(tmp_path))
+
+    def test_a_rule_nested_to_the_cap_loads_and_tags(self, toy_model, tmp_path):
+        rules = self.nested_rules(MAX_RULE_PARENS)
+        save_model(replace(toy_model, mode=MODE_ENGLISH, regex_rules=rules), tmp_path)
+        tagger = Tagger(load_model(tmp_path))
+        assert tagger.tag_sentence(["aqqz", "x7qqz"]) == ["NN", "NN"]
 
     def test_failed_save_creates_no_directory(self, toy_model, tmp_path):
         # training rejects such words early; hand-built lexicons still get here
