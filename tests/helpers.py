@@ -111,7 +111,7 @@ def reference_select_rule(
 ) -> Selection | None:
     """Select a node's rule by counting every candidate from the lists.
 
-    ``select_rule`` scans tables kept in step across selections; this
+    ``select_rule`` scans tables it brings up to date lazily; this
     recounts all wrong records per template (and the correct ones for
     the veto) on every call, and must pick the same rule.
     """
