@@ -490,7 +490,7 @@ def all_nn(corpus):
 class RandomNode:
     """One node over random records, moved apart by random rules.
 
-    Its first ``n_wrong`` records are wrong, the rest correct; ``move``
+    Up to 40 records are wrong there and up to 20 correct; ``move``
     attaches a child and migrates what it captures, as the learner does.
     """
 
