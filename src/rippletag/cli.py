@@ -177,30 +177,20 @@ def _resolve(args: argparse.Namespace, key: str, config: dict):
 
 
 def _train_options(args: argparse.Namespace, config: dict) -> TrainOptions:
-    t1 = _resolve(args, "threshold1", config)
-    t2 = _resolve(args, "threshold2", config)
-    max_level = _resolve(args, "max_level", config)
-    positive = (("threshold1", t1), ("threshold2", t2), ("max_level", max_level))
-    for name, value in positive:
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
-    separator = _resolve(args, "separator", config)
-    if not separator:
-        raise ValueError("separator must not be empty")
-    mode = _resolve(args, "mode", config)
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
     regex_rules = DEFAULT_ENGLISH_RULES
     if args.regex_rules is not None:
         regex_rules = parse_regex_rules(
             Path(args.regex_rules).read_text(encoding="utf-8")
         )
     return TrainOptions(
-        thresholds=Thresholds(layer2=t1, deeper=t2),
-        mode=mode,
+        thresholds=Thresholds(
+            layer2=_resolve(args, "threshold1", config),
+            deeper=_resolve(args, "threshold2", config),
+        ),
+        mode=_resolve(args, "mode", config),
         regex_rules=regex_rules,
-        max_level=max_level,
-        separator=separator,
+        max_level=_resolve(args, "max_level", config),
+        separator=_resolve(args, "separator", config),
     )
 
 

@@ -34,8 +34,8 @@ the default flags, it has no named group (two rules could name the
 same one) and its text holds no inline global-flag group such as
 ``(?u)`` (Python 3.11 rejects one inside a pattern, and 3.10 applies
 it to the whole pattern).  Every other rule is a matcher of its own,
-in its place in the order, as are the rules of a run nested too deep
-for the joined pattern to compile.
+in its place in the order.  ``InitialTaggerOptions`` caps how deep a
+rule nests, so a joined pattern, one group deeper, always compiles.
 """
 
 from __future__ import annotations
@@ -71,12 +71,6 @@ DEFAULT_ENGLISH_RULES: tuple[tuple[str, str], ...] = (
     (r".*s$", "NNS"),
     (r"^[A-Z].*", "NNP"),
 )
-
-
-def compile_regex_rules(
-    rules: tuple[tuple[str, str], ...]
-) -> tuple[tuple[re.Pattern[str], str], ...]:
-    return tuple((re.compile(pattern), tag) for pattern, tag in rules)
 
 
 # ``re`` parses and compiles nested groups by recursion, so a rule nested
@@ -122,6 +116,12 @@ class InitialTaggerOptions:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        # in every mode, as a saved model keeps its rules and loading checks them
+        for pattern, _ in self.regex_rules:
+            try:
+                check_regex_rule(pattern)
+            except ValueError as exc:
+                raise ValueError(f"bad pattern {pattern!r}: {exc}") from exc
 
 
 @lru_cache(maxsize=1024)
@@ -228,21 +228,17 @@ class InitialTagger:
         if self.options.mode == MODE_ENGLISH:
             known_tags = lexicon.tagset
             rules = tuple(
-                (pattern, tag)
-                for pattern, tag in compile_regex_rules(self.options.regex_rules)
+                (re.compile(pattern), tag)
+                for pattern, tag in self.options.regex_rules
                 if tag in known_tags
             )
         # matchers in rule order: one per run of joinable rules, one per other rule
         matchers: list[_Matcher] = []
         for joinable, group in groupby(rules, key=lambda rule: _joinable(rule[0])):
-            run = list(group)
             if joinable:
-                try:
-                    matchers.append(_joined(run))
-                    continue
-                except RecursionError:
-                    pass  # each wrapper group nests its rule one level deeper
-            for p, tag in run:
+                matchers.append(_joined(list(group)))
+                continue
+            for p, tag in group:
                 exact = _match_is_exact(p.pattern, p.flags)
                 matchers.append(_alone(p.match if exact else p.search, p, tag))
         self._regex_rules = tuple(matchers)

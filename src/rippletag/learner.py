@@ -103,7 +103,10 @@ class Thresholds:
 
     def __post_init__(self) -> None:
         if self.layer2 < 1 or self.deeper < 1:
-            raise ValueError("thresholds must be at least 1")
+            raise ValueError(
+                "threshold1 and threshold2 (layer2 and deeper) must be at least 1, "
+                f"got {self.layer2} and {self.deeper}"
+            )
 
     def for_level(self, level: int) -> int:
         return self.layer2 if level == 2 else self.deeper
@@ -111,11 +114,20 @@ class Thresholds:
 
 @dataclass(frozen=True)
 class TrainOptions:
+    """Training settings, checked here as ``load_model`` would check them."""
+
     thresholds: Thresholds = Thresholds()
     mode: str = MODE_GENERIC
     regex_rules: tuple[tuple[str, str], ...] = DEFAULT_ENGLISH_RULES
     max_level: int = DEFAULT_MAX_LEVEL
     separator: str = "/"
+
+    def __post_init__(self) -> None:
+        InitialTaggerOptions(self.mode, self.regex_rules)
+        if self.max_level < 1:
+            raise ValueError(f"max_level must be at least 1, got {self.max_level}")
+        if not self.separator:
+            raise ValueError("separator must not be empty")
 
 
 class Selection(NamedTuple):

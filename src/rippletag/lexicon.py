@@ -71,8 +71,9 @@ def _reserved_word_error(word: str) -> ValueError:
 def build_lexicon(corpus: TaggedCorpus) -> Lexicon:
     """Count each distinct (word, tag) pair once, then fold the counts.
 
-    Words starting with ``%%`` are rejected here, before any training
-    work, because ``serialize_lexicon`` could not write them.
+    Tokens that ``serialize_lexicon`` could not write, or that would not
+    read back, are rejected here, before any training work: words
+    starting with ``%%``, and empty words or tags or ones with whitespace.
     """
     pair_counts = Counter(corpus.tokens())
     if not pair_counts:
@@ -90,6 +91,9 @@ def build_lexicon(corpus: TaggedCorpus) -> Lexicon:
     for (word, tag), count in pair_counts.items():
         if word.startswith("%%"):
             raise _reserved_word_error(word)
+        # ``split`` drops what ``str.isspace`` accepts, and gives [] for ""
+        if word.split() != [word] or tag.split() != [tag]:
+            raise ValueError(f"token {(word, tag)!r}: empty or with whitespace")
         first_seen.setdefault(tag, len(first_seen))
         word_tag_counts[word][tag] += count
         all_tag_counts[tag] += count

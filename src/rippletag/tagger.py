@@ -24,7 +24,6 @@ from .initial_tagger import (
     MODES,
     InitialTagger,
     InitialTaggerOptions,
-    check_regex_rule,
 )
 from .lexicon import Lexicon, parse_lexicon, serialize_lexicon
 from .scrdr import Node, context_columns, iter_nodes, parse_tree, serialize_tree
@@ -231,13 +230,11 @@ def load_model(directory: str | Path) -> Model:
         raise ModelFormatError(
             f"{meta_path}: 'regex_rules' must be a list of [pattern, tag] strings"
         )
-    for pattern, _ in regex_rules:
-        try:
-            check_regex_rule(pattern)
-        except ValueError as exc:
-            raise ModelFormatError(
-                f"{meta_path}: 'regex_rules': bad pattern {pattern!r}: {exc}"
-            ) from exc
+    rules = tuple((pattern, tag) for pattern, tag in regex_rules)
+    try:
+        InitialTaggerOptions(mode, rules)
+    except ValueError as exc:
+        raise ModelFormatError(f"{meta_path}: 'regex_rules': {exc}") from exc
     lexicon = parse_lexicon(_read(path / LEXICON_FILE))
     tree = parse_tree(_read(path / TREE_FILE))
     audit: tuple[dict, ...] = ()
@@ -255,7 +252,7 @@ def load_model(directory: str | Path) -> Model:
         lexicon=lexicon,
         tree=tree,
         mode=mode,
-        regex_rules=tuple((pattern, tag) for pattern, tag in regex_rules),
+        regex_rules=rules,
         separator=separator,
         audit=audit,
     )

@@ -446,7 +446,13 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "payload, option",
-        [('{"max_level": 0}', "max_level"), ('{"separator": ""}', "separator")],
+        [
+            ('{"max_level": 0}', "max_level"),
+            ('{"separator": ""}', "separator"),
+            ('{"threshold1": 0}', "threshold1"),
+            ('{"threshold2": 0}', "threshold2"),
+            ('{"mode": "x"}', "mode"),
+        ],
     )
     def test_bad_config_value_fails_before_the_corpus_is_read(
         self, tmp_path, payload, option, capsys

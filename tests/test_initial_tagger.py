@@ -314,31 +314,17 @@ def test_runs_of_joinable_rules_share_one_matcher():
         )
 
 
-def test_a_rule_too_deep_to_join_keeps_a_matcher_of_its_own():
-    # a wrapper group nests its rule one level deeper, which a rule
-    # nested up to the limit of ``re.compile`` cannot take
-    def nested(depth):
-        return "(?:" * depth + "^a" + ")" * depth
-
-    def compiles(depth):
-        try:
-            re.compile(nested(depth))  # also caches it for ``_chain``
-        except RecursionError:
-            return False
-        return True
-
-    low, high = 1, 10_000  # compiles at low, not at high
-    assert compiles(low) and not compiles(high)
-    while high - low > 1:
-        middle = (low + high) // 2
-        low, high = (middle, high) if compiles(middle) else (low, middle)
-    for depth in range(max(1, low - 10), low + 1):
-        assert compiles(depth)
-        tagger = _chain([(nested(depth), "R1"), ("^b", "R2")])
-        for word in ["a", "b", "ab", "x"]:
-            assert tagger.guess_unknown(word) == reference_guess_unknown(
-                _LEXICON, tagger.options, word
-            )
+def test_options_refuse_a_rule_past_the_cap():
+    # a rule nested to the cap joins: its wrapper group is one level deeper
+    nested = "(?:" * MAX_RULE_PARENS + "^a" + ")" * MAX_RULE_PARENS
+    tagger = _chain([(nested, "R1"), ("^b", "R2")])
+    assert len(tagger._regex_rules) == 1
+    assert [tagger.guess_unknown(w) for w in ["a", "b"]] == ["R1", "R2"]
+    with pytest.raises(ValueError, match=f"bad pattern .*more than {MAX_RULE_PARENS}"):
+        InitialTaggerOptions(MODE_ENGLISH, ((f"({nested})", "R1"),))
+    # generic mode checks them too, as a saved model keeps its rules
+    with pytest.raises(ValueError, match="bad pattern 'a\\('"):
+        InitialTaggerOptions(MODE_GENERIC, (("^b", "R2"), ("a(", "R1")))
 
 
 def _group(opener_and_body):

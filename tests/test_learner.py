@@ -4,13 +4,13 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 import rippletag.learner as learner
 import rippletag.scrdr as scrdr
 
 from rippletag.corpus import AlignmentError, read_tagged_corpus
-from rippletag.initial_tagger import MODE_ENGLISH, MODE_GENERIC
+from rippletag.initial_tagger import MAX_RULE_PARENS, MODE_ENGLISH, MODE_GENERIC
 from rippletag.learner import (
     DEFAULT_MAX_LEVEL,
     LearnerStateError,
@@ -136,6 +136,34 @@ class TestThresholds:
             Thresholds(layer2=0)
         with pytest.raises(ValueError):
             Thresholds(deeper=-1)
+
+
+class TestTrainOptions:
+    @pytest.mark.parametrize(
+        "rule",
+        ["a(", "(a)" * (MAX_RULE_PARENS + 1)],
+        ids=["does-not-compile", "past-the-cap"],
+    )
+    def test_a_bad_rule_fails_before_the_lexicon_is_built(
+        self, toy, rule, monkeypatch
+    ):
+        def fail(corpus):
+            raise AssertionError("build_lexicon ran")
+
+        monkeypatch.setattr(learner, "build_lexicon", fail)
+        # generic mode never runs the rules, but the saved model keeps them
+        with pytest.raises(ValueError, match="bad pattern"):
+            train_model(
+                toy, TrainOptions(mode=MODE_GENERIC, regex_rules=((rule, "NN"),))
+            )
+
+    @pytest.mark.parametrize(
+        "setting", [{"separator": ""}, {"max_level": 0}, {"mode": "x"}]
+    )
+    def test_a_bad_setting_fails_at_construction(self, setting):
+        (name,) = setting
+        with pytest.raises(ValueError, match=name):
+            TrainOptions(**setting)
 
 
 class TestSelectRule:
@@ -488,25 +516,15 @@ def all_nn(corpus):
 
 
 class RandomNode:
-    """One node over random records, moved apart by random rules.
+    """One node over drawn records, moved apart by drawn rules.
 
-    Up to 40 records are wrong there and up to 20 correct; ``move``
-    attaches a child and migrates what it captures, as the learner does.
+    ``wrong`` records are wrong there and ``correct`` ones correct;
+    ``move`` attaches a child and migrates what it captures, as the
+    learner does.
     """
 
-    def __init__(self, rng, floor, vetoes, n_golds):
-        # one gold tag fills each table from a single group, more sum the groups
-        self.rng, self.golds = rng, POOL[:n_golds]
-        pool = POOL[:3]
-
-        def draw(n):
-            return [
-                Record(random_object(rng, pool, none_rate=0.3), rng.choice(self.golds))
-                for _ in range(n)
-            ]
-
-        wrong = draw(rng.randint(0, 40))
-        self.records = records = wrong + draw(rng.randint(0, 20))
+    def __init__(self, floor, vetoes, wrong, correct):
+        self.records = records = wrong + correct
         columns, gold = columns_of(records), [r.gold for r in records]
         self.thresholds = Thresholds(floor, floor)
         self.learning = _Learning(columns, gold, self.thresholds, DEFAULT_MAX_LEVEL)
@@ -520,19 +538,65 @@ class RandomNode:
     def rows(self, rows):
         return None if rows is None else [self.records[r] for r in rows]
 
-    def move(self, rule=None):
-        """Attach ``rule``, or a random rule if None, and migrate to it."""
-        rng, state = self.rng, self.state
-        if rule is None:
-            remaining = state.wrong + state.correct
-            if not remaining:
-                return
-            template = rng.choice(CATALOG)
-            values = project(template, self.records[rng.choice(remaining)].obj)
-            if values is None:
-                return
-            rule = instantiate(template, values, rng.choice(self.golds))
-        self.learning.migrate(state, self.learning.attach(self.node, rule))
+    def move(self, rule):
+        """Attach ``rule`` and migrate to it."""
+        self.learning.migrate(self.state, self.learning.attach(self.node, rule))
+
+    def drawn_move(self, move):
+        """Move by a drawn ``(template, pick, gold)``.
+
+        The rule fills the template with the values of remaining record
+        ``pick`` (modulo their number); there is no move when no record
+        remains or a value is None.
+        """
+        template, pick, conclusion = move
+        remaining = self.state.wrong + self.state.correct
+        if not remaining:
+            return
+        values = project(template, self.records[remaining[pick % len(remaining)]].obj)
+        if values is not None:
+            self.move(instantiate(template, values, conclusion))
+
+
+# Contexts come from a fixed set of random ones, so that a record costs
+# two choices to draw and to shrink, not fourteen.
+_CONTEXTS = st.sampled_from(
+    [random_object(random.Random(i), POOL[:3], none_rate=0.3) for i in range(256)]
+)
+
+# The explain phase reruns a failing example hundreds of times only to
+# annotate it; on these tests that took longer than finding and
+# shrinking the failure.
+_NO_EXPLAIN = [phase for phase in Phase if phase is not Phase.explain]
+
+
+@st.composite
+def random_nodes(draw, steps):
+    """``RandomNode`` arguments, and steps drawn from ``steps(move)``.
+
+    Floors 1 to 3, with and without the veto, 1, 2 or 4 gold tags; 4
+    to 40 wrong records, which moves can empty, and up to 20 correct
+    ones.  ``move`` draws the
+    ``(template, pick, gold)`` moves that ``RandomNode.drawn_move``
+    takes.  Every choice is an explicit draw, so a failure shrinks
+    quickly.  Records come in blocks of four: a list of blocks averages
+    about as many records as 0 to 40 drawn uniformly, and shrinking can
+    still delete whole elements, which it cannot do in a list whose
+    length is drawn first.
+    """
+    floor = draw(st.integers(1, 3))
+    vetoes = draw(st.booleans())
+    # one gold tag fills each table from a single group, more sum the groups
+    golds = st.sampled_from(POOL[: draw(st.sampled_from((1, 2, 4)))])
+    record = st.builds(Record, _CONTEXTS, golds)
+
+    def records(fewest, most):
+        blocks = st.lists(st.tuples(*[record] * 4), min_size=fewest, max_size=most)
+        return [r for block in draw(blocks) for r in block]
+
+    args = floor, vetoes, records(1, 10), records(0, 5)
+    move = st.tuples(st.sampled_from(CATALOG), st.integers(0, 59), golds)
+    return args, draw(steps(move))
 
 
 class TestIncrementalSelection:
@@ -646,18 +710,23 @@ class TestIncrementalSelection:
         assert set(paths) == {"fill", "recount", "subtract"}
         assert 0 < sum(reads.values()) < self.EAGER_TABLE_READS
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80, deadline=None, phases=_NO_EXPLAIN)
     @given(
-        st.randoms(use_true_random=False),
-        st.integers(1, 3),
-        st.booleans(),
-        st.sampled_from((1, 2, 4)),
+        random_nodes(
+            lambda move: st.tuples(
+                st.booleans(),
+                st.lists(st.tuples(move, st.booleans()), min_size=1, max_size=8),
+            )
+        )
     )
-    def test_tables_stay_equal_to_fresh_counts(self, rng, floor, vetoes, n_golds):
-        node = RandomNode(rng, floor, vetoes, n_golds)
-        state = node.state
+    def test_tables_stay_equal_to_fresh_counts(self, drawn):
+        # each check brings the tables up to date, or leaves them stale so
+        # that they fall behind by several moves
+        args, (up, steps) = drawn
+        node = RandomNode(*args)
+        state, floor = node.state, args[0]
 
-        def check():
+        def check(up):
             fresh = reference_candidate_tables(
                 node.rows(state.wrong), node.rows(node.correct), floor
             )
@@ -665,8 +734,7 @@ class TestIncrementalSelection:
             for table in state.candidates.tables:
                 fixed = fresh.get(table.template.id, ({},))[0]
                 assert table.bound >= max(fixed.values(), default=0)
-            # left stale now and then, so tables fall behind by several moves
-            if rng.random() < 0.5:
+            if not up:
                 return
             assert candidate_snapshot(state.candidates) == fresh
             for table in state.candidates.tables:
@@ -674,26 +742,28 @@ class TestIncrementalSelection:
                 assert table.hot == Counter(values for values, _ in table.fixed)
                 assert table.bound == max(table.fixed.values())
 
-        check()
-        for _ in range(rng.randint(1, 8)):
-            node.move()
-            check()
+        check(up)
+        for move, up in steps:
+            node.drawn_move(move)
+            check(up)
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80, deadline=None, phases=_NO_EXPLAIN)
     @given(
-        st.randoms(use_true_random=False),
-        st.integers(1, 3),
-        st.booleans(),
-        st.sampled_from((1, 2, 4)),
+        random_nodes(
+            lambda move: st.lists(
+                st.tuples(st.booleans(), st.lists(move, max_size=3)),
+                min_size=1,
+                max_size=10,
+            )
+        )
     )
-    def test_selections_between_random_moves_equal_the_reference(
-        self, rng, floor, vetoes, n_golds
-    ):
+    def test_selections_between_random_moves_equal_the_reference(self, drawn):
         # tables visited in one selection and skipped in the next fall
         # behind by different numbers of moves
-        node = RandomNode(rng, floor, vetoes, n_golds)
+        args, steps = drawn
+        node = RandomNode(*args)
         state = node.state
-        for _ in range(rng.randint(1, 10)):
+        for take_selected, moves in steps:
             got = select_rule(
                 state.wrong, node.correct, node.thresholds, 2, state.candidates
             )
@@ -701,10 +771,10 @@ class TestIncrementalSelection:
                 node.rows(state.wrong), node.rows(node.correct), node.thresholds, 2
             )
             assert got == want
-            if got is not None and rng.random() < 0.5:
+            if got is not None and take_selected:
                 node.move(got.rule)
-            for _ in range(rng.randint(0, 3)):
-                node.move()
+            for move in moves:
+                node.drawn_move(move)
 
     def test_a_value_hot_under_two_golds_stays_when_one_cools(self):
         # "w" fixes three A records and two B records; one correct record

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 
 import pytest
@@ -130,6 +131,17 @@ def test_empty_corpus_rejected():
 def test_build_rejects_reserved_looking_words():
     with pytest.raises(ValueError, match="'%%x' collides with reserved"):
         lex("the/DT %%x/NN\n")
+
+
+@pytest.mark.parametrize(
+    "word, tag",
+    [("", "NN"), ("a b", "NN"), ("a\u00a0b", "NN"), ("dog", ""), ("dog", "N\tN")],
+)
+def test_build_rejects_tokens_the_model_files_cannot_hold(word, tag):
+    # the corpus reader splits on whitespace; a library corpus need not
+    corpus = TaggedCorpus.from_pairs([[("the", "DT"), (word, tag)]])
+    with pytest.raises(ValueError, match=re.escape(repr((word, tag)))):
+        build_lexicon(corpus)
 
 
 # Words sharing suffixes of every length 2..5, with and without digits

@@ -451,6 +451,12 @@ class TestPersistence:
         tagger = Tagger(load_model(tmp_path))
         assert tagger.tag_sentence(["aqqz", "x7qqz"]) == ["NN", "NN"]
 
+    def test_a_tagger_refuses_a_rule_past_the_cap(self, toy_model):
+        rules = self.nested_rules(MAX_RULE_PARENS + 1)[:1]
+        past_the_cap = f"bad pattern .*more than {MAX_RULE_PARENS}"
+        with pytest.raises(ValueError, match=past_the_cap):
+            Tagger(replace(toy_model, mode=MODE_ENGLISH, regex_rules=rules))
+
     def test_failed_save_creates_no_directory(self, toy_model, tmp_path):
         # training rejects such words early; hand-built lexicons still get here
         lexicon = Lexicon(
