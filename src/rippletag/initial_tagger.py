@@ -117,7 +117,9 @@ class InitialTaggerOptions:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         # in every mode, as a saved model keeps its rules and loading checks them
-        for pattern, _ in self.regex_rules:
+        for pattern, tag in self.regex_rules:
+            if not isinstance(pattern, str) or not isinstance(tag, str):
+                raise ValueError(f"bad rule {(pattern, tag)!r}: expected two strings")
             try:
                 check_regex_rule(pattern)
             except ValueError as exc:

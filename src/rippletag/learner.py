@@ -126,8 +126,8 @@ class TrainOptions:
         InitialTaggerOptions(self.mode, self.regex_rules)
         if self.max_level < 1:
             raise ValueError(f"max_level must be at least 1, got {self.max_level}")
-        if not self.separator:
-            raise ValueError("separator must not be empty")
+        if not isinstance(self.separator, str) or not self.separator:
+            raise ValueError("separator must be a non-empty string")
 
 
 class Selection(NamedTuple):

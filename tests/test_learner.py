@@ -158,11 +158,18 @@ class TestTrainOptions:
             )
 
     @pytest.mark.parametrize(
-        "setting", [{"separator": ""}, {"max_level": 0}, {"mode": "x"}]
+        "setting, message",
+        [
+            ({"separator": ""}, "separator"),
+            ({"separator": 5}, "separator"),
+            ({"max_level": 0}, "max_level"),
+            ({"mode": "x"}, "mode"),
+            # ``load_model`` refuses a rule that is not two strings
+            ({"regex_rules": (("^a", 5),)}, "bad rule"),
+        ],
     )
-    def test_a_bad_setting_fails_at_construction(self, setting):
-        (name,) = setting
-        with pytest.raises(ValueError, match=name):
+    def test_a_bad_setting_fails_at_construction(self, setting, message):
+        with pytest.raises(ValueError, match=message):
             TrainOptions(**setting)
 
 
