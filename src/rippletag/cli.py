@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import NoReturn
 
 from . import __version__
-from .corpus import read_lines, read_tagged_corpus, write_tagged_corpus
+from .corpus import check_separator, read_lines, read_tagged_corpus, write_tagged_corpus
 
 # Unused here; the benchmark's trace probe looks the name up in this module.
 from .corpus import read_raw  # noqa: F401
@@ -66,8 +66,10 @@ def _fold_count(text: str) -> int:
 
 
 def _separator(text: str) -> str:
-    if not text:
-        raise argparse.ArgumentTypeError("the separator must not be empty")
+    try:
+        check_separator(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return text
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence, Sized
 
 DEFAULT_SEPARATOR = "/"
 
@@ -23,6 +23,29 @@ class CorpusParseError(ValueError):
 
 class AlignmentError(ValueError):
     """Two corpora expected to be token-aligned are not."""
+
+
+def is_plain(text: str) -> bool:
+    """Whether ``text`` is non-empty and holds no whitespace.
+
+    The rule for every word, tag and separator in a corpus or model
+    file, since whitespace delimits them there.
+    """
+    # ``split`` drops what ``str.isspace`` accepts, and gives [] for ""
+    return text.split() == [text]
+
+
+def check_separator(separator: object) -> None:
+    """Raise ValueError unless ``separator`` is a string that ``is_plain``.
+
+    Tokens are split at whitespace first, so a separator holding
+    whitespace could never join a word and a tag inside one.
+    """
+    if not isinstance(separator, str) or not is_plain(separator):
+        raise ValueError(
+            "'separator' must be a non-empty string without whitespace, "
+            f"got {separator!r}"
+        )
 
 
 class Token(NamedTuple):
@@ -82,8 +105,10 @@ def read_tagged_corpus(text: str, separator: str = DEFAULT_SEPARATOR) -> TaggedC
     one result, equal words are one object, equal tags are one object
     and equal tokens are one ``Token``.  Two calls share nothing.
 
-    Raises CorpusParseError when a token has no separator at all.
+    Raises CorpusParseError when a token has no separator at all, and
+    ValueError for a separator that ``check_separator`` refuses.
     """
+    check_separator(separator)
     strings: dict[str, str] = {}
     known: dict[str, Token] = {}
     sentences: list[Sentence] = []
@@ -126,8 +151,10 @@ def write_tagged_corpus(
     pairs of equal-length sequences, one pair per sentence; a sentence
     with no words renders as an empty line.  Refuses tokens that could
     not round-trip (whitespace in a word or tag, separator inside a
-    tag, empty strings), naming the first such token.
+    tag, empty strings), naming the first such token, and a separator
+    that ``check_separator`` refuses.
     """
+    check_separator(separator)
     if isinstance(corpus, TaggedCorpus):
         corpus = (tuple(zip(*sentence)) for sentence in corpus.sentences)
     good_tags: set[str] = set()
@@ -141,10 +168,7 @@ def write_tagged_corpus(
         if (
             "" in words
             or _WHITESPACE.search("".join(words))
-            or any(
-                not tag or _WHITESPACE.search(tag) or separator in tag
-                for tag in new_tags
-            )
+            or any(not is_plain(tag) or separator in tag for tag in new_tags)
         ):
             for word, tag in zip(words, tags):
                 _check_token(word, tag, separator)
@@ -154,10 +178,8 @@ def write_tagged_corpus(
 
 
 def _check_token(word: str, tag: str, separator: str) -> None:
-    if not word or not tag:
-        raise ValueError(f"empty word or tag in token ({word!r}, {tag!r})")
-    if any(c.isspace() for c in word) or any(c.isspace() for c in tag):
-        raise ValueError(f"whitespace inside token ({word!r}, {tag!r})")
+    if not (is_plain(word) and is_plain(tag)):
+        raise ValueError(f"token {(word, tag)!r}: empty or with whitespace")
     if separator in tag:
         raise ValueError(f"separator {separator!r} inside tag {tag!r}")
 
@@ -218,15 +240,21 @@ def split_folds(
     return folds
 
 
-def check_aligned(a: TaggedCorpus, b: TaggedCorpus) -> None:
-    """Verify both corpora have identical sentence/word layout."""
+def check_lengths(a: Sequence[Sized], b: Sequence[Sized]) -> None:
+    """Verify ``a`` and ``b`` hold as many sentences, each as long as its partner."""
     if len(a) != len(b):
         raise AlignmentError(f"sentence counts differ: {len(a)} vs {len(b)}")
-    for i, (sa, sb) in enumerate(zip(a.sentences, b.sentences), start=1):
+    for i, (sa, sb) in enumerate(zip(a, b), start=1):
         if len(sa) != len(sb):
             raise AlignmentError(
                 f"sentence {i}: token counts differ ({len(sa)} vs {len(sb)})"
             )
+
+
+def check_aligned(a: TaggedCorpus, b: TaggedCorpus) -> None:
+    """Verify both corpora have identical sentence/word layout."""
+    check_lengths(a.sentences, b.sentences)
+    for i, (sa, sb) in enumerate(zip(a.sentences, b.sentences), start=1):
         for j, (ta, tb) in enumerate(zip(sa, sb), start=1):
             if ta.word != tb.word:
                 raise AlignmentError(

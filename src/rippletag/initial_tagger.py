@@ -83,12 +83,12 @@ MAX_RULE_PARENS = 100
 
 def check_regex_rule(pattern: str) -> None:
     """Raise ValueError unless ``pattern`` compiles, at any call depth."""
-    if pattern.count("(") > MAX_RULE_PARENS:
-        raise ValueError(f"more than {MAX_RULE_PARENS} '(' in one rule")
     try:
+        if pattern.count("(") > MAX_RULE_PARENS:
+            raise ValueError(f"more than {MAX_RULE_PARENS} '(' in one rule")
         re.compile(pattern)
-    except (re.error, OverflowError, RecursionError) as exc:
-        raise ValueError(str(exc)) from exc
+    except (ValueError, re.error, OverflowError, RecursionError) as exc:
+        raise ValueError(f"bad pattern {pattern!r}: {exc}") from exc
 
 
 def parse_regex_rules(text: str) -> tuple[tuple[str, str], ...]:
@@ -103,7 +103,7 @@ def parse_regex_rules(text: str) -> tuple[tuple[str, str], ...]:
         try:
             check_regex_rule(pattern)
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: bad pattern {pattern!r}: {exc}") from exc
+            raise ValueError(f"line {lineno}: {exc}") from exc
         rules.append((pattern, tag.strip()))
     return tuple(rules)
 
@@ -115,15 +115,17 @@ class InitialTaggerOptions:
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+            raise ValueError(f"'mode' must be one of {MODES}, got {self.mode!r}")
         # in every mode, as a saved model keeps its rules and loading checks them
         for pattern, tag in self.regex_rules:
             if not isinstance(pattern, str) or not isinstance(tag, str):
-                raise ValueError(f"bad rule {(pattern, tag)!r}: expected two strings")
+                raise ValueError(
+                    f"'regex_rules': bad rule {(pattern, tag)!r}: expected two strings"
+                )
             try:
                 check_regex_rule(pattern)
             except ValueError as exc:
-                raise ValueError(f"bad pattern {pattern!r}: {exc}") from exc
+                raise ValueError(f"'regex_rules': {exc}") from exc
 
 
 @lru_cache(maxsize=1024)

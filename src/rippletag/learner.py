@@ -54,7 +54,7 @@ from itertools import compress, repeat
 from operator import attrgetter, eq, not_
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import AlignmentError, TaggedCorpus
+from .corpus import DEFAULT_SEPARATOR, TaggedCorpus, check_lengths, check_separator
 from .initial_tagger import (
     DEFAULT_ENGLISH_RULES,
     MODE_GENERIC,
@@ -120,14 +120,13 @@ class TrainOptions:
     mode: str = MODE_GENERIC
     regex_rules: tuple[tuple[str, str], ...] = DEFAULT_ENGLISH_RULES
     max_level: int = DEFAULT_MAX_LEVEL
-    separator: str = "/"
+    separator: str = DEFAULT_SEPARATOR
 
     def __post_init__(self) -> None:
         InitialTaggerOptions(self.mode, self.regex_rules)
         if self.max_level < 1:
             raise ValueError(f"max_level must be at least 1, got {self.max_level}")
-        if not isinstance(self.separator, str) or not self.separator:
-            raise ValueError("separator must be a non-empty string")
+        check_separator(self.separator)
 
 
 class Selection(NamedTuple):
@@ -602,15 +601,7 @@ def learn_tree(
     records than it was scored on, or if the self-check finds the
     records out of step with the finished tree.
     """
-    if len(first_guesses) != len(gold):
-        raise AlignmentError(
-            f"sentence counts differ: {len(first_guesses)} vs {len(gold)}"
-        )
-    for i, (tags, sentence) in enumerate(zip(first_guesses, gold.sentences), start=1):
-        if len(tags) != len(sentence):
-            raise AlignmentError(
-                f"sentence {i}: token counts differ ({len(tags)} vs {len(sentence)})"
-            )
+    check_lengths(first_guesses, gold.sentences)
     if max_level < 1:
         raise ValueError(f"max_level must be at least 1, got {max_level}")
     columns = corpus_columns(
@@ -652,7 +643,12 @@ def train_model(gold: TaggedCorpus, options: TrainOptions = TrainOptions()) -> M
     """Full pipeline: lexicon, first guesses, tree.  Returns a Model.
 
     Training starts from the same first-guess chain that tagging uses.
+    A gold tag holding the separator is refused first, since the tagged
+    output could not be written.
     """
+    for tag in sorted(gold.tagset):
+        if options.separator in tag:
+            raise ValueError(f"separator {options.separator!r} inside tag {tag!r}")
     lexicon = build_lexicon(gold)
     initial = InitialTagger(
         lexicon,

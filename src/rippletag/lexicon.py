@@ -13,7 +13,7 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from .corpus import TaggedCorpus
+from .corpus import TaggedCorpus, is_plain
 
 SUFFIX_LENGTHS = (2, 3, 4, 5)
 
@@ -91,8 +91,7 @@ def build_lexicon(corpus: TaggedCorpus) -> Lexicon:
     for (word, tag), count in pair_counts.items():
         if word.startswith("%%"):
             raise _reserved_word_error(word)
-        # ``split`` drops what ``str.isspace`` accepts, and gives [] for ""
-        if word.split() != [word] or tag.split() != [tag]:
+        if not (is_plain(word) and is_plain(tag)):
             raise ValueError(f"token {(word, tag)!r}: empty or with whitespace")
         first_seen.setdefault(tag, len(first_seen))
         word_tag_counts[word][tag] += count
@@ -139,12 +138,12 @@ def serialize_lexicon(lexicon: Lexicon) -> str:
     """Stable text form: defaults, then suffix tables, then words.
 
     Word entries starting with ``%%`` would collide with the reserved
-    keys, so they are rejected.
+    keys, so they are rejected, as are keys and tags that are empty or
+    hold whitespace.
     """
     def entry(key: str, tag: str) -> str:
-        for part in (key, tag):
-            if any(c.isspace() for c in part):
-                raise ValueError(f"whitespace in lexicon entry ({key!r}, {tag!r})")
+        if not (is_plain(key) and is_plain(tag)):
+            raise ValueError(f"lexicon entry {(key, tag)!r}: empty or with whitespace")
         return f"{key}\t{tag}"
 
     lines = [
@@ -163,17 +162,38 @@ def serialize_lexicon(lexicon: Lexicon) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+# Whitespace besides tab and newline, and its ASCII characters.
+_STRAY_WHITESPACE = re.compile(r"[^\S\t\n]")
+_STRAY_ASCII = [c for c in map(chr, range(128)) if _STRAY_WHITESPACE.match(c)]
+
+
+def _has_stray_whitespace(text: str) -> bool:
+    """Whether ``text`` holds whitespace other than tab and newline.
+
+    One scan of the whole text, so that lines are tested one by one
+    only on a hit.  ASCII text is scanned for each stray character on
+    its own, which is several times faster than the regex.
+    """
+    if text.isascii():
+        return any(c in text for c in _STRAY_ASCII)
+    return _STRAY_WHITESPACE.search(text) is not None
+
+
 def parse_lexicon(text: str) -> Lexicon:
+    """Inverse of ``serialize_lexicon``; refuses what it could not write."""
     word_tags: dict[str, str] = {}
     suffix_tags: dict[int, dict[str, str]] = {n: {} for n in SUFFIX_LENGTHS}
     defaults: dict[str, str] = {}
 
+    strict = _has_stray_whitespace(text)
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         key, sep, tag = line.partition("\t")
-        if not sep or not key or not tag:
+        if not sep or not key or not tag or "\t" in tag:
             raise LexiconFormatError(f"line {lineno}: expected 'key<TAB>tag'")
+        if strict and not (is_plain(key) and is_plain(tag)):
+            raise LexiconFormatError(f"line {lineno}: whitespace in {key!r} or {tag!r}")
         if key in (_NUM_KEY, _CAP_KEY, _LOW_KEY):
             if key in defaults:
                 raise LexiconFormatError(f"line {lineno}: duplicate {key}")

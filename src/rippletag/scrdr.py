@@ -14,24 +14,6 @@ import re
 from functools import partial
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-FIELD_NAMES = (
-    "prev2Word",
-    "prev2Tag",
-    "prev1Word",
-    "prev1Tag",
-    "word",
-    "currentTag",
-    "next1Word",
-    "next1Tag",
-    "next2Word",
-    "next2Tag",
-    "suffix2",
-    "suffix3",
-    "suffix4",
-)
-
-FIELD_INDEX = {name: i for i, name in enumerate(FIELD_NAMES)}
-
 
 class TreeFormatError(ValueError):
     """Malformed serialized tree."""
@@ -57,6 +39,10 @@ class TagObject(NamedTuple):
     suffix2: str | None
     suffix3: str | None
     suffix4: str | None
+
+
+FIELD_NAMES = TagObject._fields
+FIELD_INDEX = {name: i for i, name in enumerate(FIELD_NAMES)}
 
 
 class _Suffixes:

@@ -17,11 +17,10 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .corpus import TaggedCorpus
+from .corpus import DEFAULT_SEPARATOR, TaggedCorpus, check_separator
 from .initial_tagger import (
     DEFAULT_ENGLISH_RULES,
     MODE_GENERIC,
-    MODES,
     InitialTagger,
     InitialTaggerOptions,
 )
@@ -55,7 +54,7 @@ class Model:
     tree: Node
     mode: str = MODE_GENERIC
     regex_rules: tuple[tuple[str, str], ...] = DEFAULT_ENGLISH_RULES
-    separator: str = "/"
+    separator: str = DEFAULT_SEPARATOR
     audit: tuple[dict, ...] = ()
 
 
@@ -214,27 +213,21 @@ def load_model(directory: str | Path) -> Model:
     # compared by type too, since True == 1.0 == 1
     if type(version) is not int or version != 1:
         raise ModelFormatError(f"{meta_path}: unsupported model format")
-    mode = meta.get("mode", MODE_GENERIC)
-    if mode not in MODES:
-        raise ModelFormatError(f"{meta_path}: 'mode' must be one of {MODES}")
-    separator = meta.get("separator", "/")
-    if not isinstance(separator, str) or not separator:
-        raise ModelFormatError(f"{meta_path}: 'separator' must be a non-empty string")
     regex_rules = meta.get("regex_rules", [])
     if not isinstance(regex_rules, list) or not all(
-        isinstance(rule, list)
-        and len(rule) == 2
-        and all(isinstance(part, str) for part in rule)
-        for rule in regex_rules
+        isinstance(rule, list) and len(rule) == 2 for rule in regex_rules
     ):
         raise ModelFormatError(
-            f"{meta_path}: 'regex_rules' must be a list of [pattern, tag] strings"
+            f"{meta_path}: 'regex_rules' must be a list of [pattern, tag] pairs"
         )
-    rules = tuple((pattern, tag) for pattern, tag in regex_rules)
+    rules = tuple(map(tuple, regex_rules))
+    mode = meta.get("mode", MODE_GENERIC)
+    separator = meta.get("separator", DEFAULT_SEPARATOR)
     try:
+        check_separator(separator)
         InitialTaggerOptions(mode, rules)
     except ValueError as exc:
-        raise ModelFormatError(f"{meta_path}: 'regex_rules': {exc}") from exc
+        raise ModelFormatError(f"{meta_path}: {exc}") from exc
     lexicon = parse_lexicon(_read(path / LEXICON_FILE))
     tree = parse_tree(_read(path / TREE_FILE))
     audit: tuple[dict, ...] = ()

@@ -6,8 +6,10 @@ import sys
 import pytest
 
 from rippletag.cli import main
-from rippletag.corpus import read_tagged_corpus
+from rippletag.corpus import check_separator, read_tagged_corpus, write_tagged_corpus
 from rippletag.data import toy_corpus_path
+from rippletag.learner import TrainOptions
+from rippletag.tagger import load_model
 
 from helpers import deep_tree_text
 
@@ -254,6 +256,7 @@ class TestTag:
             ("regex_rules", "a"),
             ("separator", 5),
             ("separator", ""),
+            ("separator", " "),
             ("mode", "klingon"),
         ],
     )
@@ -449,6 +452,7 @@ class TestConfig:
         [
             ('{"max_level": 0}', "max_level"),
             ('{"separator": ""}', "separator"),
+            ('{"separator": " "}', "'separator'"),
             ('{"threshold1": 0}', "threshold1"),
             ('{"threshold2": 0}', "threshold2"),
             ('{"mode": "x"}', "mode"),
@@ -492,12 +496,45 @@ class TestUsageErrors:
             ["train", "--corpus", "x", "--model", "y", "--workers", "2"],
             ["train", "--corpus", "x", "--model", "y", "--init-from", "z"],
             ["xval", "--corpus", "x", "--report", "y", "--folds", "1"],
+            ["train", "--corpus", "x", "--model", "y", "--separator", " "],
+            ["train", "--corpus", "x", "--model", "y", "--separator", "\t"],
+            ["eval", "--gold", "x", "--pred", "y", "--separator", " "],
+            ["xval", "--corpus", "x", "--report", "y", "--folds", "2", "--separator", "\t"],
         ],
     )
     def test_bad_invocations_exit_with_one(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 1
+
+    def test_a_bad_separator_reads_the_same_at_every_entry_point(
+        self, trained_dir, tmp_path, capsys
+    ):
+        with pytest.raises(ValueError) as expected:
+            check_separator(" ")
+        message = str(expected.value)
+        with pytest.raises(SystemExit):
+            main(["train", "--corpus", "x", "--model", "y", "--separator", " "])
+        seen = [capsys.readouterr().err]
+        config = tmp_path / "config.json"
+        config.write_text('{"separator": " "}', encoding="utf-8")
+        main(["train", "--corpus", "x", "--model", "y", "--config", str(config)])
+        seen.append(capsys.readouterr().err)
+        model_dir = tmp_path / "m"
+        shutil.copytree(trained_dir, model_dir)
+        meta_path = model_dir / "model.json"
+        meta = json.loads(meta_path.read_text())
+        meta_path.write_text(json.dumps({**meta, "separator": " "}), encoding="utf-8")
+        for call in (
+            lambda: TrainOptions(separator=" "),
+            lambda: load_model(model_dir),
+            lambda: read_tagged_corpus("the DT\n", " "),
+            lambda: write_tagged_corpus([(["the"], ["DT"])], " "),
+        ):
+            with pytest.raises(ValueError) as got:
+                call()
+            seen.append(str(got.value))
+        assert all(message in text for text in seen), seen
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -10,6 +10,7 @@ from rippletag.corpus import (
     TaggedCorpus,
     Token,
     check_aligned,
+    check_separator,
     read_lines,
     read_raw,
     read_tagged_corpus,
@@ -217,6 +218,24 @@ def test_check_aligned():
         check_aligned(a, read_tagged_corpus("x/A\n"))
     with pytest.raises(AlignmentError, match="words differ"):
         check_aligned(a, read_tagged_corpus("x/A z/B\n"))
+
+
+def test_check_aligned_reports_lengths_before_words():
+    a = read_tagged_corpus("x/A y/B\nz/C\n")
+    b = read_tagged_corpus("x/A w/B\nz/C z/C\n")
+    with pytest.raises(AlignmentError, match="^sentence 2: token counts differ"):
+        check_aligned(a, b)
+
+
+@pytest.mark.parametrize("separator", ["", " ", "\t", "a b", "\u00a0", "/\n", 5])
+def test_check_separator_refuses_what_cannot_split_a_token(separator):
+    with pytest.raises(ValueError, match="'separator' must be"):
+        check_separator(separator)
+
+
+@pytest.mark.parametrize("separator", ["/", "_", "::", "\u00e9"])
+def test_check_separator_takes_any_other_string(separator):
+    check_separator(separator)
 
 
 token_text = st.text(

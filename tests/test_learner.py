@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import Phase, given, settings, strategies as st
 import rippletag.learner as learner
 import rippletag.scrdr as scrdr
 
-from rippletag.corpus import AlignmentError, read_tagged_corpus
+from rippletag.corpus import AlignmentError, TaggedCorpus, read_tagged_corpus
 from rippletag.initial_tagger import MAX_RULE_PARENS, MODE_ENGLISH, MODE_GENERIC
 from rippletag.learner import (
     DEFAULT_MAX_LEVEL,
@@ -157,6 +158,22 @@ class TestTrainOptions:
                 toy, TrainOptions(mode=MODE_GENERIC, regex_rules=((rule, "NN"),))
             )
 
+    @pytest.mark.parametrize("separator", ["/", "_"])
+    def test_a_gold_tag_holding_the_separator_fails_before_the_lexicon_is_built(
+        self, toy, separator, monkeypatch
+    ):
+        def fail(corpus):
+            raise AssertionError("build_lexicon ran")
+
+        monkeypatch.setattr(learner, "build_lexicon", fail)
+        bad_tag = f"N{separator}N"
+        gold = TaggedCorpus.from_pairs(
+            [(w, bad_tag if t == "NN" else t) for w, t in s] for s in toy.sentences
+        )
+        message = f"separator {separator!r} inside tag {bad_tag!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            train_model(gold, TrainOptions(separator=separator))
+
     @pytest.mark.parametrize(
         "setting, message",
         [
@@ -166,6 +183,8 @@ class TestTrainOptions:
             ({"mode": "x"}, "mode"),
             # ``load_model`` refuses a rule that is not two strings
             ({"regex_rules": (("^a", 5),)}, "bad rule"),
+            ({"separator": " "}, "'separator'"),
+            ({"separator": "\t"}, "'separator'"),
         ],
     )
     def test_a_bad_setting_fails_at_construction(self, setting, message):

@@ -3,11 +3,12 @@ import re
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rippletag.corpus import TaggedCorpus, read_tagged_corpus
 from rippletag.initial_tagger import InitialTagger, initialize_corpus
 from rippletag.lexicon import (
+    _STRAY_WHITESPACE,
     Lexicon,
     LexiconFormatError,
     build_lexicon,
@@ -221,3 +222,49 @@ def test_parse_errors():
         parse_lexicon(ok + "%%S9%%abc\tNN\n")
     with pytest.raises(LexiconFormatError, match="expected"):
         parse_lexicon(ok + "no-tab-here\n")
+    with pytest.raises(LexiconFormatError, match="line 4: expected"):
+        parse_lexicon(ok + "two\ttabs\there\n")
+
+
+DEFAULT_ENTRIES = "%%NUM%%\tCD\n%%CAP%%\tNNP\n%%LOW%%\tNN\n"
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "two words\tNN",
+        "zzz\tN N",
+        "zz\x1fz\tNN",
+        "zzz\tNN\u00a0",
+        "\u3000zzz\tNN",
+    ],
+)
+def test_parse_refuses_keys_and_tags_with_whitespace(entry):
+    # the line after the three defaults and one good entry
+    with pytest.raises(LexiconFormatError, match="^line 5: whitespace"):
+        parse_lexicon(DEFAULT_ENTRIES + "dog\tNN\n" + entry + "\n")
+
+
+def test_stray_whitespace_is_str_isspace_but_tab_and_newline():
+    every = set(map(chr, range(sys.maxunicode + 1)))
+    stray = {c for c in every if c.isspace()} - {"\t", "\n"}
+    assert {c for c in every if _STRAY_WHITESPACE.match(c)} == stray
+
+
+_lexicon_part = st.one_of(
+    st.sampled_from(["dog", "NN", "%%S2%%ab", "%%S2%%a b", "%%LOW%%"]),
+    st.text("ab% \t\u00a0\u3000\r", max_size=4),
+)
+
+
+@given(st.lists(st.tuples(_lexicon_part, _lexicon_part), max_size=6))
+@example([("two words", "NN")])
+@example([("zzz", "N N")])
+@example([("zzz", "N\tN")])
+def test_the_writer_takes_whatever_the_reader_accepts(entries):
+    text = DEFAULT_ENTRIES + "".join(f"{key}\t{tag}\n" for key, tag in entries)
+    try:
+        lexicon = parse_lexicon(text)
+    except LexiconFormatError:
+        return
+    assert parse_lexicon(serialize_lexicon(lexicon)) == lexicon

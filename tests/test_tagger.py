@@ -8,7 +8,8 @@ from operator import attrgetter
 import pytest
 from hypothesis import given, strategies as st
 
-from rippletag.initial_tagger import MAX_RULE_PARENS, MODE_ENGLISH
+from rippletag.corpus import check_separator
+from rippletag.initial_tagger import MAX_RULE_PARENS, MODE_ENGLISH, InitialTaggerOptions
 from rippletag.lexicon import Lexicon
 from rippletag.scrdr import (
     FIELD_INDEX,
@@ -418,6 +419,32 @@ class TestPersistence:
             meta_path.write_text(json.dumps({"format": fmt}))
             with pytest.raises(ModelFormatError):
                 load_model(tmp_path / "m")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("separator", " "),
+            ("separator", ""),
+            ("separator", 5),
+            ("mode", "x"),
+            ("regex_rules", [["a(", "NN"]]),
+            ("regex_rules", [["a", 5]]),
+        ],
+    )
+    def test_settings_errors_are_those_of_the_option_types(
+        self, toy_model, tmp_path, key, value
+    ):
+        save_model(toy_model, tmp_path)
+        meta_path = tmp_path / META_FILE
+        meta = {**json.loads(meta_path.read_text()), key: value}
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError) as expected:
+            check_separator(meta["separator"])
+            InitialTaggerOptions(meta["mode"], tuple(map(tuple, meta["regex_rules"])))
+        with pytest.raises(ModelFormatError) as got:
+            load_model(tmp_path)
+        assert str(got.value) == f"{meta_path}: {expected.value}"
+        assert repr(key) in str(got.value)
 
     @staticmethod
     def nested_rules(depth):
