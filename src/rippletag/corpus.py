@@ -48,6 +48,22 @@ def check_separator(separator: object) -> None:
         )
 
 
+def reads_back(tag: str, separator: str) -> bool:
+    """Whether a token written as word, ``separator``, ``tag`` reads back with ``tag``.
+
+    The reader splits at the rightmost separator, so ``tag`` must be
+    plain and no separator may start after the written one: with
+    ``::``, the tag ``:x`` would read back as ``x``.
+    """
+    return is_plain(tag) and separator not in (separator + tag)[1:]
+
+
+def check_tag(tag: str, separator: str) -> None:
+    """Raise ValueError unless ``reads_back(tag, separator)``."""
+    if not reads_back(tag, separator):
+        raise ValueError(f"tag {tag!r} does not read back after separator {separator!r}")
+
+
 class Token(NamedTuple):
     word: str
     tag: str
@@ -150,9 +166,9 @@ def write_tagged_corpus(
     ``corpus`` is a TaggedCorpus or any iterable of ``(words, tags)``
     pairs of equal-length sequences, one pair per sentence; a sentence
     with no words renders as an empty line.  Refuses tokens that could
-    not round-trip (whitespace in a word or tag, separator inside a
-    tag, empty strings), naming the first such token, and a separator
-    that ``check_separator`` refuses.
+    not round-trip (a word that is not ``is_plain``, a tag that does not
+    ``reads_back``), naming the first such token, and a separator that
+    ``check_separator`` refuses.
     """
     check_separator(separator)
     if isinstance(corpus, TaggedCorpus):
@@ -168,7 +184,7 @@ def write_tagged_corpus(
         if (
             "" in words
             or _WHITESPACE.search("".join(words))
-            or any(not is_plain(tag) or separator in tag for tag in new_tags)
+            or not all(reads_back(tag, separator) for tag in new_tags)
         ):
             for word, tag in zip(words, tags):
                 _check_token(word, tag, separator)
@@ -180,8 +196,7 @@ def write_tagged_corpus(
 def _check_token(word: str, tag: str, separator: str) -> None:
     if not (is_plain(word) and is_plain(tag)):
         raise ValueError(f"token {(word, tag)!r}: empty or with whitespace")
-    if separator in tag:
-        raise ValueError(f"separator {separator!r} inside tag {tag!r}")
+    check_tag(tag, separator)
 
 
 def read_lines(text: str) -> list[list[str]]:

@@ -54,7 +54,13 @@ from itertools import compress, repeat
 from operator import attrgetter, eq, not_
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import DEFAULT_SEPARATOR, TaggedCorpus, check_lengths, check_separator
+from .corpus import (
+    DEFAULT_SEPARATOR,
+    TaggedCorpus,
+    check_lengths,
+    check_separator,
+    check_tag,
+)
 from .initial_tagger import (
     DEFAULT_ENGLISH_RULES,
     MODE_GENERIC,
@@ -643,12 +649,11 @@ def train_model(gold: TaggedCorpus, options: TrainOptions = TrainOptions()) -> M
     """Full pipeline: lexicon, first guesses, tree.  Returns a Model.
 
     Training starts from the same first-guess chain that tagging uses.
-    A gold tag holding the separator is refused first, since the tagged
-    output could not be written.
+    A gold tag that ``check_tag`` refuses is refused first, since the
+    tagged output could not be written.
     """
     for tag in sorted(gold.tagset):
-        if options.separator in tag:
-            raise ValueError(f"separator {options.separator!r} inside tag {tag!r}")
+        check_tag(tag, options.separator)
     lexicon = build_lexicon(gold)
     initial = InitialTagger(
         lexicon,

@@ -162,21 +162,8 @@ def serialize_lexicon(lexicon: Lexicon) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-# Whitespace besides tab and newline, and its ASCII characters.
+# Whitespace besides tab and newline.
 _STRAY_WHITESPACE = re.compile(r"[^\S\t\n]")
-_STRAY_ASCII = [c for c in map(chr, range(128)) if _STRAY_WHITESPACE.match(c)]
-
-
-def _has_stray_whitespace(text: str) -> bool:
-    """Whether ``text`` holds whitespace other than tab and newline.
-
-    One scan of the whole text, so that lines are tested one by one
-    only on a hit.  ASCII text is scanned for each stray character on
-    its own, which is several times faster than the regex.
-    """
-    if text.isascii():
-        return any(c in text for c in _STRAY_ASCII)
-    return _STRAY_WHITESPACE.search(text) is not None
 
 
 def parse_lexicon(text: str) -> Lexicon:
@@ -185,7 +172,9 @@ def parse_lexicon(text: str) -> Lexicon:
     suffix_tags: dict[int, dict[str, str]] = {n: {} for n in SUFFIX_LENGTHS}
     defaults: dict[str, str] = {}
 
-    strict = _has_stray_whitespace(text)
+    # One scan of the whole text, so that lines are tested one by one
+    # only on a hit.
+    strict = _STRAY_WHITESPACE.search(text) is not None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue

@@ -1,3 +1,4 @@
+import re
 import sys
 
 import pytest
@@ -97,6 +98,18 @@ def test_write_rejects_unwritable_tokens():
         write_tagged_corpus(TaggedCorpus.from_pairs([[("ok", "N/N")]]))
 
 
+@pytest.mark.parametrize(
+    "separator, tag", [("/", "N/N"), ("/", "/"), ("::", ":x"), ("aa", "ax")]
+)
+def test_write_refuses_a_tag_a_later_separator_would_cut(separator, tag):
+    # written naively, "w" + separator + tag splits after the tag's start
+    word, _, read_tag = f"w{separator}{tag}".rpartition(separator)
+    assert read_tag != tag
+    message = f"tag {tag!r} does not read back after separator {separator!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        write_tagged_corpus([(["w"], [tag])], separator)
+
+
 def test_write_renders_plain_pairs_and_empty_sentences_as_blank_lines():
     sentences = [(["a", "1/2"], ["X", "CD"]), ([], []), (("b",), ("Y",))]
     assert write_tagged_corpus(sentences) == "a/X 1/2/CD\n\nb/Y\n"
@@ -139,6 +152,25 @@ def test_writer_fails_like_the_per_token_checks(sentences, separator):
     non_empty = [s for s in sentences if s]
     corpus = TaggedCorpus.from_pairs(non_empty)
     assert_writes_like_the_reference(corpus, non_empty, separator)
+
+
+@given(
+    st.lists(
+        st.lists(st.tuples(_piece, _piece), min_size=1, max_size=4),
+        min_size=1,
+        max_size=4,
+    ),
+    st.sampled_from(["/", "::", "aa"]),
+)
+@example([[("w", ":x")]], "::")
+@example([[("w", "ax")]], "aa")
+def test_whatever_the_writer_writes_reads_back(pairs, separator):
+    corpus = TaggedCorpus.from_pairs(pairs)
+    try:
+        text = write_tagged_corpus(corpus, separator)
+    except ValueError:
+        return
+    assert read_tagged_corpus(text, separator) == corpus
 
 
 def assert_writes_like_the_reference(corpus, sentences, separator):

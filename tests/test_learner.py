@@ -158,19 +158,21 @@ class TestTrainOptions:
                 toy, TrainOptions(mode=MODE_GENERIC, regex_rules=((rule, "NN"),))
             )
 
-    @pytest.mark.parametrize("separator", ["/", "_"])
-    def test_a_gold_tag_holding_the_separator_fails_before_the_lexicon_is_built(
-        self, toy, separator, monkeypatch
+    # ":N" holds no "::", but "w:::N" would read back as ("w:", "N")
+    @pytest.mark.parametrize(
+        "separator, bad_tag", [("/", "N/N"), ("_", "N_N"), ("::", ":N")]
+    )
+    def test_a_gold_tag_that_cannot_be_written_fails_before_the_lexicon_is_built(
+        self, toy, separator, bad_tag, monkeypatch
     ):
         def fail(corpus):
             raise AssertionError("build_lexicon ran")
 
         monkeypatch.setattr(learner, "build_lexicon", fail)
-        bad_tag = f"N{separator}N"
         gold = TaggedCorpus.from_pairs(
             [(w, bad_tag if t == "NN" else t) for w, t in s] for s in toy.sentences
         )
-        message = f"separator {separator!r} inside tag {bad_tag!r}"
+        message = f"tag {bad_tag!r} does not read back after separator {separator!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             train_model(gold, TrainOptions(separator=separator))
 
