@@ -1,4 +1,3 @@
-import re
 import sys
 
 import pytest
@@ -96,18 +95,9 @@ def test_write_rejects_unwritable_tokens():
         write_tagged_corpus(TaggedCorpus.from_pairs([[("a b", "NN")]]))
     with pytest.raises(ValueError):
         write_tagged_corpus(TaggedCorpus.from_pairs([[("ok", "N/N")]]))
-
-
-@pytest.mark.parametrize(
-    "separator, tag", [("/", "N/N"), ("/", "/"), ("::", ":x"), ("aa", "ax")]
-)
-def test_write_refuses_a_tag_a_later_separator_would_cut(separator, tag):
-    # written naively, "w" + separator + tag splits after the tag's start
-    word, _, read_tag = f"w{separator}{tag}".rpartition(separator)
-    assert read_tag != tag
-    message = f"tag {tag!r} does not read back after separator {separator!r}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        write_tagged_corpus([(["w"], [tag])], separator)
+    # no "::" inside the tag, but "ok:::x" would read back as ("ok:", "x")
+    with pytest.raises(ValueError, match="tag ':x' does not read back"):
+        write_tagged_corpus(TaggedCorpus.from_pairs([[("ok", ":x")]]), "::")
 
 
 def test_write_renders_plain_pairs_and_empty_sentences_as_blank_lines():
@@ -138,13 +128,16 @@ _piece = st.one_of(
 
 @given(
     st.lists(st.lists(st.tuples(_piece, _piece), max_size=4), max_size=5),
-    st.sampled_from(["/", "::"]),
+    st.sampled_from(["/", "::", "aa"]),
 )
 # a bad token after a sentence that already vouched for its tag
 @example([[("a", "NN")], [("b", "NN"), ("c", "N/N")]], "/")
 @example([[("a", "NN")], [("b", "NN"), ("c", "/")]], "/")
 @example([[("a", "NN")], [("b c", "NN")]], "/")
 @example([[("a", "NN")], [], [("b", "NN"), ("", "NN")]], "::")
+# tags a later separator would cut
+@example([[("w", ":x")]], "::")
+@example([[("w", "ax")]], "aa")
 def test_writer_fails_like_the_per_token_checks(sentences, separator):
     columns = [([w for w, _ in s], [t for _, t in s]) for s in sentences]
     assert_writes_like_the_reference(columns, sentences, separator)
@@ -152,20 +145,7 @@ def test_writer_fails_like_the_per_token_checks(sentences, separator):
     non_empty = [s for s in sentences if s]
     corpus = TaggedCorpus.from_pairs(non_empty)
     assert_writes_like_the_reference(corpus, non_empty, separator)
-
-
-@given(
-    st.lists(
-        st.lists(st.tuples(_piece, _piece), min_size=1, max_size=4),
-        min_size=1,
-        max_size=4,
-    ),
-    st.sampled_from(["/", "::", "aa"]),
-)
-@example([[("w", ":x")]], "::")
-@example([[("w", "ax")]], "aa")
-def test_whatever_the_writer_writes_reads_back(pairs, separator):
-    corpus = TaggedCorpus.from_pairs(pairs)
+    # and whatever the writer writes reads back
     try:
         text = write_tagged_corpus(corpus, separator)
     except ValueError:
