@@ -8,14 +8,19 @@ output (the eval report) goes to stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
+import secrets
+import stat
 import sys
 import time
+from itertools import islice
 from pathlib import Path
-from typing import NoReturn
+from typing import Iterator, NoReturn, TextIO
 
 from . import __version__
-from .corpus import check_separator, read_lines, read_tagged_corpus, write_tagged_corpus
+from .corpus import check_separator, read_tagged_corpus, write_tagged_corpus
 
 # Unused here; the benchmark's trace probe looks the name up in this module.
 from .corpus import read_raw  # noqa: F401
@@ -27,6 +32,10 @@ from .tagger import Tagger, load_model, save_model
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
+
+# Input lines that `tag` reads, tags and writes at a time, so its memory
+# does not grow with the input.
+TAG_BLOCK_LINES = 1000
 
 # Hard defaults for options that may also come from a --config file;
 # the training ones are those of TrainOptions.
@@ -220,19 +229,62 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _replacing(path: str) -> Iterator[TextIO]:
+    """A text handle whose contents replace ``path`` once the block ends.
+
+    Writes go to a new file beside ``path``, moved onto it only when the
+    block ends without an error; on an error it is removed, so an
+    existing ``path`` stays as it was.  The new file gets the mode that
+    ``open(path, "w")`` would give: an existing file's, or else the one
+    the umask leaves.  A ``path`` that exists but is not a regular file
+    (a FIFO, a device such as /dev/stdout, a symlink) is written in place.
+    """
+    try:
+        existing = os.lstat(path)
+    except FileNotFoundError:
+        existing = None
+    if existing is not None and not stat.S_ISREG(existing.st_mode):
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            yield handle
+        return
+    directory, name = os.path.split(path)
+    temp = os.path.join(directory, f".{name}.{secrets.token_hex(4)}.tmp")
+    # 0o666 under the umask, as open(path, "w") creates a file
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    handle = open(os.open(temp, flags, 0o666), "w", encoding="utf-8", newline="\n")
+    try:
+        with handle:
+            if existing is not None:
+                os.chmod(temp, stat.S_IMODE(existing.st_mode))
+            yield handle
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
 def cmd_tag(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     tagger = Tagger(model)
-    # Output line N is input line N, blank lines included.
-    lines = read_lines(_read_text(args.input))
-    text = write_tagged_corpus(
-        [(words, tagger.tag_sentence(words)) for words in lines], model.separator
-    )
-    with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+    tokens = sentences = 0
+    # Only "\n" ends a line, so a lone "\r" stays inside its line, and
+    # output line N is input line N, blank lines included.
+    with open(args.input, encoding="utf-8", newline="\n") as source, _replacing(
+        args.output
+    ) as sink:
+        while block := list(islice(source, TAG_BLOCK_LINES)):
+            lines = [line.split() for line in block]
+            tokens += sum(map(len, lines))
+            sentences += sum(map(bool, lines))
+            sink.write(
+                write_tagged_corpus(
+                    [(words, tagger.tag_sentence(words)) for words in lines],
+                    model.separator,
+                )
+            )
     print(
-        f"tagged {sum(map(len, lines))} tokens in {sum(map(bool, lines))} sentences "
-        f"-> {args.output}",
+        f"tagged {tokens} tokens in {sentences} sentences -> {args.output}",
         file=sys.stderr,
     )
     return 0

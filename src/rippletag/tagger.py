@@ -15,9 +15,9 @@ import json
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .corpus import DEFAULT_SEPARATOR, TaggedCorpus, check_separator
+from .corpus import DEFAULT_SEPARATOR, TaggedCorpus, check_separator, check_tag
 from .initial_tagger import (
     DEFAULT_ENGLISH_RULES,
     MODE_GENERIC,
@@ -203,6 +203,13 @@ def save_model(model: Model, directory: str | Path) -> None:
 
 
 def load_model(directory: str | Path) -> Model:
+    """Read a model directory; raises ModelFormatError naming the bad file.
+
+    Besides each file's own format, every tag that tagging can write
+    must read back after the model's separator, so that it never fails
+    at write time: the lexicon's tags (a regex rule fires only with one
+    of them) and the tree's conclusions, each distinct tag checked once.
+    """
     path = Path(directory)
     meta_path = path / META_FILE
     try:
@@ -229,7 +236,11 @@ def load_model(directory: str | Path) -> Model:
     except ValueError as exc:
         raise ModelFormatError(f"{meta_path}: {exc}") from exc
     lexicon = parse_lexicon(_read(path / LEXICON_FILE))
+    _check_tags(path / LEXICON_FILE, lexicon.tagset, separator)
     tree = parse_tree(_read(path / TREE_FILE))
+    # only the root concludes "", and its conclusion is never written
+    conclusions = {node.rule.conclusion for node in iter_nodes(tree)} - {""}
+    _check_tags(path / TREE_FILE, conclusions, separator)
     audit: tuple[dict, ...] = ()
     audit_path = path / AUDIT_FILE
     if audit_path.exists():
@@ -249,6 +260,15 @@ def load_model(directory: str | Path) -> Model:
         separator=separator,
         audit=audit,
     )
+
+
+def _check_tags(path: Path, tags: Iterable[str], separator: str) -> None:
+    """Raise ModelFormatError unless each of the distinct ``tags`` reads back."""
+    try:
+        for tag in sorted(tags):
+            check_tag(tag, separator)
+    except ValueError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None
 
 
 def _write(path: Path, text: str) -> None:

@@ -16,7 +16,7 @@ from collections import Counter
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
-from rippletag.corpus import TaggedCorpus, _check_token
+from rippletag.corpus import TaggedCorpus, _check_token, read_lines, write_tagged_corpus
 from rippletag.initial_tagger import MODE_ENGLISH, InitialTagger, InitialTaggerOptions
 from rippletag.learner import Selection, Thresholds
 from rippletag.lexicon import (
@@ -101,6 +101,19 @@ def reference_write_tagged_corpus(sentences, separator: str) -> str:
             _check_token(word, tag, separator)
         lines.append(" ".join(f"{word}{separator}{tag}" for word, tag in sentence))
     return "".join(line + "\n" for line in lines)
+
+
+def reference_tag_text(tagger, text: str) -> str:
+    """What ``rippletag tag`` writes for ``text``, from the whole text at once.
+
+    ``cmd_tag`` reads, tags and writes in blocks of lines; its output
+    must equal this one-pass rendering of every line.
+    """
+    lines = read_lines(text)
+    return write_tagged_corpus(
+        [(words, tagger.tag_sentence(words)) for words in lines],
+        tagger.model.separator,
+    )
 
 
 def reference_select_rule(

@@ -1,17 +1,21 @@
 import json
+import os
+import re
 import shutil
+import stat
 import subprocess
 import sys
 
 import pytest
 
+from rippletag import cli
 from rippletag.cli import main
 from rippletag.corpus import check_separator, read_tagged_corpus, write_tagged_corpus
 from rippletag.data import toy_corpus_path
 from rippletag.learner import TrainOptions
-from rippletag.tagger import load_model
+from rippletag.tagger import Tagger, load_model
 
-from helpers import deep_tree_text
+from helpers import deep_tree_text, reference_tag_text
 
 MICRO = "the/DT can/NN fell/VBD\n" * 6 + "you/PRP can/MD go/VB\n" * 5
 
@@ -163,14 +167,17 @@ class TestTag:
         tagged = read_tagged_corpus(text)
         assert [[t.word for t in s] for s in tagged.sentences] == [["a", "b", "c"]]
 
+    @staticmethod
+    def _run_tag(model_dir, raw, out) -> int:
+        return main(
+            ["tag", "--model", str(model_dir), "--input", str(raw), "--output", str(out)]
+        )
+
     def _tag(self, model_dir, tmp_path, data: bytes) -> list[str]:
         raw = tmp_path / "in.txt"
         raw.write_bytes(data)
         out = tmp_path / "out.tagged"
-        code = main(
-            ["tag", "--model", str(model_dir), "--input", str(raw), "--output", str(out)]
-        )
-        assert code == 0
+        assert self._run_tag(model_dir, raw, out) == 0
         return out.read_bytes().decode("utf-8").split("\n")
 
     def test_blank_lines_keep_their_place(self, trained_dir, tmp_path, capsys):
@@ -246,6 +253,135 @@ class TestTag:
         assert code == 0
         tags = [token.rpartition("/")[2] for token in out.read_text().split()]
         assert tags[1:] == [f"L{depth}", tags[0], f"C{depth}"]
+
+    # Tagged three lines at a time, these run over several blocks, with
+    # blank and whitespace-only lines at block edges, a lone "\r", a
+    # U+2028, CRLF lines, and with or without a final newline.
+    BLOCK_EDGES = (
+        "the team works\n\n \t \n"
+        " \nshe walks\u2028the vet\nit grerneaped\r\n"
+        "\r\nthe vet\rvets .\n\n"
+        "she walks"
+    )
+
+    @pytest.mark.parametrize(
+        "text",
+        [BLOCK_EDGES, BLOCK_EDGES + "\n", "she walks\n" * 6, "\n", ""],
+        ids=["no-final-newline", "final-newline", "whole-blocks", "one-blank", "empty"],
+    )
+    def test_blocks_write_what_the_whole_text_writes(
+        self, trained_dir, tmp_path, capsys, monkeypatch, text
+    ):
+        monkeypatch.setattr(cli, "TAG_BLOCK_LINES", 3)
+        got = self._tag(trained_dir, tmp_path, text.encode("utf-8"))
+        want = reference_tag_text(Tagger(load_model(trained_dir)), text)
+        assert "\n".join(got) == want
+
+    def test_bad_input_in_a_later_block_leaves_the_output_as_it_was(
+        self, trained_dir, tmp_path, capsys, monkeypatch
+    ):
+        raw = tmp_path / "in.txt"
+        # past the first chunk the reader decodes, so blocks are written first
+        raw.write_bytes(b"the team works\n" * 2000 + b"she \xff walks\n")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "out.tagged"
+        out.write_bytes(b"old output\n")
+        blocks = []
+
+        def counting_writer(*args):
+            blocks.append(args)
+            return write_tagged_corpus(*args)
+
+        monkeypatch.setattr(cli, "TAG_BLOCK_LINES", 3)
+        monkeypatch.setattr(cli, "write_tagged_corpus", counting_writer)
+        assert self._run_tag(trained_dir, raw, out) == 2
+        assert "utf-8" in capsys.readouterr().err
+        assert len(blocks) > 1
+        assert out.read_bytes() == b"old output\n"
+        assert os.listdir(out_dir) == ["out.tagged"]
+
+    @pytest.mark.parametrize(
+        "name, tag",
+        [("model.rdr", "N N"), ("model.rdr", "a/b"), ("model.lex", "a/b")],
+    )
+    def test_a_model_with_an_unwritable_tag_fails_before_any_output(
+        self, trained_dir, tmp_path, capsys, name, tag
+    ):
+        model_dir = tmp_path / "m"
+        shutil.copytree(trained_dir, model_dir)
+        path = model_dir / name
+        lines = path.read_text(encoding="utf-8").split("\n")
+        if name == "model.rdr":
+            # the first rule below the root
+            lines[1] = re.sub(r'tag = "[^"]*"$', f'tag = "{tag}"', lines[1])
+        else:
+            key, _, _ = lines[0].partition("\t")
+            lines[0] = f"{key}\t{tag}"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        raw = tmp_path / "in.txt"
+        raw.write_text("the team works\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "out.tagged"
+        out.write_bytes(b"old output\n")
+        assert self._run_tag(model_dir, raw, out) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and repr(tag) in err
+        assert out.read_bytes() == b"old output\n"
+        assert os.listdir(out_dir) == ["out.tagged"]
+
+    @pytest.mark.parametrize("old_mode", [None, 0o604], ids=["new", "existing"])
+    def test_the_output_gets_the_mode_open_would_give(
+        self, trained_dir, tmp_path, capsys, old_mode
+    ):
+        raw = tmp_path / "in.txt"
+        raw.write_text("she walks\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out, control = out_dir / "out.tagged", tmp_path / "control"
+        umask = os.umask(0o027)
+        try:
+            if old_mode is not None:
+                for path in (out, control):
+                    path.write_bytes(b"old output\n")
+                    path.chmod(old_mode)
+            with open(control, "w"):
+                pass
+            assert self._run_tag(trained_dir, raw, out) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(control.stat().st_mode)
+        assert os.listdir(out_dir) == ["out.tagged"]
+        assert out.read_text(encoding="utf-8").startswith("she/")
+
+    def test_a_symlinked_output_is_written_through(self, trained_dir, tmp_path, capsys):
+        raw = tmp_path / "in.txt"
+        raw.write_text("she walks\n", encoding="utf-8")
+        target = tmp_path / "target"
+        target.write_bytes(b"old output\n")
+        link = tmp_path / "link"
+        link.symlink_to(target)
+        assert self._run_tag(trained_dir, raw, link) == 0
+        assert link.is_symlink()
+        assert target.read_text(encoding="utf-8").startswith("she/")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_fifo_output_is_written_in_place(self, trained_dir, tmp_path, capsys):
+        raw = tmp_path / "in.txt"
+        raw.write_text("she walks\n", encoding="utf-8")
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        # a reader opened first, so that opening the pipe to write does not block
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert self._run_tag(trained_dir, raw, fifo) == 0
+            written = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert written.startswith(b"she/")
+        assert sorted(os.listdir(tmp_path)) == ["fifo", "in.txt"]
 
     @pytest.mark.parametrize(
         "key, value",

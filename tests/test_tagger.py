@@ -8,7 +8,7 @@ from operator import attrgetter
 import pytest
 from hypothesis import given, strategies as st
 
-from rippletag.corpus import check_separator
+from rippletag.corpus import check_separator, check_tag
 from rippletag.initial_tagger import MAX_RULE_PARENS, MODE_ENGLISH, InitialTaggerOptions
 from rippletag.lexicon import Lexicon
 from rippletag.scrdr import (
@@ -445,6 +445,36 @@ class TestPersistence:
             load_model(tmp_path)
         assert str(got.value) == f"{meta_path}: {expected.value}"
         assert repr(key) in str(got.value)
+
+    @pytest.mark.parametrize(
+        "name, separator, tag",
+        [
+            (TREE_FILE, "/", "N N"),
+            (TREE_FILE, "/", "a/b"),
+            (TREE_FILE, "::", ":N"),
+            (LEXICON_FILE, "/", "a/b"),
+            (LEXICON_FILE, "::", ":N"),
+        ],
+    )
+    def test_a_tag_that_cannot_be_written_fails_to_load(
+        self, toy_model, tmp_path, name, separator, tag
+    ):
+        if name == TREE_FILE:
+            tree = parse_tree(serialize_tree(toy_model.tree))
+            node = tree.except_child
+            node.rule = node.rule._replace(conclusion=tag)
+            model = replace(toy_model, tree=tree, separator=separator)
+        else:
+            word = next(iter(toy_model.lexicon.word_tags))
+            word_tags = {**toy_model.lexicon.word_tags, word: tag}
+            lexicon = replace(toy_model.lexicon, word_tags=word_tags)
+            model = replace(toy_model, lexicon=lexicon, separator=separator)
+        save_model(model, tmp_path)
+        with pytest.raises(ModelFormatError) as got:
+            load_model(tmp_path)
+        with pytest.raises(ValueError) as expected:
+            check_tag(tag, separator)
+        assert str(got.value) == f"{tmp_path / name}: {expected.value}"
 
     @staticmethod
     def nested_rules(depth):
