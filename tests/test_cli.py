@@ -355,6 +355,15 @@ class TestTag:
         assert os.listdir(out_dir) == ["out.tagged"]
         assert out.read_text(encoding="utf-8").startswith("she/")
 
+    def test_the_input_may_be_the_output(self, trained_dir, tmp_path, capsys, monkeypatch):
+        text = "she walks\n" * 7
+        path = tmp_path / "in.txt"
+        path.write_text(text, encoding="utf-8")
+        monkeypatch.setattr(cli, "TAG_BLOCK_LINES", 3)
+        assert self._run_tag(trained_dir, path, path) == 0
+        want = reference_tag_text(Tagger(load_model(trained_dir)), text)
+        assert path.read_text(encoding="utf-8") == want
+
     def test_a_symlinked_output_is_written_through(self, trained_dir, tmp_path, capsys):
         raw = tmp_path / "in.txt"
         raw.write_text("she walks\n", encoding="utf-8")
