@@ -199,21 +199,12 @@ def _check_token(word: str, tag: str, separator: str) -> None:
     check_tag(tag, separator)
 
 
-def read_lines(text: str) -> list[list[str]]:
-    """Whitespace-tokenized lines, blank ones kept as empty lists.
-
-    Only ``\n`` ends a line; a final ``\n`` ends the last line rather
-    than starting an empty one.
-    """
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return [line.split() for line in lines]
-
-
 def read_raw(text: str) -> list[list[str]]:
-    """Whitespace-tokenized sentences, one per ``\n``-ended line; empty lines skipped."""
-    return [words for words in read_lines(text) if words]
+    """Whitespace-tokenized sentences, one per ``\n``-ended line; empty lines skipped.
+
+    Only ``\n`` ends a line: a ``\r`` is whitespace within one.
+    """
+    return [words for line in text.split("\n") if (words := line.split())]
 
 
 def split_parts(corpus: TaggedCorpus, k: int) -> list[TaggedCorpus]:

@@ -14,8 +14,8 @@ rules come from filling templates with the wrong records' own context
 values, a candidate's score is (wrong records it fixes) minus (wrong
 records it matches but leaves wrong), and the best scorer above the
 level's threshold is attached.  Matching records move down to the new
-child, which is expanded in turn before the parent looks for its next
-exception.
+child, filed there as it is attached, and the child is expanded in
+turn before the parent looks for its next exception.
 
 Selection does not recount a node's records for every rule, in the
 manner of Ngai & Florian's "fast lane" transformation-based learning
@@ -31,9 +31,11 @@ are still hot.
 The tables are lazy.  At the node's first selection only the
 single-field templates are counted; each table's bound, its largest
 count, caps every score it can give, and a multi-field template starts
-unfilled, bounded by its fields' tables.  A move to a child only logs
-the records that leave.  Selection visits the tables by descending
-bound, brings each one up to date as it visits it (counting it, or
+unfilled, bounded by its fields' tables.  Records leave an expanding
+node only through ``_Candidates.move``, which takes the rows a new
+child's rule matches out of the node's lists and logs the wrong ones
+for the tables.  Selection visits the tables by descending bound,
+brings each one up to date as it visits it (counting it, or
 subtracting the records that left since its last visit) and stops at
 the first table whose bound is below the best score found, so a table
 that cannot hold the winner is not counted at all.  A table reads at
@@ -140,7 +142,6 @@ class Selection(NamedTuple):
     template_id: int
     a: int
     b: int
-    score: int
 
 
 class LearnResult(NamedTuple):
@@ -172,22 +173,17 @@ def _rows_by(values: Sequence[str], rows: Iterable[int]) -> dict[str, list[int]]
 
 
 class _NodeRecords:
-    __slots__ = ("wrong", "correct", "candidates")
+    """The records filed at a node that concludes ``conclusion``.
 
-    def __init__(self) -> None:
-        self.wrong: list[int] = []
-        self.correct: list[int] = []
-        # the node's candidate tables, only while ``expand`` works on it
-        self.candidates: _Candidates | None = None
+    A record is correct there iff its gold tag is the conclusion.
+    """
 
-    def file(self, rows: list[int], gold: Sequence[str], conclusion: str) -> None:
-        """File records at a node that concludes ``conclusion``.
+    __slots__ = ("wrong", "correct")
 
-        A record is correct there iff its gold tag is the conclusion.
-        """
+    def __init__(self, rows: list[int], gold: Sequence[str], conclusion: str) -> None:
         hits = list(map(conclusion.__eq__, map(gold.__getitem__, rows)))
-        self.correct += compress(rows, hits)
-        self.wrong += compress(rows, map(not_, hits))
+        self.correct = list(compress(rows, hits))
+        self.wrong = list(compress(rows, map(not_, hits)))
 
 
 class _Table:
@@ -231,36 +227,38 @@ class _Candidates:
     the smallest of its fields' tables' bounds, since a tuple of values
     cannot occur in a gold group more often than any one of its values;
     it is not kept at all when that bound is at or below the floor.
-    ``remove`` only logs the wrong rows that leave, and ``refresh``
-    brings a table up to date when ``select_rule`` visits it.  Records
-    never enter a node after it is created, so a ``fixed`` count, and
-    with it every bound, only falls: a table whose bound falls to the
-    floor can never give the winner again and is dropped for good.
+
+    While the node is expanded, rows leave it only through ``move``,
+    which takes them out of ``state``, the node's records, and only
+    logs the wrong ones; ``refresh`` brings a table up to date when
+    ``select_rule`` visits it.  Records never enter a node after it is
+    created, so a ``fixed`` count, and with it every bound, only falls:
+    a table whose bound falls to the floor can never give the winner
+    again and is dropped for good.
     """
 
     __slots__ = (
-        "columns", "gold", "floor", "wrong", "correct", "left", "tables", "_groups"
+        "columns", "gold", "state", "vetoes", "floor", "left", "tables", "_groups"
     )
 
     def __init__(
         self,
         columns: Columns,
         gold: Sequence[str],
-        wrong: list[int],
-        correct: list[int] | None,
+        state: _NodeRecords,
+        vetoes: bool,
         floor: int,
     ) -> None:
         self.columns = columns
         self.gold = gold
+        self.state = state
+        # a vetoing node keeps ``blocked`` counts over its correct records
+        # and selects no candidate that matches one of them
+        self.vetoes = vetoes
         self.floor = floor
-        # the node's own lists, which ``migrate`` keeps in step; a vetoing
-        # node keeps ``blocked`` counts over ``correct`` and selects no
-        # candidate that matches one of its correct records
-        self.wrong = wrong
-        self.correct = correct
         # the wrong rows that left the node, in the order they left
         self.left: list[int] = []
-        # ``wrong`` grouped by gold tag, until rows leave
+        # the node's wrong rows grouped by gold tag, until rows leave
         self._groups: dict[str, list[int]] | None = None
         singles = {}
         for template in CATALOG:
@@ -276,15 +274,30 @@ class _Candidates:
                 bound = min(parent.bound for parent in parents)
                 self.tables.append(_Table(template, bound))
 
-    @property
-    def vetoes(self) -> bool:
-        return self.correct is not None
+    def move(self, rule: Rule) -> tuple[list[int], list[int]]:
+        """Take the rows ``rule`` matches out of the node: (wrong, correct).
 
-    def remove(self, wrong: list[int]) -> None:
-        """Log the wrong records that left for a new child."""
-        if wrong:
-            self.left += wrong
-            self._groups = None
+        The wrong rows taken are logged for the tables.  At a vetoing
+        node the selected rule matches no correct record, so only the
+        wrong ones are tested; the self-check would catch a correct
+        record left behind.
+        """
+        fields = tuple(i for i, _ in rule.tests)
+        wanted = tuple(value for _, value in rule.tests)
+        if len(fields) == 1:
+            wanted = wanted[0]
+
+        def take(rows: list[int]) -> list[int]:
+            hits = list(map(eq, _keys(self.columns, fields, rows), repeat(wanted)))
+            taken = list(compress(rows, hits))
+            rows[:] = list(compress(rows, map(not_, hits)))
+            return taken
+
+        wrong = take(self.state.wrong)
+        correct = [] if self.vetoes else take(self.state.correct)
+        self.left += wrong
+        self._groups = None
+        return wrong, correct
 
     def by_bound(self) -> list[_Table]:
         """The tables whose bound is above the floor, largest bound first."""
@@ -302,7 +315,7 @@ class _Candidates:
         the counts of a fresh fill.
         """
         left = self.left
-        if table.seen is None or len(left) - table.seen > len(self.wrong):
+        if table.seen is None or len(left) - table.seen > len(self.state.wrong):
             self._count(table)
         elif table.seen < len(left):
             self._subtract(table, left[table.seen :])
@@ -314,7 +327,7 @@ class _Candidates:
         columns, floor, fields = self.columns, self.floor, table.template.fields
         single = len(fields) == 1
         if self._groups is None:
-            self._groups = _rows_by(self.gold, self.wrong)
+            self._groups = _rows_by(self.gold, self.state.wrong)
         fixed = {}
         counted = []
         for conclusion, rows in self._groups.items():
@@ -327,9 +340,9 @@ class _Candidates:
         hot = Counter(values for values, _ in fixed)
         matched = {values: sum(c[values] for c in counted) for values in hot}
         blocked = None
-        if self.correct is not None and matched:
+        if self.vetoes and matched:
             if table.seen is None:
-                all_blocked = Counter(_keys(columns, fields, self.correct))
+                all_blocked = Counter(_keys(columns, fields, self.state.correct))
                 blocked = {
                     v: all_blocked[v] for v in all_blocked.keys() & matched.keys()
                 }
@@ -378,11 +391,7 @@ class _Candidates:
 
 
 def select_rule(
-    wrong: list[int],
-    correct: list[int] | None,
-    thresholds: Thresholds,
-    level: int,
-    candidates: _Candidates,
+    wrong: list[int], correct: list[int] | None, candidates: _Candidates
 ) -> Selection | None:
     """Pick the highest-scoring candidate rule for one node.
 
@@ -396,28 +405,27 @@ def select_rule(
     seed nodes, whose correct sets are most of the corpus, skip it.
 
     The counts live in ``candidates``, the node's tables, which
-    ``expand`` creates at the node's first selection and ``migrate``
-    tells of every record that leaves.  ``wrong`` and ``correct`` (None
+    ``expand`` creates at the node's first selection and whose ``move``
+    takes every record that leaves.  ``wrong`` and ``correct`` (None
     where the node does not veto) are the node's records.  They are
     not read here; they stay the first two parameters because the
     benchmark's selection probe counts the records each call is handed
     from their lengths.  The tables hold only hot candidates, those
-    whose ``fixed`` is above the level's floor.  That loses nothing:
-    since ``matched >= fixed``, a score never exceeds ``fixed``, and
-    ``fixed`` never rises at a node, because records only ever leave
-    it.  For the same reason a table's bound, its largest ``fixed``,
-    caps every score it can give.  Tables are visited by descending
-    bound and brought up to date only when visited; the scan stops at
-    the first table whose bound is below the best score so far.  One
-    whose bound equals it is still visited, so the tie-break stays
-    exact.
+    whose ``fixed`` is above the level's floor, ``candidates.floor``.
+    That loses nothing: since ``matched >= fixed``, a score never
+    exceeds ``fixed``, and ``fixed`` never rises at a node, because
+    records only ever leave it.  For the same reason a table's bound,
+    its largest ``fixed``, caps every score it can give.  Tables are
+    visited by descending bound and brought up to date only when
+    visited; the scan stops at the first table whose bound is below
+    the best score so far.  One whose bound equals it is still
+    visited, so the tie-break stays exact.
 
     Ties break on template id, then field values, then conclusion, so
     the choice never depends on iteration order.
     """
-    floor = thresholds.for_level(level)
     best = None
-    best_score = floor + 1
+    best_score = candidates.floor + 1
     for table in candidates.by_bound():
         if table.bound < best_score:
             break
@@ -442,7 +450,7 @@ def select_rule(
     (_, _, values, conclusion), template, a, b = best
     if len(template.fields) == 1:
         values = (values,)
-    return Selection(instantiate(template, values, conclusion), template.id, a, b, a - b)
+    return Selection(instantiate(template, values, conclusion), template.id, a, b)
 
 
 class _Learning:
@@ -467,7 +475,8 @@ class _Learning:
         self.records: dict[Node, _NodeRecords] = {}
         self.audit: list[dict] = []
 
-    def attach(self, parent: Node, rule: Rule) -> Node:
+    def attach(self, parent: Node, rule: Rule, rows: list[int]) -> Node:
+        """Insert ``rule`` under ``parent`` and file ``rows`` at the new node."""
         node = insert_exception(parent, rule)
         if parent.except_child is node:
             base, edge = self.addresses[parent], "e"
@@ -477,11 +486,11 @@ class _Learning:
                 prev = prev.ifnot_child
             base, edge = self.addresses[prev], "i"
         self.addresses[node] = f"{base}.{edge}" if base else edge
-        self.records[node] = _NodeRecords()
+        self.records[node] = _NodeRecords(rows, self.gold, rule.conclusion)
         return node
 
-    def seed(self, tag: str) -> Node:
-        node = self.attach(self.root, Rule(((_CURRENT_TAG, tag),), tag))
+    def seed(self, tag: str, rows: list[int]) -> Node:
+        node = self.attach(self.root, Rule(((_CURRENT_TAG, tag),), tag), rows)
         self.audit.append(
             {
                 "event": "seed",
@@ -497,26 +506,22 @@ class _Learning:
         state = self.records[node]
         if level > self.max_level or not state.wrong:
             return
-        correct = state.correct if node.level >= 2 else None
+        vetoes = node.level >= 2
         floor = self.thresholds.for_level(level)
-        state.candidates = _Candidates(
-            self.columns, self.gold, state.wrong, correct, floor
-        )
+        candidates = _Candidates(self.columns, self.gold, state, vetoes, floor)
         while state.wrong:
             selection = select_rule(
-                state.wrong, correct, self.thresholds, level, state.candidates
+                state.wrong, state.correct if vetoes else None, candidates
             )
             if selection is None:
                 break
-            child = self.attach(node, selection.rule)
-            wrong_before = len(state.wrong)
-            moved = self.migrate(state, child)
-            moved_wrong = wrong_before - len(state.wrong)
+            wrong, correct = candidates.move(selection.rule)
+            child = self.attach(node, selection.rule, wrong + correct)
             # checked now, not in the final self-check: a rule that moves
             # no wrong record would be selected and attached again forever
-            if moved_wrong != selection.a + selection.b:
+            if len(wrong) != selection.a + selection.b:
                 raise LearnerStateError(
-                    f"{render_rule(selection.rule)!r} moved {moved_wrong} wrong "
+                    f"{render_rule(selection.rule)!r} moved {len(wrong)} wrong "
                     f"records, its selection counted {selection.a + selection.b}"
                 )
             self.audit.append(
@@ -528,41 +533,13 @@ class _Learning:
                     "template": selection.template_id,
                     "a": selection.a,
                     "b": selection.b,
-                    "score": selection.score,
+                    "score": selection.a - selection.b,
                     "threshold": floor,
-                    "moved_wrong": moved_wrong,
-                    "moved_correct": moved,
+                    "moved_wrong": len(wrong),
+                    "moved_correct": len(correct),
                 }
             )
             self.expand(child)
-        state.candidates = None
-
-    def migrate(self, state: _NodeRecords, child: Node) -> int:
-        """Move records the new child captures; returns how many were correct.
-
-        The moved records are subtracted from the node's candidate tables.
-        At a vetoing node the selected rule matches no correct record, so
-        only the wrong ones are tested; the self-check would catch a
-        correct record left behind.
-        """
-        rule = child.rule
-        fields = tuple(i for i, _ in rule.tests)
-        wanted = tuple(value for _, value in rule.tests)
-        if len(fields) == 1:
-            wanted = wanted[0]
-
-        def take(rows: list[int]) -> list[int]:
-            hits = list(map(eq, _keys(self.columns, fields, rows), repeat(wanted)))
-            taken = list(compress(rows, hits))
-            rows[:] = list(compress(rows, map(not_, hits)))
-            return taken
-
-        moved_wrong = take(state.wrong)
-        moved_correct = [] if state.candidates.vetoes else take(state.correct)
-        child_state = self.records[child]
-        child_state.file(moved_wrong + moved_correct, self.gold, rule.conclusion)
-        state.candidates.remove(moved_wrong)
-        return len(moved_correct)
 
     def check_against_tree(self) -> None:
         """Re-derive every node's rows from the finished tree.
@@ -633,11 +610,7 @@ def learn_tree(
         }
     )
 
-    seeds = [learning.seed(tag) for tag in seed_tags]
-    for node in seeds:
-        tag = node.rule.conclusion
-        learning.records[node].file(rows_by_tag[tag], gold_tags, tag)
-
+    seeds = [learning.seed(tag, rows) for tag, rows in rows_by_tag.items()]
     for node in seeds:
         learning.expand(node)
 

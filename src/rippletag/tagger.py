@@ -160,8 +160,6 @@ class Tagger:
     def tag_sentence(self, words: list[str]) -> list[str]:
         initial_tags = self.initial.tag_sentence(words)
         compiled = self._compiled
-        if compiled is None:
-            return initial_tags
         cols = context_columns(words, initial_tags)
         return [
             run_chain(compiled, cols, i) or guess

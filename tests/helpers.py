@@ -16,9 +16,9 @@ from collections import Counter
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
-from rippletag.corpus import TaggedCorpus, _check_token, read_lines, write_tagged_corpus
+from rippletag.corpus import TaggedCorpus, _check_token, write_tagged_corpus
 from rippletag.initial_tagger import MODE_ENGLISH, InitialTagger, InitialTaggerOptions
-from rippletag.learner import Selection, Thresholds
+from rippletag.learner import Selection
 from rippletag.lexicon import (
     SUFFIX_LENGTHS,
     SUFFIX_MIN_COUNT,
@@ -109,26 +109,27 @@ def reference_tag_text(tagger, text: str) -> str:
     ``cmd_tag`` reads, tags and writes in blocks of lines; its output
     must equal this one-pass rendering of every line.
     """
-    lines = read_lines(text)
+    # only "\n" ends a line, and a final one ends the last line rather than
+    # starting an empty one; blank lines stay, as empty sentences
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
     return write_tagged_corpus(
-        [(words, tagger.tag_sentence(words)) for words in lines],
+        [(words, tagger.tag_sentence(words)) for words in map(str.split, lines)],
         tagger.model.separator,
     )
 
 
 def reference_select_rule(
-    wrong: list[Record],
-    correct: list[Record] | None,
-    thresholds: Thresholds,
-    level: int,
+    wrong: list[Record], correct: list[Record] | None, floor: int
 ) -> Selection | None:
     """Select a node's rule by counting every candidate from the lists.
 
     ``select_rule`` scans tables it brings up to date lazily; this
     recounts all wrong records per template (and the correct ones for
-    the veto) on every call, and must pick the same rule.
+    the veto) on every call, and must pick the same rule.  A rule must
+    score above ``floor``.
     """
-    floor = thresholds.for_level(level)
     objs = [r.obj for r in wrong]
     golds = [r.gold for r in wrong]
     correct_objs = None if correct is None else [r.obj for r in correct]
@@ -164,7 +165,7 @@ def reference_select_rule(
     (_, _, values, conclusion), template, a, b = best
     if len(template.fields) == 1:
         values = (values,)
-    return Selection(instantiate(template, values, conclusion), template.id, a, b, a - b)
+    return Selection(instantiate(template, values, conclusion), template.id, a, b)
 
 
 def reference_candidate_tables(

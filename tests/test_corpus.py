@@ -11,7 +11,6 @@ from rippletag.corpus import (
     Token,
     check_aligned,
     check_separator,
-    read_lines,
     read_raw,
     read_tagged_corpus,
     split_folds,
@@ -178,11 +177,11 @@ def test_strip_tags_and_read_raw():
     assert read_raw(raw) == [["the", "dog"], ["ran"]]
 
 
-def test_read_lines_keeps_blank_lines_and_splits_only_at_newline():
-    assert read_lines("a b\n\n c\rd \r\n") == [["a", "b"], [], ["c", "d"]]
-    assert read_lines("a\n  ") == [["a"], []]
-    assert read_lines("\n") == [[]]
-    assert read_lines("") == []
+def test_read_raw_skips_blank_lines_and_splits_only_at_newline():
+    assert read_raw("a b\n\n c\rd \r\n") == [["a", "b"], ["c", "d"]]
+    assert read_raw("a\n  ") == [["a"]]
+    assert read_raw("\n") == []
+    assert read_raw("") == []
     assert read_raw("a\n\nb") == [["a"], ["b"]]
 
 

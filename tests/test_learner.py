@@ -28,6 +28,7 @@ from rippletag.learner import (
 from rippletag.scrdr import (
     FIELD_INDEX,
     FIELD_NAMES,
+    Rule,
     TagObject,
     layer_census,
     serialize_tree,
@@ -85,6 +86,13 @@ def columns_of(records):
     return tuple([r.obj[f] for r in records] for f in range(len(FIELD_NAMES)))
 
 
+def node_records(wrong, correct):
+    """A node's records holding these rows as given, whatever their gold tags."""
+    state = _NodeRecords([], (), "")
+    state.wrong, state.correct = wrong, correct
+    return state
+
+
 def select(wrong, correct, thresholds, level):
     """``select_rule`` on record lists: rows of their columns, fresh tables.
 
@@ -92,15 +100,13 @@ def select(wrong, correct, thresholds, level):
     """
     records = wrong + (correct or [])
     columns, gold = columns_of(records), [r.gold for r in records]
-    wrong_rows = list(range(len(wrong)))
-    correct_rows = None if correct is None else list(range(len(wrong), len(records)))
-    candidates = _Candidates(
-        columns, gold, wrong_rows, correct_rows, thresholds.for_level(level)
-    )
-    return select_rule(wrong_rows, correct_rows, thresholds, level, candidates)
+    state = node_records(list(range(len(wrong))), list(range(len(wrong), len(records))))
+    vetoes = correct is not None
+    candidates = _Candidates(columns, gold, state, vetoes, thresholds.for_level(level))
+    return select_rule(state.wrong, state.correct if vetoes else None, candidates)
 
 
-def oracle_select(wrong, correct, thresholds, level):
+def oracle_select(wrong, correct, floor):
     """Instantiate-and-scan scorer, no grouping, for cross-checking."""
     candidates = {}
     for r in wrong:
@@ -117,11 +123,11 @@ def oracle_select(wrong, correct, thresholds, level):
         hits = [r for r in wrong if ref_matches(rule, r.obj)]
         a = sum(1 for r in hits if r.gold == conclusion)
         b = len(hits) - a
-        if a - b <= thresholds.for_level(level):
+        if a - b <= floor:
             continue
         key = (-(a - b), tid, values, conclusion)
         if best is None or key < best[0]:
-            best = (key, Selection(rule, tid, a, b, a - b))
+            best = (key, Selection(rule, tid, a, b))
     return None if best is None else best[1]
 
 
@@ -205,7 +211,7 @@ class TestSelectRule:
         ]
         sel = select(wrong, None, Thresholds(), 2)
         assert sel is not None
-        assert (sel.a, sel.b, sel.score) == (4, 0, 4)
+        assert (sel.a, sel.b) == (4, 0)
         assert sel.template_id == 15
         assert sel.rule.conclusion == "MD"
 
@@ -222,7 +228,7 @@ class TestSelectRule:
         vetoed = select(wrong, correct, Thresholds(), 3)
         assert vetoed.template_id == 17
         assert vetoed.rule.tests == ((7, "Y"),)
-        assert (vetoed.a, vetoed.b, vetoed.score) == (4, 0, 4)
+        assert (vetoed.a, vetoed.b) == (4, 0)
 
     def test_score_counts_matching_records_against_each_other(self):
         shared = dict(prev1Tag="X", currentTag="A")
@@ -231,7 +237,7 @@ class TestSelectRule:
             + [Record(obj(word=f"q{i}", **shared), "C") for i in range(2)]
         )
         sel = select(wrong, None, Thresholds(), 2)
-        assert (sel.a, sel.b, sel.score) == (6, 2, 4)
+        assert (sel.a, sel.b) == (6, 2)
         assert sel.rule.conclusion == "B"
 
     def test_scores_at_the_floor_are_not_enough(self):
@@ -241,7 +247,7 @@ class TestSelectRule:
         ]
         assert select(wrong, None, Thresholds(layer2=3), 2) is None
         sel = select(wrong, None, Thresholds(layer2=2), 2)
-        assert sel.score == 3
+        assert (sel.a, sel.b) == (3, 0)
 
     def test_ties_break_on_template_then_values_then_conclusion(self):
         wrong = [
@@ -271,7 +277,7 @@ class TestSelectRule:
         thresholds = rng.choice([Thresholds(1, 1), Thresholds(2, 2)])
         level = rng.choice([2, 3, 4])
         assert select(wrong, correct, thresholds, level) == oracle_select(
-            wrong, correct, thresholds, level
+            wrong, correct, thresholds.for_level(level)
         )
 
     # Each draw stresses one path the counting kernel treats specially:
@@ -305,7 +311,7 @@ class TestSelectRule:
         thresholds = rng.choice([Thresholds(1, 1), Thresholds(2, 2), Thresholds(3, 2)])
         level = spec.get("level") or rng.choice([2, 3, 4])
         assert select(wrong, correct, thresholds, level) == oracle_select(
-            wrong, correct, thresholds, level
+            wrong, correct, thresholds.for_level(level)
         )
 
 
@@ -398,15 +404,14 @@ class TestLearnTree:
 
 class TestSelfCheck:
     def test_lost_records_fail_the_self_check(self, monkeypatch):
-        migrate = _Learning.migrate
+        init_records = _NodeRecords.__init__
 
-        def lossy_migrate(self, state, child):
-            moved = migrate(self, state, child)
-            # the new child forgets the records it just captured
-            self.records[child] = _NodeRecords()
-            return moved
+        def lossy_init(self, rows, gold, conclusion):
+            # the one exception the micro corpus learns, concluding MD,
+            # forgets the records it captured; the seeds keep theirs
+            init_records(self, [] if conclusion == "MD" else rows, gold, conclusion)
 
-        monkeypatch.setattr(_Learning, "migrate", lossy_migrate)
+        monkeypatch.setattr(_NodeRecords, "__init__", lossy_init)
         init, gold = micro_corpora()
         with pytest.raises(LearnerStateError, match="stale record sets"):
             learn_tree(init, gold)
@@ -415,17 +420,20 @@ class TestSelfCheck:
     def test_a_record_filed_twice_and_one_lost_fail_the_self_check(
         self, monkeypatch, drop_from
     ):
-        migrate = _Learning.migrate
+        move = _Candidates.move
 
-        def swapping_migrate(self, state, child):
-            moved = migrate(self, state, child)
-            captured = self.records[child].correct
-            # one record filed twice, another lost: the total stays the same
-            captured.append(captured[0])
-            (captured if drop_from == "child" else state.correct).pop(-2)
-            return moved
+        def swapping_move(self, rule):
+            wrong, correct = move(self, rule)
+            # one record filed twice, another lost: the total stays the same,
+            # and so does the count of wrong records moved
+            if drop_from == "child":
+                wrong[-2] = wrong[0]
+            else:
+                correct.append(wrong[0])
+                self.state.correct.pop(-2)
+            return wrong, correct
 
-        monkeypatch.setattr(_Learning, "migrate", swapping_migrate)
+        monkeypatch.setattr(_Candidates, "move", swapping_move)
         init, gold = micro_corpora()
         with pytest.raises(LearnerStateError, match="stale record sets"):
             learn_tree(init, gold)
@@ -453,9 +461,9 @@ class TestSelfCheck:
             learn_tree(init, gold)
         assert modal_nodes == [2]
 
-    def test_migrate_that_moves_nothing_raises(self, monkeypatch):
+    def test_a_move_that_takes_nothing_raises(self, monkeypatch):
         # without the check, expand selects and attaches the same rule forever
-        monkeypatch.setattr(_Learning, "migrate", lambda self, state, child: 0)
+        monkeypatch.setattr(_Candidates, "move", lambda self, rule: ([], []))
         init, gold = micro_corpora()
         with pytest.raises(LearnerStateError, match="moved 0 wrong records"):
             learn_tree(init, gold)
@@ -547,28 +555,31 @@ class RandomNode:
     """One node over drawn records, moved apart by drawn rules.
 
     ``wrong`` records are wrong there and ``correct`` ones correct;
-    ``move`` attaches a child and migrates what it captures, as the
-    learner does.
+    ``move`` takes what a rule captures and attaches it as a child, as
+    the learner does.
     """
 
     def __init__(self, floor, vetoes, wrong, correct):
         self.records = records = wrong + correct
         columns, gold = columns_of(records), [r.gold for r in records]
-        self.thresholds = Thresholds(floor, floor)
-        self.learning = _Learning(columns, gold, self.thresholds, DEFAULT_MAX_LEVEL)
-        self.node = self.learning.seed("X")
+        self.floor = floor
+        self.learning = _Learning(
+            columns, gold, Thresholds(floor, floor), DEFAULT_MAX_LEVEL
+        )
+        self.node = self.learning.seed("X", [])
         self.state = state = self.learning.records[self.node]
         state.wrong = list(range(len(wrong)))
         state.correct = list(range(len(wrong), len(records)))
         self.correct = state.correct if vetoes else None
-        state.candidates = _Candidates(columns, gold, state.wrong, self.correct, floor)
+        self.candidates = _Candidates(columns, gold, state, vetoes, floor)
 
     def rows(self, rows):
         return None if rows is None else [self.records[r] for r in rows]
 
     def move(self, rule):
-        """Attach ``rule`` and migrate to it."""
-        self.learning.migrate(self.state, self.learning.attach(self.node, rule))
+        """Take what ``rule`` captures and attach it as a child."""
+        wrong, correct = self.candidates.move(rule)
+        self.learning.attach(self.node, rule, wrong + correct)
 
     def drawn_move(self, move):
         """Move by a drawn ``(template, pick, gold)``.
@@ -638,14 +649,13 @@ class TestIncrementalSelection:
         original = learner.select_rule
         seen = Counter()
 
-        def checked(wrong, correct, thresholds, level, candidates):
-            got = original(wrong, correct, thresholds, level, candidates)
+        def checked(wrong, correct, candidates):
+            got = original(wrong, correct, candidates)
             columns, gold = candidates.columns, candidates.gold
             want = reference_select_rule(
                 records_of(columns, gold, wrong),
                 None if correct is None else records_of(columns, gold, correct),
-                thresholds,
-                level,
+                candidates.floor,
             )
             assert got == want
             seen[got is None, correct is None] += 1
@@ -682,7 +692,7 @@ class TestIncrementalSelection:
         keys = learner._keys
 
         def counted_keys(columns, fields, rows):
-            # only the table reads count, not the partition in ``migrate``
+            # only the table reads count, not the partition in ``move``
             if inside[0]:
                 reads[where[-1], fields] += len(rows)
             return keys(columns, fields, rows)
@@ -706,16 +716,17 @@ class TestIncrementalSelection:
             finally:
                 where.pop()
 
-        init, remove = _Candidates.__init__, _Candidates.remove
+        init, move = _Candidates.__init__, _Candidates.move
         count, subtract = _Candidates._count, _Candidates._subtract
 
-        def tracked_init(self, columns, gold, wrong, correct, floor):
-            budget[where[-1]] += len(wrong) + len(correct or ())
-            init(self, columns, gold, wrong, correct, floor)
+        def tracked_init(self, columns, gold, state, vetoes, floor):
+            budget[where[-1]] += len(state.wrong) + vetoes * len(state.correct)
+            init(self, columns, gold, state, vetoes, floor)
 
-        def tracked_remove(self, wrong):
+        def tracked_move(self, rule):
+            wrong, correct = move(self, rule)
             budget[where[-1]] += len(wrong)
-            remove(self, wrong)
+            return wrong, correct
 
         def tracked_count(self, table):
             paths["fill" if table.seen is None else "recount"] += 1
@@ -729,7 +740,7 @@ class TestIncrementalSelection:
         monkeypatch.setattr(_Learning, "expand", tracked_expand)
         monkeypatch.setattr(_Candidates, "__init__", inside_tables(tracked_init))
         monkeypatch.setattr(_Candidates, "refresh", inside_tables(_Candidates.refresh))
-        monkeypatch.setattr(_Candidates, "remove", tracked_remove)
+        monkeypatch.setattr(_Candidates, "move", tracked_move)
         monkeypatch.setattr(_Candidates, "_count", tracked_count)
         monkeypatch.setattr(_Candidates, "_subtract", tracked_subtract)
         learn_tree(all_nn(toy), toy)
@@ -752,20 +763,20 @@ class TestIncrementalSelection:
         # that they fall behind by several moves
         args, (up, steps) = drawn
         node = RandomNode(*args)
-        state, floor = node.state, args[0]
+        state, candidates = node.state, node.candidates
 
         def check(up):
             fresh = reference_candidate_tables(
-                node.rows(state.wrong), node.rows(node.correct), floor
+                node.rows(state.wrong), node.rows(node.correct), node.floor
             )
             # unfilled or stale, a table's bound caps its fresh counts
-            for table in state.candidates.tables:
+            for table in candidates.tables:
                 fixed = fresh.get(table.template.id, ({},))[0]
                 assert table.bound >= max(fixed.values(), default=0)
             if not up:
                 return
-            assert candidate_snapshot(state.candidates) == fresh
-            for table in state.candidates.tables:
+            assert candidate_snapshot(candidates) == fresh
+            for table in candidates.tables:
                 # each hot value counts the gold tags it has a ``fixed`` entry with
                 assert table.hot == Counter(values for values, _ in table.fixed)
                 assert table.bound == max(table.fixed.values())
@@ -792,11 +803,9 @@ class TestIncrementalSelection:
         node = RandomNode(*args)
         state = node.state
         for take_selected, moves in steps:
-            got = select_rule(
-                state.wrong, node.correct, node.thresholds, 2, state.candidates
-            )
+            got = select_rule(state.wrong, node.correct, node.candidates)
             want = reference_select_rule(
-                node.rows(state.wrong), node.rows(node.correct), node.thresholds, 2
+                node.rows(state.wrong), node.rows(node.correct), node.floor
             )
             assert got == want
             if got is not None and take_selected:
@@ -807,22 +816,27 @@ class TestIncrementalSelection:
     def test_a_value_hot_under_two_golds_stays_when_one_cools(self):
         # "w" fixes three A records and two B records; one correct record
         # blocks it.  Moving one B record away cools (w, B) but not (w, A).
-        records = [Record(obj(word="w"), "A")] * 3 + [Record(obj(word="w"), "B")] * 2
-        records += [Record(obj(word="w"), "C")]
+        # The moves take rows by their next word: row 4, then rows 0 and 1.
+        nexts = ["q", "q", None, None, "p", None]
+        records = [
+            Record(obj(word="w", next1Word=n), g)
+            for n, g in zip(nexts, ["A", "A", "A", "B", "B", "C"])
+        ]
         columns, gold = columns_of(records), [r.gold for r in records]
-        wrong, correct = [0, 1, 2, 3, 4], [5]
+        state = node_records([0, 1, 2, 3, 4], [5])
         word = (FIELD_INDEX["word"],)
-        candidates = _Candidates(columns, gold, wrong, correct, 1)
+        candidates = _Candidates(columns, gold, state, True, 1)
         (table,) = [t for t in up_to_date(candidates) if t.template.fields == word]
         assert table.fixed == {("w", "A"): 3, ("w", "B"): 2}
         assert table.matched == {"w": 5}
         assert table.blocked == {"w": 1}
-        wrong.remove(4)
-        candidates.remove([4])
+        next1_word = FIELD_INDEX["next1Word"]
+        assert candidates.move(Rule(((next1_word, "p"),), "B")) == ([4], [])
+        assert state.wrong == [0, 1, 2, 3]
         (table,) = [t for t in up_to_date(candidates) if t.template.fields == word]
         assert table.fixed == {("w", "A"): 3}
         assert table.matched == {"w": 4}
         assert table.blocked == {"w": 1}
-        wrong[:] = [2, 3]
-        candidates.remove([0, 1])
+        assert candidates.move(Rule(((next1_word, "q"),), "A")) == ([0, 1], [])
+        assert state.wrong == [2, 3]
         assert up_to_date(candidates) == []
