@@ -28,19 +28,27 @@ own, so counting a table never builds a (values, gold) pair per
 record; subtracting builds one only for a leaving record whose values
 are still hot.
 
+Below the seed layer a node vetoes: it selects no rule that matches
+one of its correct records.  The veto is applied once, when a table is
+filled: a candidate whose values some correct record has never enters
+the table.  Correct records never leave a vetoing node and hot values
+only cool, so the values vetoed at the fill cover every later count.
+
 The tables are lazy.  At the node's first selection only the
 single-field templates are counted; each table's bound, its largest
-count, caps every score it can give, and a multi-field template starts
-unfilled, bounded by its fields' tables.  Records leave an expanding
-node only through ``_Candidates.move``, which takes the rows a new
-child's rule matches out of the node's lists and logs the wrong ones
-for the tables.  Selection visits the tables by descending bound,
-brings each one up to date as it visits it (counting it, or
-subtracting the records that left since its last visit) and stops at
-the first table whose bound is below the best score found, so a table
-that cannot hold the winner is not counted at all.  A table reads at
-most the node's records at its first selection plus those that left
-it.  The tables live only while the node is being expanded.
+unvetoed count, caps every score it can give, and a multi-field
+template starts unfilled, bounded by its fields' largest counts before
+the veto, since a tuple of values can pass the veto although each of
+its values fails it.  Records leave an expanding node only through
+``_Candidates.move``, which takes the rows a new child's rule matches
+out of the node's lists and logs the wrong ones for the tables.
+Selection visits the tables by descending bound, brings each one up to
+date as it visits it (counting it, or subtracting the records that
+left since its last visit) and stops at the first table whose bound is
+below the best score found, so a table that cannot hold the winner is
+not counted at all.  A table reads at most the node's records at its
+first selection plus those that left it.  The tables live only while
+the node is being expanded.
 
 Once the tree is finished, a self-check reruns the tagger's compiled
 walk (``tagger.run_chain``) over every row, each node labelled by
@@ -191,14 +199,20 @@ class _Table:
 
     ``fixed[values, gold]`` counts the wrong records with these values
     and this gold tag, for hot candidates only: those above the floor
-    whose values contain no None.  It is read off the count of the
-    bare values within that gold tag's group of wrong records.
-    ``matched[values]`` counts all wrong records with these values, the
-    sum over the gold groups, and ``blocked[values]`` the correct ones
-    (None when the node does not veto); both hold the values of hot
-    candidates only, and ``blocked`` no zero counts.  ``hot[values]``
-    counts the gold tags that these values have a ``fixed`` entry with,
-    so values leave ``matched`` and ``blocked`` when it falls to 0.
+    whose values contain no None and, at a vetoing node, match no
+    correct record.  It is read off the count of the bare values within
+    that gold tag's group of wrong records.  ``matched[values]`` counts
+    all wrong records with these values, the sum over the gold groups,
+    for the values of hot candidates only.  ``hot[values]`` counts the
+    gold tags that these values have a ``fixed`` entry with, so values
+    leave ``matched`` when it falls to 0.
+
+    ``blocked`` is the set of values that were above the floor at the
+    fill and that a correct record has; the veto drops them from every
+    count.  It is None while the table is unfilled or when the node
+    does not veto.  ``top`` is the largest count above the floor at the
+    fill, vetoed values included: the bound a multi-field template
+    starts from.
 
     The counts are those of the node's rows when the first ``seen``
     rows of ``_Candidates.left`` had left it; ``seen`` is None, and the
@@ -207,15 +221,18 @@ class _Table:
     equal to it right after ``_Candidates.refresh``.
     """
 
-    __slots__ = ("template", "bound", "seen", "fixed", "matched", "blocked", "hot")
+    __slots__ = (
+        "template", "bound", "top", "seen", "fixed", "matched", "blocked", "hot"
+    )
 
     def __init__(self, template: Template, bound: int = 0) -> None:
         self.template = template
         self.bound = bound
+        self.top = 0
         self.seen: int | None = None
         self.fixed: dict | None = None
         self.matched: dict | None = None
-        self.blocked: dict | None = None
+        self.blocked: set | None = None
         self.hot: Counter | None = None
 
 
@@ -224,17 +241,19 @@ class _Candidates:
 
     The single-field templates are counted when the node's first
     selection runs.  A multi-field template starts unfilled, its bound
-    the smallest of its fields' tables' bounds, since a tuple of values
-    cannot occur in a gold group more often than any one of its values;
-    it is not kept at all when that bound is at or below the floor.
+    the smallest of its fields' tables' ``top`` counts, since a tuple of
+    values cannot occur in a gold group more often than any one of its
+    values; it is not kept at all when that bound is at or below the
+    floor.  ``top`` counts vetoed values too: a tuple can match no
+    correct record although each of its values matches one.
 
     While the node is expanded, rows leave it only through ``move``,
     which takes them out of ``state``, the node's records, and only
     logs the wrong ones; ``refresh`` brings a table up to date when
     ``select_rule`` visits it.  Records never enter a node after it is
     created, so a ``fixed`` count, and with it every bound, only falls:
-    a table whose bound falls to the floor can never give the winner
-    again and is dropped for good.
+    a table whose bound, its largest unvetoed count, falls to the floor
+    can never give the winner again and is dropped for good.
     """
 
     __slots__ = (
@@ -252,8 +271,8 @@ class _Candidates:
         self.columns = columns
         self.gold = gold
         self.state = state
-        # a vetoing node keeps ``blocked`` counts over its correct records
-        # and selects no candidate that matches one of them
+        # a vetoing node keeps no candidate that matches one of its
+        # correct records in its tables
         self.vetoes = vetoes
         self.floor = floor
         # the wrong rows that left the node, in the order they left
@@ -265,13 +284,15 @@ class _Candidates:
             if len(template.fields) == 1:
                 table = _Table(template)
                 self.refresh(table)
-                if table.bound > floor:
+                if table.top > floor:
                     singles[template.fields[0]] = table
+        # a single whose candidates are all vetoed leaves at the first
+        # ``by_bound``, but still bounds the tuples of its field
         self.tables = list(singles.values())
         for template in CATALOG:
             parents = [singles.get(field) for field in template.fields]
             if len(parents) > 1 and None not in parents:
-                bound = min(parent.bound for parent in parents)
+                bound = min(parent.top for parent in parents)
                 self.tables.append(_Table(template, bound))
 
     def move(self, rule: Rule) -> tuple[list[int], list[int]]:
@@ -308,6 +329,8 @@ class _Candidates:
     def refresh(self, table: _Table) -> None:
         """Bring ``table`` up to the node's current rows; its bound becomes exact.
 
+        The bound is then the largest unvetoed ``fixed`` count, or 0.
+
         An unfilled table is counted from the rows that remain.  A
         stale one subtracts the rows that left since it was last
         brought up to date, unless more left than remain: then it is
@@ -323,7 +346,14 @@ class _Candidates:
         table.bound = max(table.fixed.values(), default=0)
 
     def _count(self, table: _Table) -> None:
-        """Count ``table`` from the node's current rows."""
+        """Count ``table`` from the node's current rows.
+
+        The hot candidates are found first.  At a vetoing node those
+        whose values are in ``blocked`` are then dropped; the fill
+        finds ``blocked`` among the values hot then.  A recount keeps
+        it: no correct record leaves the node, and a value hot now was
+        hot at the fill, since counts only fall.
+        """
         columns, floor, fields = self.columns, self.floor, table.template.fields
         single = len(fields) == 1
         if self._groups is None:
@@ -337,35 +367,46 @@ class _Candidates:
             for values in compress(counts, map(floor.__lt__, counts.values())):
                 if not ((values is None) if single else (None in values)):
                     fixed[values, conclusion] = counts[values]
+        if table.seen is None:
+            table.top = max(fixed.values(), default=0)
+            if self.vetoes:
+                table.blocked = self._vetoed(fields, {values for values, _ in fixed})
+        blocked = table.blocked
+        if blocked:
+            fixed = {key: a for key, a in fixed.items() if key[0] not in blocked}
         hot = Counter(values for values, _ in fixed)
-        matched = {values: sum(c[values] for c in counted) for values in hot}
-        blocked = None
-        if self.vetoes and matched:
-            if table.seen is None:
-                all_blocked = Counter(_keys(columns, fields, self.state.correct))
-                blocked = {
-                    v: all_blocked[v] for v in all_blocked.keys() & matched.keys()
-                }
-            else:
-                # no correct record leaves a vetoing node: only values that
-                # cooled leave ``blocked``
-                blocked = {v: n for v, n in table.blocked.items() if v in matched}
-        table.fixed, table.matched, table.hot = fixed, matched, hot
-        table.blocked = blocked
+        keys = list(hot)
+        sums = map(sum, zip(*[map(counts.__getitem__, keys) for counts in counted]))
+        table.fixed, table.matched, table.hot = fixed, dict(zip(keys, sums)), hot
+
+    def _vetoed(self, fields: tuple[int, ...], hot: set) -> set:
+        """The values in ``hot`` that some correct record of the node has.
+
+        For more than one field, only the correct records whose first
+        field starts some hot value are projected in full.
+        """
+        if not hot:
+            return set()
+        rows, first = self.state.correct, self.columns[fields[0]]
+        if len(fields) == 1:
+            return set(filter(hot.__contains__, map(first.__getitem__, rows)))
+        starts = {values[0] for values in hot}
+        hits = map(starts.__contains__, map(first.__getitem__, rows))
+        rows = list(compress(rows, hits))
+        return set(filter(hot.__contains__, _keys(self.columns, fields, rows)))
 
     def _subtract(self, table: _Table, rows: list[int]) -> None:
         """Subtract the wrong records ``rows`` that left; drop what cools.
 
         Each record is projected once, and the values still in
-        ``matched`` (the hot ones) are filtered out in C before they
-        are counted with their gold tag; only those counts are
-        subtracted from ``matched`` and ``fixed``.  A ``fixed`` entry
-        that falls to the floor goes, and ``blocked`` only loses the
-        values that cool: those whose last ``fixed`` entry goes.
+        ``matched`` (the hot ones, vetoed values never among them) are
+        filtered out in C before they are counted with their gold tag;
+        only those counts are subtracted from ``matched`` and ``fixed``.
+        A ``fixed`` entry that falls to the floor goes, and a value
+        leaves ``matched`` when its last ``fixed`` entry goes.
         """
         floor = self.floor
         fixed, matched, hot = table.fixed, table.matched, table.hot
-        blocked = table.blocked
         keys = _keys(self.columns, table.template.fields, rows)
         hits = list(map(matched.__contains__, keys))
         golds = map(self.gold.__getitem__, rows)
@@ -386,8 +427,6 @@ class _Candidates:
             hot[values] -= 1
             if not hot[values]:
                 del hot[values], matched[values]
-                if blocked is not None:
-                    blocked.pop(values, None)
 
 
 def select_rule(
@@ -399,10 +438,11 @@ def select_rule(
     conclude its gold tag.  Per template, ``matched[values]`` counts the
     wrong records a candidate matches and ``fixed[values, gold]`` those
     it would fix, so its score is fixed minus still-wrong:
-    ``2 * fixed - matched``.  Tables built with the node's correct
-    records enable the no-regression check: candidates matching any
-    correct record (``blocked[values]`` above 0) are discarded.  The
-    seed nodes, whose correct sets are most of the corpus, skip it.
+    ``2 * fixed - matched``.  Below the seed layer the no-regression
+    check holds: a candidate that matches a correct record of the node
+    is never selected.  The tables apply it when they are filled, so
+    such a candidate is in no table.  The seed nodes, whose correct
+    sets are most of the corpus, skip it.
 
     The counts live in ``candidates``, the node's tables, which
     ``expand`` creates at the node's first selection and whose ``move``
@@ -411,15 +451,15 @@ def select_rule(
     not read here; they stay the first two parameters because the
     benchmark's selection probe counts the records each call is handed
     from their lengths.  The tables hold only hot candidates, those
-    whose ``fixed`` is above the level's floor, ``candidates.floor``.
-    That loses nothing: since ``matched >= fixed``, a score never
-    exceeds ``fixed``, and ``fixed`` never rises at a node, because
-    records only ever leave it.  For the same reason a table's bound,
-    its largest ``fixed``, caps every score it can give.  Tables are
-    visited by descending bound and brought up to date only when
-    visited; the scan stops at the first table whose bound is below
-    the best score so far.  One whose bound equals it is still
-    visited, so the tie-break stays exact.
+    whose ``fixed`` is above the level's floor, ``candidates.floor``,
+    and that pass the veto.  That loses nothing: since
+    ``matched >= fixed``, a score never exceeds ``fixed``, and ``fixed``
+    never rises at a node, because records only ever leave it.  For the
+    same reason a table's bound, its largest unvetoed ``fixed``, caps
+    every score it can give.  Tables are visited by descending bound
+    and brought up to date only when visited; the scan stops at the
+    first table whose bound is below the best score so far.  One whose
+    bound equals it is still visited, so the tie-break stays exact.
 
     Ties break on template id, then field values, then conclusion, so
     the choice never depends on iteration order.
@@ -432,7 +472,7 @@ def select_rule(
         candidates.refresh(table)
         if table.bound < best_score:
             continue
-        template, matched, blocked = table.template, table.matched, table.blocked
+        template, matched = table.template, table.matched
         for (values, conclusion), a in table.fixed.items():
             m = matched[values]
             score = 2 * a - m
@@ -440,8 +480,6 @@ def select_rule(
                 continue
             key = (-score, template.id, values, conclusion)
             if best is not None and key >= best[0]:
-                continue
-            if blocked and values in blocked:
                 continue
             best = (key, template, a, m - a)
             best_score = score

@@ -170,14 +170,15 @@ def reference_select_rule(
 
 def reference_candidate_tables(
     wrong: list[Record], correct: list[Record] | None, floor: int
-) -> dict[int, tuple[dict, dict, dict | None]]:
-    """A node's hot candidate counts, one record and template at a time.
+) -> dict[int, tuple[dict, dict]]:
+    """A node's unvetoed hot candidate counts, one record and template at a time.
 
-    Per template id with a hot candidate: ``fixed[values, gold]`` for
-    the hot candidates (count above ``floor``, no unset field),
-    ``matched[values]`` over ``wrong`` and, unless ``correct`` is None,
-    ``blocked[values]`` over ``correct`` without zero counts, both for
-    the values of hot candidates only.  Values are always tuples.
+    Per template id with such a candidate: ``fixed[values, gold]`` for
+    the hot candidates (count above ``floor``, no unset field) and
+    ``matched[values]`` over ``wrong`` for their values.  Unless
+    ``correct`` is None, both hold only the hot values that no record in
+    ``correct`` has: a value is hot or not before the veto.  Values are
+    always tuples.
     """
     tables = {}
     for template in CATALOG:
@@ -187,6 +188,9 @@ def reference_candidate_tables(
             if values is not None:
                 counts[values, r.gold] = counts.get((values, r.gold), 0) + 1
         fixed = {key: a for key, a in counts.items() if a > floor}
+        if correct is not None:
+            vetoed = {project(template, r.obj) for r in correct}
+            fixed = {key: a for key, a in fixed.items() if key[0] not in vetoed}
         if not fixed:
             continue
         hot = {values for values, _ in fixed}
@@ -195,14 +199,7 @@ def reference_candidate_tables(
             values = project(template, r.obj)
             if values in hot:
                 matched[values] += 1
-        blocked = None
-        if correct is not None:
-            blocked = {}
-            for r in correct:
-                values = project(template, r.obj)
-                if values in hot:
-                    blocked[values] = blocked.get(values, 0) + 1
-        tables[template.id] = (fixed, matched, blocked)
+        tables[template.id] = (fixed, matched)
     return tables
 
 

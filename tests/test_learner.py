@@ -541,7 +541,6 @@ def candidate_snapshot(candidates):
         snapshot[t.template.id] = (
             {(wrap(v), gold): a for (v, gold), a in t.fixed.items()},
             {wrap(v): n for v, n in t.matched.items()},
-            None if t.blocked is None else {wrap(v): n for v, n in t.blocked.items()},
         )
     return snapshot
 
@@ -814,13 +813,14 @@ class TestIncrementalSelection:
                 node.drawn_move(move)
 
     def test_a_value_hot_under_two_golds_stays_when_one_cools(self):
-        # "w" fixes three A records and two B records; one correct record
-        # blocks it.  Moving one B record away cools (w, B) but not (w, A).
-        # The moves take rows by their next word: row 4, then rows 0 and 1.
+        # "w" fixes three A records and two B records; the correct record
+        # has another word, so the veto keeps it.  Moving one B record away
+        # cools (w, B) but not (w, A).  The moves take rows by their next
+        # word: row 4, then rows 0 and 1.
         nexts = ["q", "q", None, None, "p", None]
         records = [
-            Record(obj(word="w", next1Word=n), g)
-            for n, g in zip(nexts, ["A", "A", "A", "B", "B", "C"])
+            Record(obj(word=w, next1Word=n), g)
+            for w, n, g in zip("wwwwwv", nexts, ["A", "A", "A", "B", "B", "C"])
         ]
         columns, gold = columns_of(records), [r.gold for r in records]
         state = node_records([0, 1, 2, 3, 4], [5])
@@ -829,14 +829,64 @@ class TestIncrementalSelection:
         (table,) = [t for t in up_to_date(candidates) if t.template.fields == word]
         assert table.fixed == {("w", "A"): 3, ("w", "B"): 2}
         assert table.matched == {"w": 5}
-        assert table.blocked == {"w": 1}
+        assert table.blocked == set()
         next1_word = FIELD_INDEX["next1Word"]
         assert candidates.move(Rule(((next1_word, "p"),), "B")) == ([4], [])
         assert state.wrong == [0, 1, 2, 3]
         (table,) = [t for t in up_to_date(candidates) if t.template.fields == word]
         assert table.fixed == {("w", "A"): 3}
         assert table.matched == {"w": 4}
-        assert table.blocked == {"w": 1}
+        assert table.blocked == set()
         assert candidates.move(Rule(((next1_word, "q"),), "A")) == ([0, 1], [])
         assert state.wrong == [2, 3]
         assert up_to_date(candidates) == []
+
+    def test_a_table_whose_hot_values_are_all_vetoed_is_never_counted_again(
+        self, monkeypatch
+    ):
+        # "w" is hot under A and B, and the correct row 6 has it too, so the
+        # veto drops every candidate of the word table at its fill.  The
+        # next words "q" and "r" pass the veto and are selected one by one.
+        records = [
+            Record(obj(word="w", next1Word=n), g)
+            for n, g in zip("qqqrrrp", ["A", "A", "A", "B", "B", "B", "C"])
+        ]
+        columns, gold = columns_of(records), [r.gold for r in records]
+        state = node_records([0, 1, 2, 3, 4, 5], [6])
+        candidates = _Candidates(columns, gold, state, True, 1)
+        word = (FIELD_INDEX["word"],)
+        (table,) = [t for t in candidates.tables if t.template.fields == word]
+        assert (table.top, table.bound, table.fixed, table.blocked) == (3, 0, {}, {"w"})
+        visited = []
+        for name in ("_count", "_subtract"):
+
+            def tracked(self, table, *rows, method=getattr(_Candidates, name)):
+                visited.append(table)
+                method(self, table, *rows)
+
+            monkeypatch.setattr(_Candidates, name, tracked)
+        next1_word = FIELD_INDEX["next1Word"]
+        for value, conclusion in [("q", "A"), ("r", "B")]:
+            got = select_rule(state.wrong, state.correct, candidates)
+            assert got.rule == Rule(((next1_word, value),), conclusion)
+            assert table not in candidates.tables
+            candidates.move(got.rule)
+        assert select_rule(state.wrong, state.correct, candidates) is None
+        assert table not in visited
+        # the other tables were brought up to date after each move
+        assert visited
+
+    def test_a_pair_wins_where_each_of_its_values_is_vetoed(self):
+        # Rows 0-2 follow "x" and read "w".  One correct record reads "w"
+        # after "y", another "z" after "x": each single value is vetoed,
+        # the pair (x, w) is not.  Its table starts bounded by what its
+        # fields counted before the veto.
+        wrong = [Record(obj(prev1Word="x", word="w"), "A")] * 3
+        correct = [
+            Record(obj(prev1Word="y", word="w"), "C"),
+            Record(obj(prev1Word="x", word="z"), "C"),
+        ]
+        got = select(wrong, correct, Thresholds(1, 1), 3)
+        rule = Rule(((FIELD_INDEX["prev1Word"], "x"), (FIELD_INDEX["word"], "w")), "A")
+        assert got == Selection(rule, 7, 3, 0)
+        assert got == reference_select_rule(wrong, correct, 1)
