@@ -307,7 +307,7 @@ def cmd_xval(args: argparse.Namespace) -> int:
     options = _train_options(args, _load_config(args.config))
     corpus = read_tagged_corpus(_read_text(args.corpus), options.separator)
     report = cross_validate(corpus, k=args.folds, options=options)
-    with open(args.report, "w", encoding="utf-8", newline="\n") as handle:
+    with _replacing(args.report) as handle:
         handle.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     mean = report["mean"]
     print(

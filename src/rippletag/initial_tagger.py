@@ -6,29 +6,51 @@ digit check, suffix tables from longest to shortest, then a default
 based on capitalization.  During training, words seen exactly once are
 masked so the learner sees realistic unknown-word behaviour.
 
-A regex rule fires when ``search`` finds it anywhere in the word.
-``search`` retries a failing pattern from every offset, which costs
-time quadratic in the word's length, while ``match`` tries offset 0
-only.  For a rule whose every top-level branch starts with ``^``/``\\A``
-(without MULTILINE) or with an unbounded repeat of ``.`` such as
-``.*``, and which has no backreference, both give the same answer on a
-word without a newline.  If ``search`` succeeds at offset i through an
-anchored branch, i is 0.  If it succeeds through a branch whose repeat
-of ``.`` spans word[i:j], the same repeat can span word[0:j] instead,
-since ``.`` matches every character but a newline, and the rest of the
-pattern then runs from j exactly as before: without a backreference
-nothing after the repeat depends on where the match began.  Such rules
-run with ``match``; every other rule, and every rule on a word with a
-newline, runs with ``search``.
+A regex rule fires when ``search`` finds it anywhere in the word, and
+the first rule that fires gives the tag.  ``_classify`` parses each rule
+once per process and gives its shape, which decides how the rule runs
+on a word without a newline.  A word holding a newline runs every rule
+with ``search``, in order.
 
-Each maximal run of consecutive joinable rules is compiled into one
-pattern ``(r0)|(r1)|...`` run with ``match``, so a word costs one call
-into the regex engine per run, not one per rule.  At offset 0 an
-alternation tries its branches in order and leaves a branch only when
-it cannot match there at all, which is when that rule's own ``match``
-returns None; so the first rule that matches still wins.  Its tag is
-read from ``lastindex``, which is the rule's wrapper group: that group
-closes after every group inside it.
+An affix rule is answered without the regex engine.  It has the default
+flags, and every top-level branch is either a suffix branch (an
+optional ``.*`` or ``.*?``, a finite set of literal strings, then ``$``
+or ``\\Z``) or a prefix branch (``^`` or ``\\A``, such a set, then an
+optional ``.*`` or ``.*?``).  The set is built from literals, flag-free
+groups, alternations and character classes of literals and ranges; a
+rule's sets hold at most ``MAX_RULE_AFFIXES`` strings in all, none of
+them empty.  On a word without a newline ``$`` and ``\\Z`` both match
+only at its end and ``.`` matches every character, so ``search`` finds
+a suffix branch exactly when the word ends with one of its strings, and
+a prefix branch exactly when the word starts with one.  Two dicts map
+every prefix and every suffix to the lowest rule that has it.  A word
+is sliced once per affix length, and the lowest rule hit is the first
+affix rule that fires.
+
+Every other rule runs in the regex engine, and only when it comes before
+that hit.  ``search`` retries a failing pattern from every offset, which
+costs time quadratic in the word's length, while ``match`` tries offset
+0 only.  For a rule whose every top-level branch starts with
+``^``/``\\A`` (without MULTILINE) or with an unbounded repeat of ``.``
+such as ``.*``, and which has no backreference, both give the same
+answer on a word without a newline.  If ``search`` succeeds at offset i
+through an anchored branch, i is 0.  If it succeeds through a branch
+whose repeat of ``.`` spans word[i:j], the same repeat can span word[0:j]
+instead, since ``.`` matches every character but a newline, and the rest
+of the pattern then runs from j exactly as before: without a
+backreference nothing after the repeat depends on where the match
+began.  Such rules run with ``match``; the others with ``search``.
+
+Each maximal run of joinable rules among the rules that are not affix
+rules is compiled into one pattern ``(r0)|(r1)|...`` run with
+``match``, so a word costs one call into the regex engine per run, not
+one per rule.  At offset 0 an alternation tries its branches in order
+and leaves a branch only when it cannot match there at all, which is
+when that rule's own ``match`` returns None; so the matcher finds the
+first of its rules that matches, read from ``lastindex``, which is the
+rule's wrapper group: that group closes after every group inside it.
+The first matcher that finds a rule has found the first regex-engine
+rule that fires, and the lower of it and the affix hit wins.
 A rule is joinable when ``match`` is exact for it, it compiles with
 the default flags, it has no named group (two rules could name the
 same one) and its text holds no inline global-flag group such as
@@ -36,6 +58,8 @@ same one) and its text holds no inline global-flag group such as
 it to the whole pattern).  Every other rule is a matcher of its own,
 in its place in the order.  ``InitialTaggerOptions`` caps how deep a
 rule nests, so a joined pattern, one group deeper, always compiles.
+Without the regex parser no rule has a shape, and every rule runs with
+``search``.
 """
 
 from __future__ import annotations
@@ -46,7 +70,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, groupby
-from typing import Callable
+from typing import Callable, Iterable, NamedTuple
 
 from .corpus import TaggedCorpus
 from .lexicon import SUFFIX_LENGTHS, Lexicon, contains_digit, is_capitalized
@@ -128,15 +152,35 @@ class InitialTaggerOptions:
                 raise ValueError(f"'regex_rules': {exc}") from exc
 
 
-@lru_cache(maxsize=1024)
-def _match_is_exact(pattern: str, flags: int) -> bool:
-    """Whether ``match`` answers as ``search`` does on newline-free words.
+# An affix rule expands to at most this many prefixes and suffixes in
+# all; past it, the rule runs in the regex engine.
+MAX_RULE_AFFIXES = 256
 
-    True when every top-level branch starts with an anchor or an
-    unbounded repeat of ``.`` and nothing refers back to a group (see
-    the module docstring).  Anything not recognised is False, so the
-    rule keeps ``search``.  Cached, as every ``Tagger`` built from a
-    model classifies the same rules again.
+_DEFAULT_FLAGS = re.compile("").flags
+# an inline global-flag group, as opposed to a scoped ``(?i:...)``
+_GLOBAL_FLAG_GROUP = re.compile(r"\(\?[aiLmstux]+\)")
+
+
+class _Shape(NamedTuple):
+    """How a rule runs on a word without a newline (see the module docstring)."""
+
+    exact: bool  # ``match`` answers as ``search`` does
+    joinable: bool  # it can be one branch of a joined alternation
+    # an affix rule's strings; both empty for every other rule
+    prefixes: frozenset[str] = frozenset()
+    suffixes: frozenset[str] = frozenset()
+
+
+_UNKNOWN_SHAPE = _Shape(exact=False, joinable=False)
+
+
+@lru_cache(maxsize=1024)
+def _classify(pattern: str, flags: int) -> _Shape:
+    """The shape of the rule ``pattern`` compiled with ``flags``.
+
+    One parse and walk per rule and process: every ``Tagger`` built
+    from a model classifies the same rules again.  Anything not
+    recognised gets the shape that runs the rule with ``search``.
     """
     try:
         if sys.version_info >= (3, 11):
@@ -144,7 +188,21 @@ def _match_is_exact(pattern: str, flags: int) -> bool:
         else:
             import sre_parse as parser
     except ImportError:
-        return False
+        return _UNKNOWN_SHAPE
+    starts = ((parser.AT, parser.AT_BEGINNING), (parser.AT, parser.AT_BEGINNING_STRING))
+    ends = ((parser.AT, parser.AT_END), (parser.AT, parser.AT_END_STRING))
+
+    def dot_repeat_min(item) -> int | None:
+        """The least count of an unbounded repeat of ``.``, else None."""
+        op, av = item
+        if op == parser.MAX_REPEAT or op == parser.MIN_REPEAT:
+            low, high, sub = av
+            if high == parser.MAXREPEAT and list(sub) == [(parser.ANY, None)]:
+                return low
+        return None
+
+    def flag_free_group(op, av) -> bool:
+        return op == parser.SUBPATTERN and not av[1] and not av[2]
 
     def starts_anchored(items) -> bool:
         if not len(items):
@@ -154,15 +212,11 @@ def _match_is_exact(pattern: str, flags: int) -> bool:
             return av == parser.AT_BEGINNING_STRING or (
                 av == parser.AT_BEGINNING and not multiline
             )
-        if op == parser.MAX_REPEAT or op == parser.MIN_REPEAT:
-            _, high, item = av
-            return high == parser.MAXREPEAT and list(item) == [(parser.ANY, None)]
         if op == parser.SUBPATTERN:
-            _, add_flags, del_flags, sub = av
-            return not add_flags and not del_flags and starts_anchored(sub)
+            return flag_free_group(op, av) and starts_anchored(av[3])
         if op == parser.BRANCH:
             return all(starts_anchored(branch) for branch in av[1])
-        return False
+        return dot_repeat_min(items[0]) is not None
 
     def refers_back(node) -> bool:
         if isinstance(node, parser.SubPattern):
@@ -174,50 +228,123 @@ def _match_is_exact(pattern: str, flags: int) -> bool:
             return any(map(refers_back, node))
         return False
 
+    def branches(items) -> list:
+        """The top-level branches of ``items``, through flag-free groups."""
+        if len(items) == 1:
+            op, av = items[0]
+            if op == parser.BRANCH:
+                return [b for sub in av[1] for b in branches(sub)]
+            if flag_free_group(op, av):
+                return branches(av[3])
+        return [items]
+
+    def strings(items) -> set[str] | None:
+        """The strings ``items`` matches, if a finite literal set within the cap."""
+        found = {""}
+        for op, av in items:
+            if op == parser.LITERAL:
+                item = {chr(av)}
+            elif op == parser.IN:
+                item = set()
+                for kind, value in av:
+                    if kind == parser.LITERAL:
+                        item.add(chr(value))
+                    elif kind == parser.RANGE and value[1] < value[0] + MAX_RULE_AFFIXES:
+                        item.update(map(chr, range(value[0], value[1] + 1)))
+                    else:
+                        return None
+            elif op == parser.BRANCH:
+                item = set()
+                for branch in av[1]:
+                    sub = strings(branch)
+                    if sub is None:
+                        return None
+                    item |= sub
+            elif flag_free_group(op, av):
+                item = strings(av[3])
+                if item is None:
+                    return None
+            else:
+                return None
+            if len(found) * len(item) > MAX_RULE_AFFIXES:
+                return None
+            found = {head + tail for head in found for tail in item}
+        return found
+
+    def affixes(items) -> tuple[frozenset[str], ...]:
+        """An affix rule's prefixes and suffixes; () for any other rule."""
+        prefixes: set[str] = set()
+        suffixes: set[str] = set()
+        for branch in branches(items):
+            body = list(branch)
+            if body and body[0] in starts:
+                found = prefixes
+                del body[0]
+                if body and dot_repeat_min(body[-1]) == 0:
+                    del body[-1]
+            elif body and body[-1] in ends:
+                found = suffixes
+                del body[-1]
+                if body and dot_repeat_min(body[0]) == 0:
+                    del body[0]
+            else:
+                return ()
+            literals = strings(body)
+            if literals is None or "" in literals:
+                return ()
+            found |= literals
+        if len(prefixes) + len(suffixes) > MAX_RULE_AFFIXES:
+            return ()
+        return frozenset(prefixes), frozenset(suffixes)
+
     try:
         parsed = parser.parse(pattern, flags)
-        multiline = parsed.state.flags & re.MULTILINE
-        return starts_anchored(parsed) and not refers_back(parsed)
+        state = parsed.state
+        multiline = state.flags & re.MULTILINE
+        exact = starts_anchored(parsed) and not refers_back(parsed)
+        default = state.flags == _DEFAULT_FLAGS
+        joinable = (
+            exact
+            and default
+            and not state.groupdict
+            and not _GLOBAL_FLAG_GROUP.search(pattern)
+        )
+        return _Shape(exact, joinable, *(affixes(parsed) if default else ()))
     except (re.error, RecursionError):
         # RecursionError: groups nested deeper than these walks reach,
         # which ``re.compile`` may still accept
-        return False
+        return _UNKNOWN_SHAPE
 
 
-_DEFAULT_FLAGS = re.compile("").flags
-# an inline global-flag group, as opposed to a scoped ``(?i:...)``
-_GLOBAL_FLAG_GROUP = re.compile(r"\(\?[aiLmstux]+\)")
+# A matcher is (first, test, indexes): ``first`` is the index of its
+# first rule, ``test(word)`` returns a match or None, and
+# ``indexes[match.lastindex]`` is the index of the rule that matched.
+_Matcher = tuple[int, Callable[[str], "re.Match[str] | None"], dict]
 
 
-def _joinable(p: re.Pattern[str]) -> bool:
-    """Whether ``p`` can be one branch of a joined alternation."""
-    return (
-        p.flags == _DEFAULT_FLAGS
-        and not p.groupindex
-        and not _GLOBAL_FLAG_GROUP.search(p.pattern)
-        and _match_is_exact(p.pattern, p.flags)
-    )
+def _alone(test, p: re.Pattern[str], index: int) -> _Matcher:
+    """A matcher for one rule: its index, whichever group closed last."""
+    return index, test, dict.fromkeys([None, *range(1, p.groups + 1)], index)
 
 
-# A matcher is (test, tags): ``test(word)`` returns a match or None,
-# and ``tags[match.lastindex]`` is the tag of the rule that matched.
-_Matcher = tuple[Callable[[str], "re.Match[str] | None"], dict]
-
-
-def _alone(test, p: re.Pattern[str], tag: str) -> _Matcher:
-    """A matcher for one rule: its tag, whichever group closed last."""
-    return test, dict.fromkeys([None, *range(1, p.groups + 1)], tag)
-
-
-def _joined(rules: list[tuple[re.Pattern[str], str]]) -> _Matcher:
-    """One matcher for consecutive joinable rules: ``(r0)|(r1)|...``."""
-    tags = {}
+def _joined(rules: list[tuple[int, re.Pattern[str]]]) -> _Matcher:
+    """One matcher for a run of joinable rules: ``(r0)|(r1)|...``."""
+    indexes = {}
     group = 1
-    for p, tag in rules:
-        tags[group] = tag
+    for index, p in rules:
+        indexes[group] = index
         group += 1 + p.groups
-    joined = re.compile("|".join(f"({p.pattern})" for p, _ in rules))
-    return joined.match, tags
+    joined = re.compile("|".join(f"({p.pattern})" for _, p in rules))
+    return rules[0][0], joined.match, indexes
+
+
+def _lowest_rules(affixes_by_rule: Iterable[frozenset[str]]) -> dict[str, int]:
+    """Each affix, mapped to the index of the first rule that has it."""
+    lowest: dict[str, int] = {}
+    for index, affixes in enumerate(affixes_by_rule):
+        for affix in affixes:
+            lowest.setdefault(affix, index)
+    return lowest
 
 
 class InitialTagger:
@@ -236,18 +363,36 @@ class InitialTagger:
                 for pattern, tag in self.options.regex_rules
                 if tag in known_tags
             )
-        # matchers in rule order: one per run of joinable rules, one per other rule
+        shapes = [_classify(p.pattern, p.flags) for p, _ in rules]
+        prefixes = _lowest_rules(shape.prefixes for shape in shapes)
+        suffixes = _lowest_rules(shape.suffixes for shape in shapes)
+        # (affixes, slice) per prefix length, then per suffix length
+        self._affix_lookups = tuple(
+            [(prefixes, slice(n)) for n in sorted(set(map(len, prefixes)))]
+            + [(suffixes, slice(-n, None)) for n in sorted(set(map(len, suffixes)))]
+        )
+        # matchers for the rules that are not affix rules, in order: one per
+        # run of joinable rules, one per other rule
+        engine_rules = [
+            (index, p, shape)
+            for index, ((p, _), shape) in enumerate(zip(rules, shapes))
+            if not (shape.prefixes or shape.suffixes)
+        ]
         matchers: list[_Matcher] = []
-        for joinable, group in groupby(rules, key=lambda rule: _joinable(rule[0])):
+        for joinable, group in groupby(engine_rules, key=lambda rule: rule[2].joinable):
             if joinable:
-                matchers.append(_joined(list(group)))
+                matchers.append(_joined([(index, p) for index, p, _ in group]))
                 continue
-            for p, tag in group:
-                exact = _match_is_exact(p.pattern, p.flags)
-                matchers.append(_alone(p.match if exact else p.search, p, tag))
+            for index, p, shape in group:
+                matchers.append(_alone(p.match if shape.exact else p.search, p, index))
         self._regex_rules = tuple(matchers)
         # ``.`` stops at a newline, so a word holding one runs them all by search
-        self._newline_rules = tuple(_alone(p.search, p, tag) for p, tag in rules)
+        self._newline_rules = tuple(
+            _alone(p.search, p, index) for index, (p, _) in enumerate(rules)
+        )
+        self._rule_tags = tuple(tag for _, tag in rules)
+        # one past the last rule: the index of no rule
+        self._no_rule = len(rules)
         self._suffix_tables = tuple(
             (n, lexicon.suffix_tags.get(n, {}))
             for n in sorted(SUFFIX_LENGTHS, reverse=True)
@@ -255,10 +400,25 @@ class InitialTagger:
 
     def guess_unknown(self, word: str) -> str:
         """First guess from the unknown-word chain, ignoring any lexicon entry."""
-        for test, tags in self._newline_rules if "\n" in word else self._regex_rules:
-            m = test(word)
-            if m:
-                return tags[m.lastindex]
+        hit = no_rule = self._no_rule
+        if hit:  # there are rules
+            if "\n" in word:
+                matchers = self._newline_rules
+            else:
+                matchers = self._regex_rules
+                for lowest, cut in self._affix_lookups:
+                    index = lowest.get(word[cut], hit)
+                    if index < hit:
+                        hit = index
+            for first, test, indexes in matchers:
+                if first >= hit:
+                    break
+                m = test(word)
+                if m:
+                    hit = min(hit, indexes[m.lastindex])
+                    break
+            if hit < no_rule:
+                return self._rule_tags[hit]
         lexicon = self.lexicon
         if contains_digit(word):
             return lexicon.numeric_tag

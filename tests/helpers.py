@@ -462,8 +462,9 @@ def reference_guess_unknown(
 ) -> str:
     """The unknown-word chain with every regex rule run by ``search``.
 
-    ``InitialTagger.guess_unknown`` runs anchored rules with ``match``
-    and keeps its tables ready-made; it must answer as this does.
+    ``InitialTagger.guess_unknown`` answers affix rules by dict lookups,
+    runs other anchored rules with ``match`` and keeps its tables
+    ready-made; it must answer as this does.
     """
     if options.mode == MODE_ENGLISH:
         known_tags = lexicon.tagset

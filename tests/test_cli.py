@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -487,6 +488,29 @@ class TestEval:
         assert code == 2
 
 
+class _FailingWrites:
+    """A text handle whose first write stops halfway, as on a full disk."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+    def write(self, text):
+        self._handle.write(text[: len(text) // 2])
+        self._handle.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _open_failing_writes(file, mode="r", *args, **kwargs):
+    handle = open(file, mode, *args, **kwargs)
+    return _FailingWrites(handle) if "w" in mode else handle
+
+
 class TestXval:
     def test_writes_a_full_report(self, micro_file, tmp_path, capsys):
         report_path = tmp_path / "report.json"
@@ -507,6 +531,30 @@ class TestXval:
         assert len(report["folds"]) == 2
         assert "2-fold" in capsys.readouterr().err
         assert report["speed"]["tokens_per_sec"] > 0
+
+    def test_a_failed_write_leaves_an_existing_report_as_it_was(
+        self, micro_file, tmp_path, capsys, monkeypatch
+    ):
+        report_dir = tmp_path / "reports"
+        report_dir.mkdir()
+        report_path = report_dir / "report.json"
+        report_path.write_bytes(b'{"old": true}\n')
+        monkeypatch.setattr(cli, "open", _open_failing_writes, raising=False)
+        code = main(
+            [
+                "xval",
+                "--corpus",
+                str(micro_file),
+                "--folds",
+                "2",
+                "--report",
+                str(report_path),
+            ]
+        )
+        assert code == 2
+        assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
+        assert report_path.read_bytes() == b'{"old": true}\n'
+        assert os.listdir(report_dir) == ["report.json"]
 
     def test_more_folds_than_sentences_is_a_data_error(
         self, micro_file, tmp_path, capsys

@@ -8,12 +8,13 @@ from hypothesis import given, settings, strategies as st
 from rippletag.corpus import read_tagged_corpus
 from rippletag.initial_tagger import (
     DEFAULT_ENGLISH_RULES,
+    MAX_RULE_AFFIXES,
     MAX_RULE_PARENS,
     MODE_ENGLISH,
     MODE_GENERIC,
     InitialTagger,
     InitialTaggerOptions,
-    _match_is_exact,
+    _classify,
     initialize_corpus,
     parse_regex_rules,
 )
@@ -217,14 +218,72 @@ _NEW_SYNTAX = pytest.mark.skipif(
 )
 def test_match_is_exact_only_for_rules_anchored_at_the_start(pattern, exact):
     compiled = re.compile(pattern)
-    assert _match_is_exact(compiled.pattern, compiled.flags) is exact
+    assert _classify(compiled.pattern, compiled.flags).exact is exact
 
 
 def test_match_is_not_exact_under_multiline_or_a_parse_failure():
-    assert _match_is_exact("^x", 0)
-    assert not _match_is_exact("^x", re.MULTILINE)
-    assert _match_is_exact(r"\Ax", re.MULTILINE)
-    assert not _match_is_exact("(", 0)
+    assert _classify("^x", 0).exact
+    assert not _classify("^x", re.MULTILINE).exact
+    assert _classify(r"\Ax", re.MULTILINE).exact
+    assert not _classify("(", 0).exact
+
+
+@pytest.mark.parametrize(
+    "pattern, prefixes, suffixes",
+    [
+        # every top-level branch a prefix or a suffix branch
+        (".*ing$", set(), {"ing"}),
+        (".*?ing\\Z", set(), {"ing"}),
+        (".{0,}ing$", set(), {"ing"}),  # parsed as ``.*``
+        ("ab$", set(), {"ab"}),
+        ("^ab", {"ab"}, set()),
+        (r"\Aab.*?", {"ab"}, set()),
+        (".*(?:ab|b)$", set(), {"ab", "b"}),
+        ("^[Ee]x-.*", {"Ex-", "ex-"}, set()),
+        ("^[a-c]", {"a", "b", "c"}, set()),
+        (".*i(ze|se)$", set(), {"ize", "ise"}),
+        ("(.*ness$)|(^[Ss]elf-.*)", {"Self-", "self-"}, {"ness"}),
+        ("(?:.*a$|(^b))", {"b"}, {"a"}),
+        ("(?P<g>^a)", {"a"}, set()),
+        ("(?u)^a", {"a"}, set()),
+        # anything else runs in the regex engine
+        ("", set(), set()),
+        ("a", set(), set()),
+        ("^", set(), set()),
+        (".*$", set(), set()),
+        ("^a$", set(), set()),
+        ("^(?:a|)", set(), set()),
+        (".+a$", set(), set()),
+        ("^a.+", set(), set()),
+        ("^a.*b", set(), set()),
+        (".*a$|b", set(), set()),
+        ("[^a]$", set(), set()),
+        (r"\d$", set(), set()),
+        ("a?$", set(), set()),
+        ("(?i)^a", set(), set()),
+        ("(?m)^a", set(), set()),
+        ("(?s).*a$", set(), set()),
+        ("(?i:a)$", set(), set()),
+        (r"(a)\1$", set(), set()),
+        ("^[\x00-\uffff]", set(), set()),
+        ("^[a-z][a-z]", set(), set()),
+    ],
+)
+def test_affix_rules_are_the_prefix_and_suffix_shapes(pattern, prefixes, suffixes):
+    compiled = re.compile(pattern)
+    shape = _classify(compiled.pattern, compiled.flags)
+    assert (shape.prefixes, shape.suffixes) == (prefixes, suffixes)
+
+
+def test_an_affix_set_past_the_cap_runs_in_the_regex_engine():
+    # 16 * 16 = 256 strings is the cap; one more string is past it
+    letters = "abcdefghijklmnop"
+    at_cap = _classify(f"^[{letters}][{letters}]", re.UNICODE)
+    assert len(at_cap.prefixes) == MAX_RULE_AFFIXES
+    assert not _classify(f"^[{letters}q][{letters}]", re.UNICODE).prefixes
+    # the cap holds for a rule's prefixes and suffixes together
+    both = _classify(f"^[{letters}][{letters}]|.*z$", re.UNICODE)
+    assert not (both.prefixes or both.suffixes)
 
 
 # Tags R1 and R2 are known, ZZ is not; the suffix tables and the words
@@ -246,20 +305,42 @@ _LEXICON = Lexicon(
     lowercase_tag="LOW",
 )
 _WORDS = ["", "a", "ab", "bab", "Xab", "xaXab", "bababa", "a1", "Ex-x", "\nab",
-          "running", "sadness", "Rome", "a\nness", "ness\n", "Ex-\nx", "B-52"]
+          "running", "sadness", "Rome", "a\nness", "ness\n", "Ex-\nx", "B-52",
+          # a prefix rule and a suffix rule of a different order both fire
+          "Ex-ness", "Self-less", "Running", "Sadness", "Ex-ed",
+          # shorter than the longest affix of the default rules
+          "s", "ly", "ic", "Ex", "Sel", "Self", "Self-", "ness"]
 
 
 def _chain(rules):
     return InitialTagger(_LEXICON, InitialTaggerOptions(MODE_ENGLISH, tuple(rules)))
 
 
-def test_every_default_english_rule_runs_with_match():
-    # the defaults are all joinable: one matcher, run with ``match``,
-    # whose wrapper groups map to the rules' tags in order
+def _affixes(tagger):
+    """The tagger's prefix and suffix lookups: ({affix: rule}, {affix: rule})."""
+    prefixes, suffixes = {}, {}
+    for lowest, cut in tagger._affix_lookups:
+        (prefixes if cut.start is None else suffixes).update(lowest)
+    return prefixes, suffixes
+
+
+def test_every_default_english_rule_is_answered_by_affix_lookups():
+    # the defaults are all affix rules: no regex matcher is left, and each
+    # affix maps to the lowest rule that has it
     tagger = _chain(DEFAULT_ENGLISH_RULES)
-    ((test, tags),) = tagger._regex_rules
-    assert test.__name__ == "match"
-    assert list(tags.values()) == [tag for _, tag in DEFAULT_ENGLISH_RULES]
+    assert tagger._regex_rules == ()
+    prefixes, suffixes = _affixes(tagger)
+    assert prefixes == {
+        "Ex-": 0, "ex-": 0, "Self-": 0, "self-": 0,
+        **{chr(c): 10 for c in range(ord("A"), ord("Z") + 1)},
+    }
+    assert (suffixes["ness"], suffixes["less"], suffixes["s"]) == (0, 3, 9)
+    assert len(suffixes) == 25
+    # one slice per affix length
+    assert [cut for _, cut in tagger._affix_lookups] == [
+        slice(1), slice(3), slice(5), *(slice(-n, None) for n in (1, 2, 3, 4))
+    ]
+    assert tagger._rule_tags == tuple(tag for _, tag in DEFAULT_ENGLISH_RULES)
     for word in _WORDS:
         assert tagger.guess_unknown(word) == reference_guess_unknown(
             _LEXICON, tagger.options, word
@@ -269,57 +350,73 @@ def test_every_default_english_rule_runs_with_match():
 def test_without_the_regex_parser_every_rule_runs_with_search(monkeypatch):
     monkeypatch.setitem(sys.modules, "re._parser", None)
     monkeypatch.setitem(sys.modules, "sre_parse", None)
-    _match_is_exact.cache_clear()
+    _classify.cache_clear()
     try:
         tagger = _chain(DEFAULT_ENGLISH_RULES)
-        # nothing is joinable: one ``search`` matcher per rule
+        # no affix rule and nothing joinable: one ``search`` matcher per rule
+        assert tagger._affix_lookups == ()
         assert len(tagger._regex_rules) == len(DEFAULT_ENGLISH_RULES)
-        for (test, tags), (_, tag) in zip(tagger._regex_rules, DEFAULT_ENGLISH_RULES):
+        for index, (first, test, indexes) in enumerate(tagger._regex_rules):
+            assert first == index
             assert test.__name__ == "search"
-            assert set(tags.values()) == {tag}
+            assert set(indexes.values()) == {index}
         for word in _WORDS:
             assert tagger.guess_unknown(word) == reference_guess_unknown(
                 _LEXICON, tagger.options, word
             )
     finally:
-        _match_is_exact.cache_clear()
+        _classify.cache_clear()
 
 
 def test_runs_of_joinable_rules_share_one_matcher():
     rules = [
-        (".*a$", "R1"),
+        (".*a$", "R1"),  # affix rules: looked up, not matched
         ("^b", "R2"),
         ("(?i)^x", "R1"),  # other flags
         (".*x", "R2"),
-        ("(?P<g>^a)", "R1"),  # a named group
-        ("(?u)^b", "R2"),  # an inline global flag, though the default one
+        ("^ab", "R1"),  # an affix rule does not split a run
+        (".+b", "R2"),
+        ("(?P<g>^a.)", "R1"),  # a named group
+        ("(?u)^b.", "R2"),  # an inline global flag, though the default one
         ("x", "R1"),  # needs ``search``
-        ("^a", "R2"),
-        (r"\Ab", "R1"),
+        ("^a.+", "R2"),
+        (r"\Ab.", "R1"),
+        ("(?i:b)$", "R2"),  # needs ``search``
     ]
     tagger = _chain(rules)
-    layout = [(test.__name__, len(set(tags.values()))) for test, tags in tagger._regex_rules]
-    assert layout == [
-        ("match", 2),
-        ("match", 1),
-        ("match", 1),
-        ("match", 1),
-        ("match", 1),
-        ("search", 1),
-        ("match", 2),
+    assert _affixes(tagger) == ({"b": 1, "ab": 4}, {"a": 0})
+    layout = [
+        (first, test.__name__, sorted(set(indexes.values())))
+        for first, test, indexes in tagger._regex_rules
     ]
-    for word in _WORDS + ["b", "x", "Xa", "ba", "xa"]:
+    assert layout == [
+        (2, "match", [2]),
+        (3, "match", [3, 5]),
+        (6, "match", [6]),
+        (7, "match", [7]),
+        (8, "search", [8]),
+        (9, "match", [9, 10]),
+        (11, "search", [11]),
+    ]
+    for word in _WORDS + ["b", "x", "Xa", "ba", "xa", "ab", "abx", "bx", "xb", "aab"]:
         assert tagger.guess_unknown(word) == reference_guess_unknown(
             _LEXICON, tagger.options, word
         )
 
 
 def test_options_refuse_a_rule_past_the_cap():
-    # a rule nested to the cap joins: its wrapper group is one level deeper
+    # an affix rule nested to the cap is still looked up
     nested = "(?:" * MAX_RULE_PARENS + "^a" + ")" * MAX_RULE_PARENS
     tagger = _chain([(nested, "R1"), ("^b", "R2")])
-    assert len(tagger._regex_rules) == 1
+    assert _affixes(tagger) == ({"a": 0, "b": 1}, {})
+    assert tagger._regex_rules == ()
     assert [tagger.guess_unknown(w) for w in ["a", "b"]] == ["R1", "R2"]
+    # any other rule nested to the cap joins: its wrapper group is one level deeper
+    engine = "(?:" * MAX_RULE_PARENS + "^a." + ")" * MAX_RULE_PARENS
+    tagger = _chain([(engine, "R1"), ("^b.", "R2")])
+    ((first, test, indexes),) = tagger._regex_rules
+    assert (first, test.__name__, set(indexes.values())) == (0, "match", {0, 1})
+    assert [tagger.guess_unknown(w) for w in ["ax", "bx"]] == ["R1", "R2"]
     with pytest.raises(ValueError, match=f"bad pattern .*more than {MAX_RULE_PARENS}"):
         InitialTaggerOptions(MODE_ENGLISH, ((f"({nested})", "R1"),))
     # generic mode checks them too, as a saved model keeps its rules
@@ -346,8 +443,8 @@ def _compiles(pattern):
 
 
 _TOKENS = st.sampled_from(
-    [".*", ".*?", ".+", ".*+", ".?", "^", r"\A", "$", "a", "b", "x", "X", "1",
-     "-", "[ab]", "[A-Z]", r"\d", "(?<=a)", r"(.*)x\1"]
+    [".*", ".*?", ".+", ".*+", ".?", "^", r"\A", "$", r"\Z", "a", "b", "x", "X",
+     "1", "-", "ab", "ns", "[ab]", "[A-Z]", "(?:ab|b)", r"\d", "(?<=a)", r"(.*)x\1"]
 )
 _GROUP_OPENERS = st.sampled_from(["(", "(?:", "(?s:", "(?P<g>"])
 _INNER = st.one_of(
@@ -357,9 +454,28 @@ _INNER = st.one_of(
 _ELEMENTS = st.one_of(
     _TOKENS, _INNER, st.tuples(_GROUP_OPENERS, _alternation(_INNER)).map(_group)
 )
-_PATTERNS = st.tuples(
-    st.sampled_from(["", "(?m)", "(?s)", "(?u)", "(?i)", "(?a)"]), _alternation(_ELEMENTS)
-).map("".join).filter(_compiles)
+# prefix and suffix branches over literal sets, alone or in a group, so
+# that most of them are affix rules
+_LITERAL_SETS = st.sampled_from(
+    ["a", "b", "ab", "ns", "Xa", "a-", "(?:ab|b)", "(a|bx)", "[ab]", "[a-c]",
+     "(?:a|)", "a[^b]"]
+)
+_AFFIX_BRANCHES = st.one_of(
+    st.tuples(st.sampled_from(["", ".*", ".*?", ".+"]), _LITERAL_SETS,
+              st.sampled_from(["$", r"\Z"])),
+    st.tuples(st.sampled_from(["^", r"\A"]), _LITERAL_SETS,
+              st.sampled_from(["", ".*", ".*?", ".+"])),
+).map("".join)
+_AFFIX_RULES = st.lists(_AFFIX_BRANCHES, min_size=1, max_size=3).map("|".join)
+_PATTERNS = st.one_of(
+    st.tuples(
+        st.sampled_from(["", "(?m)", "(?s)", "(?u)", "(?i)", "(?a)"]),
+        _alternation(_ELEMENTS),
+    ).map("".join),
+    _AFFIX_RULES,
+    _AFFIX_RULES.map("(?:{})".format),
+    _AFFIX_RULES.map("({})".format),
+).filter(_compiles)
 _RULES = st.lists(
     st.tuples(_PATTERNS, st.sampled_from(["R1", "R2", "ZZ"])), min_size=1, max_size=4
 )
@@ -376,7 +492,7 @@ _SHORT_WORDS = [
 @settings(max_examples=200, deadline=None)
 @given(
     rules=_RULES,
-    words=st.lists(st.text("abxX1-\nAéns", max_size=12), max_size=5),
+    words=st.lists(st.text("abcxX1-\nAéns", max_size=12), max_size=5),
 )
 def test_guess_unknown_equals_the_search_chain(rules, words):
     # one rule at a time too, so no earlier rule can mask a wrong answer
@@ -387,3 +503,13 @@ def test_guess_unknown_equals_the_search_chain(rules, words):
             assert tagger.guess_unknown(word) == reference_guess_unknown(
                 _LEXICON, tagger.options, word
             )
+
+
+def test_a_second_tagger_parses_no_rule_again():
+    rules = [*DEFAULT_ENGLISH_RULES, ("x", "R1"), (".+b", "R2"), ("(?i)^a", "R1")]
+    _chain(rules)
+    before = _classify.cache_info()
+    _chain(rules)
+    after = _classify.cache_info()
+    assert after.misses == before.misses
+    assert after.hits == before.hits + len(rules)
