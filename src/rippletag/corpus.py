@@ -12,6 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence, Sized
 
 DEFAULT_SEPARATOR = "/"
@@ -93,12 +95,12 @@ class TaggedCorpus:
         return cls(tuple(tuple(Token(w, t) for w, t in s) for s in sentences))
 
     def tokens(self) -> Iterator[Token]:
-        for sentence in self.sentences:
-            yield from sentence
+        """Every token, sentence after sentence, as one C-level iterator."""
+        return chain.from_iterable(self.sentences)
 
     @cached_property
     def tagset(self) -> frozenset[str]:
-        return frozenset(t.tag for t in self.tokens())
+        return frozenset(map(itemgetter(1), self.tokens()))
 
     @cached_property
     def token_count(self) -> int:

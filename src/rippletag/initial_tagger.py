@@ -69,7 +69,8 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, groupby
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
 
 from .corpus import TaggedCorpus
@@ -442,14 +443,20 @@ class InitialTagger:
 def initialize_corpus(gold: TaggedCorpus, tagger: InitialTagger) -> list[list[str]]:
     """First-guess tags for the gold corpus, one list per sentence.
 
-    The guesses are those of ``tagger.tag_sentence``, except that words
-    which occur once in gold get the unknown-word guess, as they would
-    in unseen text, so the learner also sees unknown-word errors.
+    One ``tagger.tag_sentence`` call guesses every distinct word of gold
+    once, so training and tagging share one first-guess path.  Words
+    that occur once in gold then get the unknown-word guess instead, as
+    they would in unseen text, so the learner also sees unknown-word
+    errors.  Each sentence's tags are then read from these per-word
+    guesses.
     """
-    sentences = [[t.word for t in sentence] for sentence in gold.sentences]
-    counts = Counter(chain.from_iterable(sentences))
+    counts = Counter(map(itemgetter(0), gold.tokens()))
+    distinct = list(counts)
+    guesses = dict(zip(distinct, tagger.tag_sentence(distinct)))
     guess = tagger.guess_unknown
-    return [
-        [guess(w) if counts[w] == 1 else t for w, t in zip(s, tagger.tag_sentence(s))]
-        for s in sentences
-    ]
+    for word, count in counts.items():
+        if count == 1:
+            guesses[word] = guess(word)
+    # a comprehension, not list(map(...)): these lists live through all of
+    # training, and list() of a map over-allocates a short one
+    return [[guesses[word] for word, _ in s] for s in gold.sentences]

@@ -61,7 +61,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import attrgetter, eq, not_
+from operator import attrgetter, eq, itemgetter, not_
 from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import (
@@ -625,11 +625,12 @@ def learn_tree(
     check_lengths(first_guesses, gold.sentences)
     if max_level < 1:
         raise ValueError(f"max_level must be at least 1, got {max_level}")
+    word = itemgetter(0)
     columns = corpus_columns(
-        ([word for word, _ in sentence], tags)
+        (list(map(word, sentence)), tags)
         for sentence, tags in zip(gold.sentences, first_guesses)
     )
-    gold_tags = [tag for _, tag in gold.tokens()]
+    gold_tags = list(map(itemgetter(1), gold.tokens()))
     # rows by first-guess tag, in order of the tag's first occurrence
     rows_by_tag = _rows_by(columns[_CURRENT_TAG], range(len(gold_tags)))
     seed_tags = list(rows_by_tag)

@@ -10,7 +10,7 @@ one for capitalized tokens and one for everything else.
 from __future__ import annotations
 
 import re
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 
 from .corpus import TaggedCorpus, is_plain
@@ -59,71 +59,97 @@ class Lexicon:
         return frozenset(tags)
 
 
-def _majority(counter: Counter[str], first_seen: dict[str, int]) -> str:
-    """Highest count; ties go to the tag seen earliest in the corpus."""
-    return min(counter, key=lambda t: (-counter[t], first_seen[t]))
-
-
 def _reserved_word_error(word: str) -> ValueError:
     return ValueError(f"word {word!r} collides with reserved %% keys")
+
+
+def _fold(
+    counts: dict[tuple[str, str], int], rank: dict[str, int]
+) -> dict[str, tuple[int, int, str]]:
+    """Per key of the ``(key, tag)`` counts, the ``(count, -rank, tag)`` of
+    its winning tag: the highest count, and on a tie the lowest rank."""
+    best: dict[str, tuple[int, int, str]] = {}
+    get = best.get
+    for (key, tag), count in counts.items():
+        entry = (count, -rank[tag], tag)
+        old = get(key)
+        if old is None or entry > old:
+            best[key] = entry
+    return best
 
 
 def build_lexicon(corpus: TaggedCorpus) -> Lexicon:
     """Count each distinct (word, tag) pair once, then fold the counts.
 
+    One pass over the distinct pairs adds their counts into plain dicts:
+    per suffix length a count per ``(suffix, tag)``, and per word class
+    and overall a count per tag.  Every winner, a word's tag, a suffix's
+    tag or a default, is then the tag with the highest ``(count, -rank)``,
+    where a tag's rank orders the tags as their first tokens do, so ties
+    go to the tag seen first in the corpus.
+
     Tokens that ``serialize_lexicon`` could not write, or that would not
     read back, are rejected here, before any training work: words
     starting with ``%%``, and empty words or tags or ones with whitespace.
+    The first such token in corpus order is the one named.
     """
     pair_counts = Counter(corpus.tokens())
     if not pair_counts:
         raise ValueError("cannot build a lexicon from an empty corpus")
 
-    word_tag_counts: defaultdict[str, Counter[str]] = defaultdict(Counter)
-    suffix_tag_counts = {n: defaultdict(Counter) for n in SUFFIX_LENGTHS}
-    class_counts = {"num": Counter(), "cap": Counter(), "low": Counter()}
-    all_tag_counts: Counter[str] = Counter()
     # A Counter keeps first-insertion order, so the first pair carrying a
     # tag sits at that tag's first token: ranking tags by their first pair
     # orders them as their first tokens do.
-    first_seen: dict[str, int] = {}
+    rank: dict[str, int] = {}
+    # (n, {(suffix, tag): count}) per suffix length, shortest first, so a
+    # word too short for one length is too short for the rest
+    suffix_counts: list[tuple[int, dict[tuple[str, str], int]]] = [
+        (n, {}) for n in SUFFIX_LENGTHS
+    ]
+    class_counts: dict[str, dict[str, int]] = {"num": {}, "cap": {}, "low": {}}
+    tag_counts: dict[str, int] = {}
 
     for (word, tag), count in pair_counts.items():
         if word.startswith("%%"):
             raise _reserved_word_error(word)
         if not (is_plain(word) and is_plain(tag)):
             raise ValueError(f"token {(word, tag)!r}: empty or with whitespace")
-        first_seen.setdefault(tag, len(first_seen))
-        word_tag_counts[word][tag] += count
-        all_tag_counts[tag] += count
-        for n in SUFFIX_LENGTHS:
-            if len(word) > n:
-                suffix_tag_counts[n][word[-n:]][tag] += count
+        if tag not in rank:
+            rank[tag] = len(rank)
+        length = len(word)
+        for n, counts in suffix_counts:
+            if length <= n:
+                break
+            key = (word[-n:], tag)
+            counts[key] = counts.get(key, 0) + count
         if contains_digit(word):
-            class_counts["num"][tag] += count
+            in_class = class_counts["num"]
         elif is_capitalized(word):
-            class_counts["cap"][tag] += count
+            in_class = class_counts["cap"]
         else:
-            class_counts["low"][tag] += count
+            in_class = class_counts["low"]
+        in_class[tag] = in_class.get(tag, 0) + count
+        tag_counts[tag] = tag_counts.get(tag, 0) + count
 
-    word_tags = {
-        word: _majority(tags, first_seen) for word, tags in word_tag_counts.items()
-    }
+    word_tags = {word: tag for word, (_, _, tag) in _fold(pair_counts, rank).items()}
 
     suffix_tags: dict[int, dict[str, str]] = {}
-    for n in SUFFIX_LENGTHS:
-        table = {}
-        for suffix, tags in suffix_tag_counts[n].items():
-            winner = _majority(tags, first_seen)
-            if tags[winner] >= SUFFIX_MIN_COUNT[n]:
-                table[suffix] = winner
-        suffix_tags[n] = table
+    for n, counts in suffix_counts:
+        floor = SUFFIX_MIN_COUNT[n]
+        suffix_tags[n] = {
+            suffix: tag
+            for suffix, (count, _, tag) in _fold(counts, rank).items()
+            if count >= floor
+        }
 
-    fallback = _majority(all_tag_counts, first_seen)
+    def majority(counts: dict[str, int]) -> str:
+        return max(counts, key=lambda tag: (counts[tag], -rank[tag]))
+
+    fallback = majority(tag_counts)
 
     def class_default(key: str) -> str:
-        counter = class_counts[key]
-        return _majority(counter, first_seen) if counter else fallback
+        counts = class_counts[key]
+        return majority(counts) if counts else fallback
 
     return Lexicon(
         word_tags=word_tags,

@@ -23,7 +23,6 @@ from rippletag.lexicon import (
     SUFFIX_LENGTHS,
     SUFFIX_MIN_COUNT,
     Lexicon,
-    _majority,
     is_capitalized,
 )
 from rippletag.scrdr import (
@@ -375,6 +374,11 @@ def random_lexicon(rng: random.Random) -> Lexicon:
         capitalized_tag=rng.choice(tags),
         lowercase_tag=rng.choice(tags),
     )
+
+
+def _majority(counter: Counter[str], first_seen: dict[str, int]) -> str:
+    """Highest count; ties go to the tag seen earliest in the corpus."""
+    return min(counter, key=lambda t: (-counter[t], first_seen[t]))
 
 
 def reference_build_lexicon(corpus: TaggedCorpus) -> Lexicon:

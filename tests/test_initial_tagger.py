@@ -115,6 +115,27 @@ def test_initialize_corpus_equals_the_per_token_reference(rng, n_tokens, mode):
     assert initialize_corpus(gold, tagger) == reference_initialize_corpus(gold, tagger)
 
 
+class RecordingTagger(InitialTagger):
+    """Records every word that ``tag_sentence`` is asked to guess."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.asked = []
+
+    def tag_sentence(self, words):
+        self.asked.extend(words)
+        return super().tag_sentence(words)
+
+
+@pytest.mark.parametrize("mode", [MODE_GENERIC, MODE_ENGLISH])
+def test_training_guesses_every_word_through_tag_sentence(toy, mode):
+    # training must not fork a first-guess lookup of its own: each
+    # distinct word goes through the chain that tagging runs
+    tagger = RecordingTagger(build_lexicon(toy), InitialTaggerOptions(mode=mode))
+    initialize_corpus(toy, tagger)
+    assert set(tagger.asked) == toy.vocabulary()
+
+
 def test_english_mode_applies_regex_rules_to_unknowns():
     corpus = read_tagged_corpus(
         "happiness/NN joy/NN Rome/NNP walks/NNS walked/VBN is/VBZ ok/JJ a/RB\n"

@@ -145,6 +145,71 @@ def test_build_rejects_tokens_the_model_files_cannot_hold(word, tag):
         build_lexicon(corpus)
 
 
+@pytest.mark.parametrize("reserved_first", [True, False])
+def test_build_names_the_first_bad_token_in_corpus_order(reserved_first):
+    reserved, spaced = ("%%x", "NN"), ("a b", "NN")
+    first, second = (reserved, spaced) if reserved_first else (spaced, reserved)
+    corpus = TaggedCorpus.from_pairs([[("the", "DT"), first], [second, ("the", "DT")]])
+    if reserved_first:
+        message = "word '%%x' collides with reserved %% keys"
+    else:
+        message = "token ('a b', 'NN'): empty or with whitespace"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_lexicon(corpus)
+
+
+def assert_builds_the_reference(corpus):
+    assert serialize_lexicon(build_lexicon(corpus)) == serialize_lexicon(
+        reference_build_lexicon(corpus)
+    )
+
+
+def test_toy_lexicon_equals_the_per_token_reference(toy):
+    assert_builds_the_reference(toy)
+
+
+# Each tie below is between two tags with equal counts.  Ties go to the
+# tag whose first token comes first in the whole corpus, not in the
+# word's, suffix's or class's own tokens.
+TIES = [
+    # a word: "deal" is VB first, but NN's first token ("x") is earlier
+    ("x/NN deal/VB deal/NN\n", lambda lexicon: lexicon.word_tags["deal"], "NN"),
+    ("x/VB deal/NN deal/VB\n", lambda lexicon: lexicon.word_tags["deal"], "VB"),
+    # a 3-character suffix at its floor: "ing" has 4 NN and 4 VBG
+    (
+        "eing/VBG aing/NN bing/NN cing/NN ding/NN fing/VBG ging/VBG hing/VBG\n",
+        lambda lexicon: lexicon.suffix_tags[3].get("ing"),
+        "VBG",
+    ),
+    (
+        "aing/NN eing/VBG fing/VBG ging/VBG hing/VBG bing/NN cing/NN ding/NN\n",
+        lambda lexicon: lexicon.suffix_tags[3].get("ing"),
+        "NN",
+    ),
+    # a class default: one capitalized NNP and one capitalized NN
+    ("dog/NN Rome/NNP Lima/NN\n", lambda lexicon: lexicon.capitalized_tag, "NN"),
+    ("x/NNP dog/NN Lima/NN Rome/NNP\n", lambda lexicon: lexicon.capitalized_tag, "NNP"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, read, winner",
+    TIES,
+    ids=["word", "word-swapped", "suffix", "suffix-swapped", "class", "class-swapped"],
+)
+def test_ties_go_to_the_tag_seen_first(text, read, winner):
+    corpus = read_tagged_corpus(text)
+    assert read(build_lexicon(corpus)) == winner
+    assert_builds_the_reference(corpus)
+
+
+def test_a_tied_suffix_below_its_floor_has_no_entry():
+    # "ng" also ties 4 to 4, one short of the 2-character floor of 5
+    lexicon = lex("aing/NN eing/VBG fing/VBG ging/VBG hing/VBG bing/NN cing/NN ding/NN\n")
+    assert lexicon.suffix_tags[3] == {"ing": "NN"}
+    assert lexicon.suffix_tags[2] == {}
+
+
 # Words sharing suffixes of every length 2..5, with and without digits
 # and capitals, so suffix counts land on both sides of SUFFIX_MIN_COUNT.
 WORD_POOL = tuple(
