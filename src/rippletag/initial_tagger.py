@@ -27,39 +27,21 @@ every prefix and every suffix to the lowest rule that has it.  A word
 is sliced once per affix length, and the lowest rule hit is the first
 affix rule that fires.
 
-Every other rule runs in the regex engine, and only when it comes before
-that hit.  ``search`` retries a failing pattern from every offset, which
-costs time quadratic in the word's length, while ``match`` tries offset
-0 only.  For a rule whose every top-level branch starts with
-``^``/``\\A`` (without MULTILINE) or with an unbounded repeat of ``.``
-such as ``.*``, and which has no backreference, both give the same
-answer on a word without a newline.  If ``search`` succeeds at offset i
-through an anchored branch, i is 0.  If it succeeds through a branch
-whose repeat of ``.`` spans word[i:j], the same repeat can span word[0:j]
-instead, since ``.`` matches every character but a newline, and the rest
-of the pattern then runs from j exactly as before: without a
-backreference nothing after the repeat depends on where the match
-began.  Such rules run with ``match``; the others with ``search``.
-
-Each maximal run of joinable rules among the rules that are not affix
-rules is compiled into one pattern ``(r0)|(r1)|...`` run with
-``match``, so a word costs one call into the regex engine per run, not
-one per rule.  At offset 0 an alternation tries its branches in order
-and leaves a branch only when it cannot match there at all, which is
-when that rule's own ``match`` returns None; so the matcher finds the
-first of its rules that matches, read from ``lastindex``, which is the
-rule's wrapper group: that group closes after every group inside it.
-The first matcher that finds a rule has found the first regex-engine
-rule that fires, and the lower of it and the affix hit wins.
-A rule is joinable when ``match`` is exact for it, it compiles with
-the default flags, it has no named group (two rules could name the
-same one) and its text holds no inline global-flag group such as
-``(?u)`` (Python 3.11 rejects one inside a pattern, and 3.10 applies
-it to the whole pattern).  Every other rule is a matcher of its own,
-in its place in the order.  ``InitialTaggerOptions`` caps how deep a
-rule nests, so a joined pattern, one group deeper, always compiles.
-Without the regex parser no rule has a shape, and every rule runs with
-``search``.
+Every other rule runs alone in the regex engine, in rule order, and only
+when it comes before that hit; the first that fires is the lowest.
+``search`` retries a failing pattern from every offset, which costs time
+quadratic in the word's length, while ``match`` tries offset 0 only.
+For a rule whose every top-level branch starts with ``^``/``\\A``
+(without MULTILINE) or with an unbounded repeat of ``.`` such as ``.*``,
+and which has no backreference, both give the same answer on a word
+without a newline.  If ``search`` succeeds at offset i through an
+anchored branch, i is 0.  If it succeeds through a branch whose repeat
+of ``.`` spans word[i:j], the same repeat can span word[0:j] instead,
+since ``.`` matches every character but a newline, and the rest of the
+pattern then runs from j exactly as before: without a backreference
+nothing after the repeat depends on where the match began.  Such rules
+run with ``match``; the others with ``search``.  Without the regex
+parser no rule has a shape, and every rule runs with ``search``.
 """
 
 from __future__ import annotations
@@ -69,7 +51,6 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
 
@@ -158,21 +139,18 @@ class InitialTaggerOptions:
 MAX_RULE_AFFIXES = 256
 
 _DEFAULT_FLAGS = re.compile("").flags
-# an inline global-flag group, as opposed to a scoped ``(?i:...)``
-_GLOBAL_FLAG_GROUP = re.compile(r"\(\?[aiLmstux]+\)")
 
 
 class _Shape(NamedTuple):
     """How a rule runs on a word without a newline (see the module docstring)."""
 
     exact: bool  # ``match`` answers as ``search`` does
-    joinable: bool  # it can be one branch of a joined alternation
     # an affix rule's strings; both empty for every other rule
     prefixes: frozenset[str] = frozenset()
     suffixes: frozenset[str] = frozenset()
 
 
-_UNKNOWN_SHAPE = _Shape(exact=False, joinable=False)
+_UNKNOWN_SHAPE = _Shape(exact=False)
 
 
 @lru_cache(maxsize=1024)
@@ -304,39 +282,16 @@ def _classify(pattern: str, flags: int) -> _Shape:
         multiline = state.flags & re.MULTILINE
         exact = starts_anchored(parsed) and not refers_back(parsed)
         default = state.flags == _DEFAULT_FLAGS
-        joinable = (
-            exact
-            and default
-            and not state.groupdict
-            and not _GLOBAL_FLAG_GROUP.search(pattern)
-        )
-        return _Shape(exact, joinable, *(affixes(parsed) if default else ()))
+        return _Shape(exact, *(affixes(parsed) if default else ()))
     except (re.error, RecursionError):
         # RecursionError: groups nested deeper than these walks reach,
         # which ``re.compile`` may still accept
         return _UNKNOWN_SHAPE
 
 
-# A matcher is (first, test, indexes): ``first`` is the index of its
-# first rule, ``test(word)`` returns a match or None, and
-# ``indexes[match.lastindex]`` is the index of the rule that matched.
-_Matcher = tuple[int, Callable[[str], "re.Match[str] | None"], dict]
-
-
-def _alone(test, p: re.Pattern[str], index: int) -> _Matcher:
-    """A matcher for one rule: its index, whichever group closed last."""
-    return index, test, dict.fromkeys([None, *range(1, p.groups + 1)], index)
-
-
-def _joined(rules: list[tuple[int, re.Pattern[str]]]) -> _Matcher:
-    """One matcher for a run of joinable rules: ``(r0)|(r1)|...``."""
-    indexes = {}
-    group = 1
-    for index, p in rules:
-        indexes[group] = index
-        group += 1 + p.groups
-    joined = re.compile("|".join(f"({p.pattern})" for _, p in rules))
-    return rules[0][0], joined.match, indexes
+# A matcher is (index, test): ``index`` is its rule's, and ``test(word)``
+# returns a match or None.
+_Matcher = tuple[int, Callable[[str], "re.Match[str] | None"]]
 
 
 def _lowest_rules(affixes_by_rule: Iterable[frozenset[str]]) -> dict[str, int]:
@@ -372,24 +327,15 @@ class InitialTagger:
             [(prefixes, slice(n)) for n in sorted(set(map(len, prefixes)))]
             + [(suffixes, slice(-n, None)) for n in sorted(set(map(len, suffixes)))]
         )
-        # matchers for the rules that are not affix rules, in order: one per
-        # run of joinable rules, one per other rule
-        engine_rules = [
-            (index, p, shape)
+        # a matcher for each rule that is not an affix rule, in order
+        self._regex_rules: tuple[_Matcher, ...] = tuple(
+            (index, p.match if shape.exact else p.search)
             for index, ((p, _), shape) in enumerate(zip(rules, shapes))
             if not (shape.prefixes or shape.suffixes)
-        ]
-        matchers: list[_Matcher] = []
-        for joinable, group in groupby(engine_rules, key=lambda rule: rule[2].joinable):
-            if joinable:
-                matchers.append(_joined([(index, p) for index, p, _ in group]))
-                continue
-            for index, p, shape in group:
-                matchers.append(_alone(p.match if shape.exact else p.search, p, index))
-        self._regex_rules = tuple(matchers)
+        )
         # ``.`` stops at a newline, so a word holding one runs them all by search
-        self._newline_rules = tuple(
-            _alone(p.search, p, index) for index, (p, _) in enumerate(rules)
+        self._newline_rules: tuple[_Matcher, ...] = tuple(
+            (index, p.search) for index, (p, _) in enumerate(rules)
         )
         self._rule_tags = tuple(tag for _, tag in rules)
         # one past the last rule: the index of no rule
@@ -411,12 +357,11 @@ class InitialTagger:
                     index = lowest.get(word[cut], hit)
                     if index < hit:
                         hit = index
-            for first, test, indexes in matchers:
-                if first >= hit:
+            for index, test in matchers:
+                if index >= hit:
                     break
-                m = test(word)
-                if m:
-                    hit = min(hit, indexes[m.lastindex])
+                if test(word):
+                    hit = index
                     break
             if hit < no_rule:
                 return self._rule_tags[hit]

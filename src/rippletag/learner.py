@@ -649,7 +649,8 @@ def learn_tree(
         }
     )
 
-    seeds = [learning.seed(tag, rows) for tag, rows in rows_by_tag.items()]
+    # each tag's rows are dropped once filed at its seed, not held through learning
+    seeds = [learning.seed(tag, rows_by_tag.pop(tag)) for tag in seed_tags]
     for node in seeds:
         learning.expand(node)
 

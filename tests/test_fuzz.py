@@ -115,6 +115,7 @@ _JSON_VALUES = st.recursive(
 
 # Rule pairs that compile alone but not joined into one alternation:
 # a group name defined twice, and an inline global flag past the start.
+# Each rule runs alone, so a model holding either pair loads and builds a Tagger.
 # NN is in the saved model's tagset, so both rules reach the compile.
 _UNJOINABLE_PAIRS = [
     [["(?P<g>^a)", "NN"], ["(?P<g>.*b)", "NN"]],

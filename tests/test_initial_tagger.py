@@ -374,13 +374,11 @@ def test_without_the_regex_parser_every_rule_runs_with_search(monkeypatch):
     _classify.cache_clear()
     try:
         tagger = _chain(DEFAULT_ENGLISH_RULES)
-        # no affix rule and nothing joinable: one ``search`` matcher per rule
+        # no affix rule and no ``match``: one ``search`` matcher per rule
         assert tagger._affix_lookups == ()
-        assert len(tagger._regex_rules) == len(DEFAULT_ENGLISH_RULES)
-        for index, (first, test, indexes) in enumerate(tagger._regex_rules):
-            assert first == index
-            assert test.__name__ == "search"
-            assert set(indexes.values()) == {index}
+        assert [(index, test.__name__) for index, test in tagger._regex_rules] == [
+            (index, "search") for index in range(len(DEFAULT_ENGLISH_RULES))
+        ]
         for word in _WORDS:
             assert tagger.guess_unknown(word) == reference_guess_unknown(
                 _LEXICON, tagger.options, word
@@ -389,13 +387,13 @@ def test_without_the_regex_parser_every_rule_runs_with_search(monkeypatch):
         _classify.cache_clear()
 
 
-def test_runs_of_joinable_rules_share_one_matcher():
+def test_every_rule_but_an_affix_rule_is_its_own_matcher():
     rules = [
         (".*a$", "R1"),  # affix rules: looked up, not matched
         ("^b", "R2"),
         ("(?i)^x", "R1"),  # other flags
         (".*x", "R2"),
-        ("^ab", "R1"),  # an affix rule does not split a run
+        ("^ab", "R1"),
         (".+b", "R2"),
         ("(?P<g>^a.)", "R1"),  # a named group
         ("(?u)^b.", "R2"),  # an inline global flag, though the default one
@@ -406,19 +404,22 @@ def test_runs_of_joinable_rules_share_one_matcher():
     ]
     tagger = _chain(rules)
     assert _affixes(tagger) == ({"b": 1, "ab": 4}, {"a": 0})
-    layout = [
-        (first, test.__name__, sorted(set(indexes.values())))
-        for first, test, indexes in tagger._regex_rules
-    ]
+    # in rule order, with ``match`` exactly where it is exact
+    layout = [(index, test.__name__) for index, test in tagger._regex_rules]
     assert layout == [
-        (2, "match", [2]),
-        (3, "match", [3, 5]),
-        (6, "match", [6]),
-        (7, "match", [7]),
-        (8, "search", [8]),
-        (9, "match", [9, 10]),
-        (11, "search", [11]),
+        (2, "match"),
+        (3, "match"),
+        (5, "match"),
+        (6, "match"),
+        (7, "match"),
+        (8, "search"),
+        (9, "match"),
+        (10, "match"),
+        (11, "search"),
     ]
+    # each runs its own rule's pattern alone
+    for index, test in tagger._regex_rules:
+        assert test.__self__.pattern == rules[index][0]
     for word in _WORDS + ["b", "x", "Xa", "ba", "xa", "ab", "abx", "bx", "xb", "aab"]:
         assert tagger.guess_unknown(word) == reference_guess_unknown(
             _LEXICON, tagger.options, word
@@ -432,11 +433,11 @@ def test_options_refuse_a_rule_past_the_cap():
     assert _affixes(tagger) == ({"a": 0, "b": 1}, {})
     assert tagger._regex_rules == ()
     assert [tagger.guess_unknown(w) for w in ["a", "b"]] == ["R1", "R2"]
-    # any other rule nested to the cap joins: its wrapper group is one level deeper
+    # any other rule nested to the cap still runs with ``match``
     engine = "(?:" * MAX_RULE_PARENS + "^a." + ")" * MAX_RULE_PARENS
     tagger = _chain([(engine, "R1"), ("^b.", "R2")])
-    ((first, test, indexes),) = tagger._regex_rules
-    assert (first, test.__name__, set(indexes.values())) == (0, "match", {0, 1})
+    layout = [(index, test.__name__) for index, test in tagger._regex_rules]
+    assert layout == [(0, "match"), (1, "match")]
     assert [tagger.guess_unknown(w) for w in ["ax", "bx"]] == ["R1", "R2"]
     with pytest.raises(ValueError, match=f"bad pattern .*more than {MAX_RULE_PARENS}"):
         InitialTaggerOptions(MODE_ENGLISH, ((f"({nested})", "R1"),))
