@@ -50,15 +50,19 @@ not counted at all.  A table reads at most the node's records at its
 first selection plus those that left it.  The tables live only while
 the node is being expanded.
 
-Once the tree is finished, a self-check reruns the tagger's compiled
-walk (``tagger.run_chain``) over every row, each node labelled by
-itself, and raises ``LearnerStateError`` unless every node holds
-exactly the records that the walk says it decides.
+Once the tree is finished, a self-check gives each row one owner: a
+list of length n holds, for every row, the node and the side (wrong or
+correct) of the record list that files it, and the rows filed are
+counted.  It then reruns the tagger's compiled walk
+(``tagger.run_chain``) over every row, each node labelled by itself,
+and raises ``LearnerStateError`` unless every row's owner is the node
+that the walk says decides it, on the side its gold tag gives, and
+exactly n rows were filed.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import attrgetter, eq, itemgetter, not_
@@ -580,32 +584,36 @@ class _Learning:
             self.expand(child)
 
     def check_against_tree(self) -> None:
-        """Re-derive every node's rows from the finished tree.
+        """Check that each row has one owner: the node the finished tree names.
 
-        Every row is walked by the tagger's compiled walk, with each node
+        ``owner[row]`` is the (node, correct) pair of the record list
+        that holds the row, and the rows filed are counted.  Every row
+        is then walked by the tagger's compiled walk, with each node
         labelled by itself, so the check names the deciding node, not
-        just its tag.  The incremental moves done during learning must
-        have filed each row exactly there; any lost, duplicated or
-        misfiled row means the learner corrupted its own state.
+        just its tag; the incremental moves done during learning must
+        have filed the row there, on the side its gold tag gives.  A
+        lost, misfiled or moved row differs from the walk, and a row
+        filed twice at its own node, on the same side, shows in the
+        count.  Any of them means the learner corrupted its own state.
         """
+        records, columns, gold = self.records, self.columns, self.gold
+        owner: list[tuple[Node, bool] | None] = [None] * len(gold)
+        for node, state in records.items():
+            for side, rows in ((False, state.wrong), (True, state.correct)):
+                # the itertools "consume" recipe: the stores run in C
+                deque(map(owner.__setitem__, rows, repeat((node, side))), maxlen=0)
+        filed = sum(len(state.wrong) + len(state.correct) for state in records.values())
         compiled = compile_chain(self.root.except_child, lambda node: node)
-        fresh: dict[Node, tuple[list[int], list[int]]] = {
-            node: ([], []) for node in self.records
-        }
-        columns, gold = self.columns, self.gold
-        for row in range(len(gold)):
+        for row, filed_at in enumerate(owner):
             node = run_chain(compiled, columns, row)
-            walked = fresh.get(node)
-            if walked is None:
-                raise LearnerStateError(f"row {row} landed on untracked node {node!r}")
-            walked[gold[row] == node.rule.conclusion].append(row)
-        for node, state in self.records.items():
-            wrong, correct = fresh[node]
-            # the walk lists each row once, in ascending order
-            if sorted(state.wrong) != wrong or sorted(state.correct) != correct:
+            if filed_at != (node, gold[row] == node.rule.conclusion):
                 raise LearnerStateError(
                     f"stale record sets at {render_rule(node.rule)!r}"
+                    if node in records
+                    else f"row {row} landed on untracked node {node!r}"
                 )
+        if filed != len(gold):
+            raise LearnerStateError(f"{filed} records filed for {len(gold)} rows")
 
 
 def learn_tree(
@@ -620,7 +628,9 @@ def learn_tree(
     sentence, as long as that sentence.  Raises AlignmentError if it
     does not, and LearnerStateError if a new rule moves other wrong
     records than it was scored on, or if the self-check finds the
-    records out of step with the finished tree.
+    records out of step with the finished tree: a row whose owner, the
+    node and side that file it, is not the one the tree's walk gives,
+    or more records filed than there are rows.
     """
     check_lengths(first_guesses, gold.sentences)
     if max_level < 1:

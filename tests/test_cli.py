@@ -693,6 +693,7 @@ class TestUsageErrors:
             ["train", "--corpus", "x", "--model", "y", "--separator", "\t"],
             ["eval", "--gold", "x", "--pred", "y", "--separator", " "],
             ["xval", "--corpus", "x", "--report", "y", "--folds", "2", "--separator", "\t"],
+            ["train", "--corpus", "x", "--model", "y", "--threshold1", "abc"],
         ],
     )
     def test_bad_invocations_exit_with_one(self, argv, capsys):

@@ -30,6 +30,7 @@ from rippletag.scrdr import (
     FIELD_NAMES,
     Rule,
     TagObject,
+    insert_exception,
     layer_census,
     serialize_tree,
     truncate,
@@ -460,6 +461,36 @@ class TestSelfCheck:
         with pytest.raises(LearnerStateError, match="stale record sets"):
             learn_tree(init, gold)
         assert modal_nodes == [2]
+
+    def test_a_row_filed_twice_at_its_own_node_fails_the_self_check(self, monkeypatch):
+        init_records = _NodeRecords.__init__
+
+        def repeating_init(self, rows, gold, conclusion):
+            init_records(self, rows, gold, conclusion)
+            # the row stays at the node the walk names, on its own side,
+            # so only the count of rows filed can see it
+            if conclusion == "MD":
+                self.correct.append(self.correct[0])
+
+        monkeypatch.setattr(_NodeRecords, "__init__", repeating_init)
+        init, gold = micro_corpora()
+        with pytest.raises(LearnerStateError, match="34 records filed for 33 rows"):
+            learn_tree(init, gold)
+
+    def test_a_row_on_a_node_the_learner_never_attached_fails(self, monkeypatch):
+        check = _Learning.check_against_tree
+
+        def grafting_check(self):
+            # under the DT seed, a rule that takes the six rows of "the"
+            seed = self.root.except_child
+            assert seed.rule.conclusion == "DT"
+            insert_exception(seed, Rule(((FIELD_INDEX["word"], "the"),), "DT"))
+            check(self)
+
+        monkeypatch.setattr(_Learning, "check_against_tree", grafting_check)
+        init, gold = micro_corpora()
+        with pytest.raises(LearnerStateError, match="row 0 landed on untracked node"):
+            learn_tree(init, gold)
 
     def test_a_move_that_takes_nothing_raises(self, monkeypatch):
         # without the check, expand selects and attaches the same rule forever

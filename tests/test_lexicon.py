@@ -281,6 +281,8 @@ def test_parse_errors():
         parse_lexicon(ok + "dog\tNN\ndog\tVB\n")
     with pytest.raises(LexiconFormatError, match="duplicate %%NUM%%"):
         parse_lexicon(ok + "%%NUM%%\tCD\n")
+    with pytest.raises(LexiconFormatError, match="line 5: duplicate suffix 'abc'"):
+        parse_lexicon(ok + "%%S3%%abc\tNN\n%%S3%%abc\tVB\n")
     with pytest.raises(LexiconFormatError, match="not 3 characters"):
         parse_lexicon(ok + "%%S3%%abcd\tNN\n")
     with pytest.raises(LexiconFormatError, match="unknown reserved"):

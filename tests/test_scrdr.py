@@ -274,6 +274,8 @@ def test_truncate_drops_deep_levels(example_tree_text):
     # cutting at or past the depth copies everything
     assert trees_equal(truncate(root, 4), root)
     assert trees_equal(truncate(root, 99), root)
+    with pytest.raises(ValueError, match="max_level must be >= 0, got -1"):
+        truncate(root, -1)
 
 
 def assert_truncate_keeps_the_shallow_lines(root, levels=None):
@@ -446,6 +448,9 @@ def test_round_trip_many_random_trees():
         ('if True then tag = ""\n\tif word == "x then tag = "N"\n', "column|expected"),
         ('if True then tag = ""\n\tif wrd == "x" then tag = "N"\n', "unknown field"),
         ('if True then tag = ""\n\tif word == "\\x" then tag = "N"\n', "escape"),
+        ('if True then tag = ""\n\tif word == x then tag = "N"\n', "'\"' at column 12"),
+        ('if True then tag = ""\n\tif word == "x then tag = N\n', "unterminated string"),
+        ('if True then tag = ""\n\tif word = "x" then tag = "N"\n', "expected 'field =="),
         ('if True then tag = ""\n\tif word == "x" then tag = "N" junk\n', "trailing"),
         (
             'if True then tag = ""\n\tif word == "a" and word == "b" then tag = "N"\n',

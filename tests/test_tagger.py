@@ -516,13 +516,14 @@ class TestPersistence:
 
     def test_failed_save_creates_no_directory(self, toy_model, tmp_path):
         # training rejects such words early; hand-built lexicons still get here
-        lexicon = Lexicon(
-            word_tags={"%%x": "NN"},
-            suffix_tags={},
-            numeric_tag="CD",
-            capitalized_tag="NNP",
-            lowercase_tag="NN",
-        )
-        with pytest.raises(ValueError, match="%%x"):
-            save_model(Model(lexicon=lexicon, tree=toy_model.tree), tmp_path / "m")
-        assert not (tmp_path / "m").exists()
+        for word, message in [("%%x", "%%x"), ("two words", "empty or with whitespace")]:
+            lexicon = Lexicon(
+                word_tags={word: "NN"},
+                suffix_tags={},
+                numeric_tag="CD",
+                capitalized_tag="NNP",
+                lowercase_tag="NN",
+            )
+            with pytest.raises(ValueError, match=message):
+                save_model(Model(lexicon=lexicon, tree=toy_model.tree), tmp_path / "m")
+            assert not (tmp_path / "m").exists()
