@@ -20,10 +20,10 @@ from pathlib import Path
 from typing import Iterator, NoReturn, TextIO
 
 from . import __version__
-from .corpus import check_separator, read_tagged_corpus, write_tagged_corpus
+from .corpus import check_separator, read_tagged_corpus, render_tagged
 
-# Unused here; the benchmark's trace probe looks the name up in this module.
-from .corpus import read_raw  # noqa: F401
+# Unused here; the benchmark's trace probe looks the names up in this module.
+from .corpus import read_raw, write_tagged_corpus  # noqa: F401
 from .evaluation import cross_validate, score_tagging
 from .initial_tagger import DEFAULT_ENGLISH_RULES, MODES, parse_regex_rules
 from .learner import Thresholds, TrainOptions, train_model
@@ -269,7 +269,12 @@ def cmd_tag(args: argparse.Namespace) -> int:
     tagger = Tagger(model)
     tokens = sentences = 0
     # Only "\n" ends a line, so a lone "\r" stays inside its line, and
-    # output line N is input line N, blank lines included.
+    # output line N is input line N, blank lines included.  The blocks
+    # are rendered without write_tagged_corpus's checks, as every token
+    # reads back: its word comes from str.split(), so it is non-empty and
+    # holds no whitespace, and its tag is a lexicon tag (a regex rule
+    # fires only with one) or a tree conclusion, each of which load_model
+    # has checked against the separator.
     with open(args.input, encoding="utf-8", newline="\n") as source, _replacing(
         args.output
     ) as sink:
@@ -278,7 +283,7 @@ def cmd_tag(args: argparse.Namespace) -> int:
             tokens += sum(map(len, lines))
             sentences += sum(map(bool, lines))
             sink.write(
-                write_tagged_corpus(
+                render_tagged(
                     [(words, tagger.tag_sentence(words)) for words in lines],
                     model.separator,
                 )

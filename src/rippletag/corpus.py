@@ -176,7 +176,7 @@ def write_tagged_corpus(
     if isinstance(corpus, TaggedCorpus):
         corpus = (tuple(zip(*sentence)) for sentence in corpus.sentences)
     good_tags: set[str] = set()
-    lines = []
+    checked = []
     for words, tags in corpus:
         if len(words) != len(tags):
             raise ValueError(f"{len(words)} words but {len(tags)} tags")
@@ -191,8 +191,23 @@ def write_tagged_corpus(
             for word, tag in zip(words, tags):
                 _check_token(word, tag, separator)
         good_tags.update(new_tags)
-        lines.append(" ".join(map(separator.join, zip(words, tags))))
-    return "".join(line + "\n" for line in lines)
+        checked.append((words, tags))
+    return render_tagged(checked, separator)
+
+
+def render_tagged(
+    sentences: Iterable[tuple[Sequence[str], Sequence[str]]], separator: str
+) -> str:
+    """The lines of ``(words, tags)`` pairs, unchecked: the corpus line format.
+
+    Each word is joined to its tag by ``separator``, tokens by single
+    spaces, and each sentence ends with a newline.  Only callers whose
+    words and tags are known to read back may skip ``write_tagged_corpus``.
+    """
+    join = separator.join
+    return "".join(
+        [" ".join(map(join, zip(words, tags))) + "\n" for words, tags in sentences]
+    )
 
 
 def _check_token(word: str, tag: str, separator: str) -> None:

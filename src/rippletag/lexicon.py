@@ -10,6 +10,7 @@ one for capitalized tokens and one for everything else.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 
@@ -160,36 +161,54 @@ def build_lexicon(corpus: TaggedCorpus) -> Lexicon:
     )
 
 
+# Whitespace besides tab and newline.
+_STRAY_WHITESPACE = re.compile(r"[^\S\t\n]")
+
+
 def serialize_lexicon(lexicon: Lexicon) -> str:
     """Stable text form: defaults, then suffix tables, then words.
 
     Word entries starting with ``%%`` would collide with the reserved
     keys, so they are rejected, as are keys and tags that are empty or
-    hold whitespace.
+    hold whitespace.  The first such entry in that order is named.
     """
-    def entry(key: str, tag: str) -> str:
-        if not (is_plain(key) and is_plain(tag)):
-            raise ValueError(f"lexicon entry {(key, tag)!r}: empty or with whitespace")
-        return f"{key}\t{tag}"
-
-    lines = [
-        entry(_NUM_KEY, lexicon.numeric_tag),
-        entry(_CAP_KEY, lexicon.capitalized_tag),
-        entry(_LOW_KEY, lexicon.lowercase_tag),
+    entries = [
+        (_NUM_KEY, lexicon.numeric_tag),
+        (_CAP_KEY, lexicon.capitalized_tag),
+        (_LOW_KEY, lexicon.lowercase_tag),
     ]
     for n in SUFFIX_LENGTHS:
         table = lexicon.suffix_tags.get(n, {})
-        for suffix in sorted(table):
-            lines.append(entry(f"{_SUFFIX_KEY[n]}{suffix}", table[suffix]))
-    for word in sorted(lexicon.word_tags):
-        if word.startswith("%%"):
-            raise _reserved_word_error(word)
-        lines.append(entry(word, lexicon.word_tags[word]))
-    return "".join(line + "\n" for line in lines)
-
-
-# Whitespace besides tab and newline.
-_STRAY_WHITESPACE = re.compile(r"[^\S\t\n]")
+        key = _SUFFIX_KEY[n]
+        entries += [(key + suffix, table[suffix]) for suffix in sorted(table)]
+    reserved = len(entries)
+    words = sorted(lexicon.word_tags)
+    entries += zip(words, map(lexicon.word_tags.__getitem__, words))
+    text = "".join([f"{key}\t{tag}\n" for key, tag in entries])
+    # One test of the sorted words and one scan of the text, so that
+    # entries are tested one by one only on a hit: the words starting
+    # with "%%" sort together, from the first word at or after it, and as
+    # each entry adds one tab and one newline, any other whitespace, any
+    # further tab or newline, or a line (never the first, a default's)
+    # starting or ending at its tab means an empty key or tag or one
+    # holding whitespace.
+    first = bisect_left(words, "%%")
+    if (
+        (first < len(words) and words[first].startswith("%%"))
+        or _STRAY_WHITESPACE.search(text)
+        or text.count("\t") != len(entries)
+        or text.count("\n") != len(entries)
+        or "\n\t" in text
+        or "\t\n" in text
+    ):
+        for i, (key, tag) in enumerate(entries):
+            if i >= reserved and key.startswith("%%"):
+                raise _reserved_word_error(key)
+            if not (is_plain(key) and is_plain(tag)):
+                raise ValueError(
+                    f"lexicon entry {(key, tag)!r}: empty or with whitespace"
+                )
+    return text
 
 
 def parse_lexicon(text: str) -> Lexicon:

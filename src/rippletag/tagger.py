@@ -1,12 +1,16 @@
 """Applying a trained model to text, and model persistence.
 
 Tagging walks the exception tree once per token.  For throughput the
-tree is compiled first: every if-not chain becomes one first-test
-index, which maps each value of a field that some entry tests first to
-those entries, in chain order.  A token probes each indexed field once
-and checks only the entries its own values select.  The compiled walk
-returns exactly what the plain tree walk returns; it just skips
-conditions that cannot fire.
+tree is compiled first, each if-not chain into one of two shapes,
+chosen from the chain itself.  A chain whose entries all test one
+field first, and whose first entry for each value tests nothing else,
+becomes a dispatch table: one dict from that field's value to what the
+entry concludes and its compiled exceptions, answered by one lookup.
+Any other chain becomes a first-test index, which maps each value of a
+field that some entry tests first to those entries, in chain order; a
+token probes each indexed field once and checks only the entries its
+own values select.  The compiled walk returns exactly what the plain
+tree walk returns; it just skips conditions that cannot fire.
 """
 
 from __future__ import annotations
@@ -35,13 +39,21 @@ LEXICON_FILE = "model.lex"
 META_FILE = "model.json"
 AUDIT_FILE = "audit.jsonl"
 
-# One compiled entry: (chain position, tests after the first,
-# label of the node, compiled exception chain).
+# One entry of an indexed chain: (chain position, tests after the
+# first, label of the node, compiled exception chain).
 _Entry = tuple[int, tuple[tuple[int, str], ...], object, "_Chain | None"]
-# A compiled chain: its length, then one (position of its first entry,
+# An indexed chain: its length, then one (position of its first entry,
 # field, value -> entries in chain order) table per field that some
 # entry tests first, ordered by that position.
-_Chain = tuple[int, tuple[tuple[int, int, dict[str, list[_Entry]]], ...]]
+_Indexed = tuple[int, tuple[tuple[int, int, dict[str, list[_Entry]]], ...]]
+# A compiled chain: (field, value -> (label, compiled exception chain))
+# for a dispatch table, (None, indexed chain) for any other chain.
+_Chain = (
+    tuple[int, dict[str, tuple[object, "_Chain | None"]]] | tuple[None, _Indexed]
+)
+# A chain's node while its chain compiles: (its tests, its label, its
+# compiled exception chain).
+_Link = tuple[tuple[tuple[int, str], ...], object, "_Chain | None"]
 
 
 class ModelFormatError(ValueError):
@@ -63,9 +75,17 @@ def compile_chain(
 ) -> _Chain | None:
     """Compile one if-not chain (a node and its if-not siblings).
 
-    Each entry holds ``label(node)``, which ``run_chain`` returns for
-    the node that decides a token: ``Tagger`` labels each node with its
-    conclusion, the learner's self-check with the node itself.
+    ``label(node)`` is what ``run_chain`` returns for the node that
+    decides a token: ``Tagger`` labels each node with its conclusion,
+    the learner's self-check with the node itself.
+
+    A chain whose entries all test the same field first, and whose
+    first entry for each value has no further test, compiles to a
+    dispatch table from that value to the entry's label and exceptions.
+    Such an entry fires whenever the token has its value, and no entry
+    for another value can, so the table answers the chain exactly;
+    later entries for the same value could never fire and are dropped.
+    Every other chain compiles to a first-test index.
 
     The chains' first nodes come from ``iter_nodes``, whose pre-order
     lists each chain before the chains under it; compiling them in
@@ -79,24 +99,45 @@ def compile_chain(
     heads += (n.except_child for n in iter_nodes(first) if n.except_child is not None)
     compiled: dict[Node, _Chain] = {}
     for head in reversed(heads):
-        tables: dict[int, dict[str, list[_Entry]]] = {}
-        starts: dict[int, int] = {}
-        pos = 0
+        entries: list[_Link] = []
         node: Node | None = head
         while node is not None:
             tests = node.rule.tests
             if not tests:
                 raise ValueError(f"always-true rule below the root: {node!r}")
-            field_idx, value = tests[0]
             sub = compiled.pop(node.except_child, None)
-            entry = (pos, tests[1:], label(node), sub)
-            tables.setdefault(field_idx, {}).setdefault(value, []).append(entry)
-            starts.setdefault(field_idx, pos)
-            pos += 1
+            entries.append((tests, label(node), sub))
             node = node.ifnot_child
-        # in order of each field's first entry, as the dicts keep insertion order
-        compiled[head] = pos, tuple((starts[f], f, t) for f, t in tables.items())
+        compiled[head] = _dispatch(entries) or (None, _indexed(entries))
     return compiled[first]
+
+
+def _dispatch(entries: list[_Link]) -> _Chain | None:
+    """The dispatch table of a chain's entries, or None if it has none."""
+    field_idx = entries[0][0][0][0]
+    table: dict[str, tuple[object, _Chain | None]] = {}
+    for tests, label, sub in entries:
+        f, value = tests[0]
+        if f != field_idx:
+            return None
+        if value not in table:
+            if len(tests) > 1:
+                return None
+            table[value] = label, sub
+    return field_idx, table
+
+
+def _indexed(entries: list[_Link]) -> _Indexed:
+    """The first-test index of a chain's entries."""
+    tables: dict[int, dict[str, list[_Entry]]] = {}
+    starts: dict[int, int] = {}
+    for pos, (tests, label, sub) in enumerate(entries):
+        field_idx, value = tests[0]
+        entry = (pos, tests[1:], label, sub)
+        tables.setdefault(field_idx, {}).setdefault(value, []).append(entry)
+        starts.setdefault(field_idx, pos)
+    # in order of each field's first entry, as the dicts keep insertion order
+    return len(entries), tuple((starts[f], f, t) for f, t in tables.items())
 
 
 def run_chain(
@@ -107,14 +148,22 @@ def run_chain(
     None if no node fires; the label is what ``compile_chain`` stored.
     ``cols`` are ``context_columns`` or ``corpus_columns``: field ``f``
     of the token is ``cols[f][i]``.  In each chain the earliest entry whose
-    tests all hold fires, and the walk goes on into its exceptions; a
-    field whose first entry comes after the entry found so far is not
-    probed.
+    tests all hold fires, and the walk goes on into its exceptions.  A
+    dispatch table finds that entry with one lookup of the token's value.
+    An indexed chain probes its fields in order, and a field whose first
+    entry comes after the entry found so far is not probed.
     """
     label = None
     chain: _Chain | None = compiled
     while chain is not None:
-        cutoff, tables = chain
+        field_idx, body = chain
+        if field_idx is not None:
+            hit = body.get(cols[field_idx][i])
+            if hit is None:
+                break
+            label, chain = hit
+            continue
+        cutoff, tables = body
         fired = None
         for start, field_idx, table in tables:
             if start >= cutoff:

@@ -16,7 +16,7 @@ from collections import Counter
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
-from rippletag.corpus import TaggedCorpus, _check_token, write_tagged_corpus
+from rippletag.corpus import TaggedCorpus, _check_token, is_plain, write_tagged_corpus
 from rippletag.initial_tagger import MODE_ENGLISH, InitialTagger, InitialTaggerOptions
 from rippletag.learner import Selection
 from rippletag.lexicon import (
@@ -102,11 +102,40 @@ def reference_write_tagged_corpus(sentences, separator: str) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def reference_serialize_lexicon(lexicon: Lexicon) -> str:
+    """Per-entry writer: every key and tag tested in order as it is written.
+
+    ``serialize_lexicon`` scans the whole text once instead; it must
+    return the same text or raise the same error as this.
+    """
+
+    def entry(key: str, tag: str) -> str:
+        if not (is_plain(key) and is_plain(tag)):
+            raise ValueError(f"lexicon entry {(key, tag)!r}: empty or with whitespace")
+        return f"{key}\t{tag}"
+
+    lines = [
+        entry("%%NUM%%", lexicon.numeric_tag),
+        entry("%%CAP%%", lexicon.capitalized_tag),
+        entry("%%LOW%%", lexicon.lowercase_tag),
+    ]
+    for n in SUFFIX_LENGTHS:
+        table = lexicon.suffix_tags.get(n, {})
+        for suffix in sorted(table):
+            lines.append(entry(f"%%S{n}%%{suffix}", table[suffix]))
+    for word in sorted(lexicon.word_tags):
+        if word.startswith("%%"):
+            raise ValueError(f"word {word!r} collides with reserved %% keys")
+        lines.append(entry(word, lexicon.word_tags[word]))
+    return "".join(line + "\n" for line in lines)
+
+
 def reference_tag_text(tagger, text: str) -> str:
     """What ``rippletag tag`` writes for ``text``, from the whole text at once.
 
-    ``cmd_tag`` reads, tags and writes in blocks of lines; its output
-    must equal this one-pass rendering of every line.
+    ``cmd_tag`` reads, tags and renders in blocks of lines, without the
+    writer's checks; its output must equal this one-pass rendering of
+    every line through the checked ``write_tagged_corpus``.
     """
     # only "\n" ends a line, and a final one ends the last line rather than
     # starting an empty one; blank lines stay, as empty sentences

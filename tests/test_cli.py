@@ -6,15 +6,24 @@ import shutil
 import stat
 import subprocess
 import sys
+import tempfile
+from dataclasses import replace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rippletag import cli
 from rippletag.cli import main
-from rippletag.corpus import check_separator, read_tagged_corpus, write_tagged_corpus
+from rippletag.corpus import (
+    check_separator,
+    read_tagged_corpus,
+    render_tagged,
+    write_tagged_corpus,
+)
 from rippletag.data import toy_corpus_path
 from rippletag.learner import TrainOptions
-from rippletag.tagger import Tagger, load_model
+from rippletag.tagger import Tagger, load_model, save_model
 
 from helpers import deep_tree_text, reference_tag_text
 
@@ -290,12 +299,12 @@ class TestTag:
         out.write_bytes(b"old output\n")
         blocks = []
 
-        def counting_writer(*args):
+        def counting_renderer(*args):
             blocks.append(args)
-            return write_tagged_corpus(*args)
+            return render_tagged(*args)
 
         monkeypatch.setattr(cli, "TAG_BLOCK_LINES", 3)
-        monkeypatch.setattr(cli, "write_tagged_corpus", counting_writer)
+        monkeypatch.setattr(cli, "render_tagged", counting_renderer)
         assert self._run_tag(trained_dir, raw, out) == 2
         assert "utf-8" in capsys.readouterr().err
         assert len(blocks) > 1
@@ -448,6 +457,59 @@ class TestTag:
             ]
         )
         assert code == 2
+
+
+@pytest.fixture(scope="module")
+def separator_models(trained_dir, tmp_path_factory):
+    """The toy model's directory under "/" and under a wider separator."""
+    wide = tmp_path_factory.mktemp("wide") / "model"
+    save_model(replace(load_model(trained_dir), separator="::"), wide)
+    return {"/": trained_dir, "::": wide}
+
+
+# Every str.isspace character but "\n", the one line end: U+2028, U+0085,
+# "\r" and "\x1c" among them.
+_SPACES = "".join(
+    c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace() and c != "\n"
+)
+# Words hold both separators' character, "%", digits and non-ASCII letters,
+# or are words the toy model knows.
+_RAW_WORDS = st.text("/:%07abéßЖı", min_size=1, max_size=6) | st.sampled_from(
+    ["the", "team", "works", "she", "walks", "."]
+)
+_RAW_LINES = st.builds(
+    lambda lead, tokens: lead + "".join(word + gap for word, gap in tokens),
+    st.text(_SPACES, max_size=2),
+    st.lists(
+        st.tuples(_RAW_WORDS, st.text(_SPACES, min_size=1, max_size=2)), max_size=5
+    ),
+)
+# blank lines and lines of spaces included, with or without a final "\n"
+_RAW_TEXTS = st.builds(
+    lambda lines, end: "\n".join(lines) + end,
+    st.lists(_RAW_LINES | st.just(""), max_size=6),
+    st.sampled_from(["", "\n"]),
+)
+
+
+@pytest.mark.parametrize("separator", ["/", "::"])
+@settings(max_examples=40, deadline=None)
+@given(text=_RAW_TEXTS)
+def test_tag_writes_what_the_checked_writer_writes(separator_models, separator, text):
+    """``tag`` renders without checks; the checked writer must agree byte for byte."""
+    tagger = Tagger(load_model(separator_models[separator]))
+    assert tagger.model.separator == separator
+    with tempfile.TemporaryDirectory() as work, mock.patch.object(
+        cli, "TAG_BLOCK_LINES", 2
+    ):
+        raw, out = os.path.join(work, "in"), os.path.join(work, "out")
+        with open(raw, "wb") as handle:
+            handle.write(text.encode("utf-8"))
+        argv = ["--model", str(separator_models[separator]), "--input", raw]
+        assert main(["tag", *argv, "--output", out]) == 0
+        with open(out, "rb") as handle:
+            got = handle.read()
+    assert got == reference_tag_text(tagger, text).encode("utf-8")
 
 
 class TestEval:

@@ -23,6 +23,7 @@ from helpers import (
     reference_build_lexicon,
     reference_contains_digit,
     reference_default_tag,
+    reference_serialize_lexicon,
     reference_suffix_tag,
 )
 
@@ -261,6 +262,38 @@ def test_serialize_rejects_reserved_looking_words():
     )
     with pytest.raises(ValueError):
         serialize_lexicon(lexicon)
+
+
+# Keys and tags, plain or not: empty, holding a space, tab, newline or
+# other whitespace, starting with "%%", and words that sort around "%%".
+_ANY_PART = st.one_of(
+    st.sampled_from(["dog", "NN", "%%x", "%%", "%&", "%", "$a", "a b", "a\tb", ""]),
+    st.text("a%\t\n \u00a0\u2028\x1c", max_size=4),
+)
+
+
+@given(
+    st.dictionaries(_ANY_PART, _ANY_PART, max_size=6),
+    st.dictionaries(st.sampled_from([2, 3]), st.dictionaries(_ANY_PART, _ANY_PART)),
+    st.tuples(_ANY_PART, _ANY_PART, _ANY_PART),
+)
+@example({"a": "NN", "%%x": "NN", "b c": "NN"}, {}, ("CD", "NNP", "NN"))
+@example({"a b": "NN", "%%x": "NN"}, {}, ("CD", "NNP", "NN"))
+@example({"a": ""}, {}, ("CD", "NNP", "NN"))
+@example({"": "NN"}, {}, ("CD", "NNP", "NN"))
+@example({"a\nb": "NN"}, {}, ("CD", "NNP", "NN"))
+@example({"a": "N\tN"}, {}, ("CD", "NNP", "NN"))
+@example({}, {2: {"ab": "NN"}}, ("", "NNP", "NN"))
+def test_serialize_equals_the_per_entry_reference(word_tags, suffix_tags, defaults):
+    lexicon = Lexicon(word_tags, suffix_tags, *defaults)
+    try:
+        want = reference_serialize_lexicon(lexicon)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            serialize_lexicon(lexicon)
+        assert str(got.value) == str(exc)
+    else:
+        assert serialize_lexicon(lexicon) == want
 
 
 def test_parse_round_trip_many_random_lexicons():

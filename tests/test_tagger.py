@@ -220,6 +220,138 @@ class TestCompiledChain:
         assert run_chain(compiled, cols, 1) == "fallback"
 
 
+def chain_shapes(compiled):
+    """The shape of every compiled chain, depth first, in stored order."""
+    shapes = []
+    stack = [compiled]
+    while stack:
+        chain = stack.pop()
+        if chain is None:
+            continue
+        field_idx, body = chain
+        if field_idx is not None:
+            shapes.append("dispatch")
+            subs = [sub for _, sub in body.values()]
+        else:
+            shapes.append("indexed")
+            _, tables = body
+            subs = [e[3] for _, _, t in tables for es in t.values() for e in es]
+        stack += reversed(subs)
+    return shapes
+
+
+F = FIELD_INDEX
+
+
+def grid_objects(**choices):
+    """One object per combination of the given field values."""
+    base = random_object(random.Random(37))
+    objects = [base]
+    for name, values in choices.items():
+        objects = [obj._replace(**{name: v}) for obj in objects for v in values]
+    return objects
+
+
+def assert_both_labels_walk_like_the_reference(root, objects):
+    """Conclusion and node labels both agree with the plain walks."""
+    assert_walks_like_the_reference(
+        root, compile_chain(root.except_child, CONCLUSION), objects
+    )
+    assert_names_the_deciding_node(
+        root, compile_chain(root.except_child, lambda node: node), objects
+    )
+
+
+class TestChainShapes:
+    def test_the_toy_models_seed_layer_is_a_dispatch_table(self, toy_model):
+        seeds = []
+        node = toy_model.tree.except_child
+        while node is not None:
+            seeds.append(node.rule.tests)
+            node = node.ifnot_child
+        field_idx, table = compile_chain(toy_model.tree.except_child, CONCLUSION)
+        assert field_idx == F["currentTag"]
+        assert sorted(table) == sorted(value for ((_, value),) in seeds)
+
+    def test_a_first_entry_with_a_second_test_keeps_the_chain_indexed(self):
+        root = new_root()
+        insert_exception(root, Rule(((F["currentTag"], "X"),), "A"))
+        insert_exception(root, Rule(((F["currentTag"], "Y"), (F["word"], "w")), "B"))
+        insert_exception(root, Rule(((F["currentTag"], "Y"),), "C"))
+        assert chain_shapes(compile_chain(root.except_child, CONCLUSION)) == ["indexed"]
+        objects = grid_objects(currentTag=["X", "Y", "Z"], word=["w", "v"])
+        assert_both_labels_walk_like_the_reference(root, objects)
+
+    def test_a_later_entry_for_a_value_never_fires(self):
+        root = new_root()
+        insert_exception(root, Rule(((F["currentTag"], "X"),), "A"))
+        insert_exception(root, Rule(((F["currentTag"], "Y"),), "B"))
+        late = insert_exception(
+            root, Rule(((F["currentTag"], "X"), (F["word"], "w")), "C")
+        )
+        insert_exception(late, Rule(((F["prev1Tag"], "p"),), "D"))
+        compiled = compile_chain(root.except_child, CONCLUSION)
+        assert chain_shapes(compiled) == ["dispatch"]
+        objects = grid_objects(
+            currentTag=["X", "Y", "Z"], word=["w", "v"], prev1Tag=["p", None]
+        )
+        assert_both_labels_walk_like_the_reference(root, objects)
+        cols = tuple(list(column) for column in zip(*objects))
+        assert {run_chain(compiled, cols, i) for i in range(len(objects))} == {
+            "A", "B", None
+        }
+
+    def test_a_dispatch_table_under_an_indexed_chain(self):
+        root = new_root()
+        top = insert_exception(
+            root, Rule(((F["word"], "w"), (F["next1Tag"], "t")), "A")
+        )
+        insert_exception(root, Rule(((F["prev1Tag"], "p"),), "B"))
+        insert_exception(top, Rule(((F["currentTag"], "X"),), "C"))
+        inner = insert_exception(top, Rule(((F["currentTag"], "Y"),), "D"))
+        insert_exception(inner, Rule(((F["suffix2"], "ab"),), "E"))
+        compiled = compile_chain(root.except_child, CONCLUSION)
+        assert chain_shapes(compiled) == ["indexed", "dispatch", "dispatch"]
+        objects = grid_objects(
+            word=["w", "v"],
+            next1Tag=["t", None],
+            prev1Tag=["p", "q"],
+            currentTag=["X", "Y", "Z"],
+            suffix2=["ab", None],
+        )
+        assert_both_labels_walk_like_the_reference(root, objects)
+
+    def test_an_indexed_chain_under_a_dispatch_table(self):
+        root = new_root()
+        seed = insert_exception(root, Rule(((F["currentTag"], "X"),), "A"))
+        insert_exception(root, Rule(((F["currentTag"], "Y"),), "B"))
+        insert_exception(seed, Rule(((F["word"], "w"), (F["prev1Tag"], "p")), "C"))
+        inner = insert_exception(seed, Rule(((F["suffix2"], "ab"),), "D"))
+        insert_exception(inner, Rule(((F["next1Word"], "n"), (F["word"], "w")), "E"))
+        compiled = compile_chain(root.except_child, CONCLUSION)
+        assert chain_shapes(compiled) == ["dispatch", "indexed", "indexed"]
+        objects = grid_objects(
+            currentTag=["X", "Y", "Z"],
+            word=["w", "v"],
+            prev1Tag=["p", None],
+            suffix2=["ab", "cd"],
+            next1Word=["n", None],
+        )
+        assert_both_labels_walk_like_the_reference(root, objects)
+
+    def test_dispatch_tables_deeper_than_the_recursion_limit(self):
+        depth = sys.getrecursionlimit() + 200
+        root = new_root()
+        node = root
+        for k in range(1, depth + 1):
+            node = insert_exception(node, Rule(((F["prev1Word"], "x"),), f"C{k}"))
+        compiled = compile_chain(root.except_child, lambda node: node)
+        assert chain_shapes(compiled) == ["dispatch"] * depth
+        objects = grid_objects(prev1Word=["x", "y", None])
+        got = assert_names_the_deciding_node(root, compiled, objects)
+        assert [None if n is None else n.level for n in got] == [depth, None, None]
+
+
 # Values the property's rules test: words and suffixes the sentences
 # hold, tags, and shapes only a hand-edited model file can hold
 # (suffixes of the wrong length, a space inside a value, "").
