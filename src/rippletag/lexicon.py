@@ -13,6 +13,7 @@ import re
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 from .corpus import TaggedCorpus, is_plain
 
@@ -161,8 +162,22 @@ def build_lexicon(corpus: TaggedCorpus) -> Lexicon:
     )
 
 
-# Whitespace besides tab and newline.
+# Whitespace besides tab and newline, and its ASCII characters.
 _STRAY_WHITESPACE = re.compile(r"[^\S\t\n]")
+_ASCII_STRAY = [c for c in map(chr, range(128)) if _STRAY_WHITESPACE.match(c)]
+
+
+def _has_stray_whitespace(text: str) -> bool:
+    """Whether text holds whitespace besides tab and newline.
+
+    ``str.isascii`` reads a flag that the string carries, and a
+    substring test is a fast C search, so ASCII text is tested by one
+    ``in`` per ASCII stray character, several times faster than the
+    regex scan that any other text takes.
+    """
+    if text.isascii():
+        return any(c in text for c in _ASCII_STRAY)
+    return _STRAY_WHITESPACE.search(text) is not None
 
 
 def serialize_lexicon(lexicon: Lexicon) -> str:
@@ -195,7 +210,7 @@ def serialize_lexicon(lexicon: Lexicon) -> str:
     first = bisect_left(words, "%%")
     if (
         (first < len(words) and words[first].startswith("%%"))
-        or _STRAY_WHITESPACE.search(text)
+        or _has_stray_whitespace(text)
         or text.count("\t") != len(entries)
         or text.count("\n") != len(entries)
         or "\n\t" in text
@@ -211,22 +226,85 @@ def serialize_lexicon(lexicon: Lexicon) -> str:
     return text
 
 
+# The three defaults as serialize_lexicon writes them, then, per suffix
+# length, one of its suffix entries and a run of them.
+_DEFAULT_LINES = re.compile(
+    f"{_NUM_KEY}\t([^\t\n]+)\n{_CAP_KEY}\t([^\t\n]+)\n{_LOW_KEY}\t([^\t\n]+)\n"
+)
+_SUFFIX_LINE = {
+    n: re.compile(f"{key}([^\t\n]{{{n}}})\t([^\t\n]+)\n")
+    for n, key in _SUFFIX_KEY.items()
+}
+_SUFFIX_RUN = {
+    n: re.compile(f"(?:{key}[^\t\n]{{{n}}}\t[^\t\n]+\n)*")
+    for n, key in _SUFFIX_KEY.items()
+}
+
+
+def _parse_saved(text: str) -> Lexicon | None:
+    """The lexicon of text in ``serialize_lexicon``'s layout, else None.
+
+    The layout is the three defaults, then each suffix length's entries,
+    then the words, one ``key<TAB>tag`` line each, ending in a newline,
+    with no whitespace but those tabs and newlines.  It is read by a few
+    calls over the whole text: the defaults and each suffix length's
+    run by a regex, and the words by one ``dict`` of their split lines.
+    A duplicate shows as a table shorter than its lines, a line without
+    exactly one tab as a ``ValueError``.  Text in any other layout (a
+    blank line, a reserved key among the words, a carriage return)
+    gives None, so the line-by-line reader names its first fault or
+    reads it.
+    """
+    defaults = _DEFAULT_LINES.match(text)
+    if defaults is None or _has_stray_whitespace(text) or text[-1] != "\n":
+        return None
+    pos = defaults.end()
+    suffix_tags: dict[int, dict[str, str]] = {}
+    for n in SUFFIX_LENGTHS:
+        end = _SUFFIX_RUN[n].match(text, pos).end()
+        table = dict(_SUFFIX_LINE[n].findall(text, pos, end))
+        if len(table) != text.count("\n", pos, end):
+            return None
+        suffix_tags[n] = table
+        pos = end
+    # pos - 1 is a newline, so these find a word line that starts with
+    # "%%" or a tab, or ends in a tab
+    if (
+        text.find("\n%%", pos - 1) >= 0
+        or text.find("\n\t", pos - 1) >= 0
+        or text.find("\t\n", pos) >= 0
+    ):
+        return None
+    lines = text[pos:].splitlines()
+    try:
+        word_tags = dict(map(str.split, lines, repeat("\t")))
+    except ValueError:
+        return None
+    if len(word_tags) != len(lines):
+        return None
+    return Lexicon(word_tags, suffix_tags, *defaults.groups())
+
+
 def parse_lexicon(text: str) -> Lexicon:
-    """Inverse of ``serialize_lexicon``; refuses what it could not write."""
+    """Inverse of ``serialize_lexicon``; refuses what it could not write.
+
+    Text in the layout ``serialize_lexicon`` writes is read by whole-text
+    calls (``_parse_saved``); any other text line by line, which reads
+    hand-edited text to the same lexicon and names the first bad line.
+    """
+    saved = _parse_saved(text)
+    if saved is not None:
+        return saved
     word_tags: dict[str, str] = {}
     suffix_tags: dict[int, dict[str, str]] = {n: {} for n in SUFFIX_LENGTHS}
     defaults: dict[str, str] = {}
-
-    # One scan of the whole text, so that lines are tested one by one
-    # only on a hit.
-    strict = _STRAY_WHITESPACE.search(text) is not None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         key, sep, tag = line.partition("\t")
         if not sep or not key or not tag or "\t" in tag:
             raise LexiconFormatError(f"line {lineno}: expected 'key<TAB>tag'")
-        if strict and not (is_plain(key) and is_plain(tag)):
+        if not (is_plain(key) and is_plain(tag)):
             raise LexiconFormatError(f"line {lineno}: whitespace in {key!r} or {tag!r}")
         if key in (_NUM_KEY, _CAP_KEY, _LOW_KEY):
             if key in defaults:

@@ -170,6 +170,8 @@ class Rule(NamedTuple):
 
 TRUE_RULE = Rule((), "")
 
+_new_rule = partial(tuple.__new__, Rule)
+
 
 class Node:
     """Tree node; level is the number of except edges above it."""
@@ -331,10 +333,15 @@ def render_rule(rule: Rule) -> str:
     return f'if {condition} then tag = "{_escape(rule.conclusion)}"'
 
 
-def parse_rule_text(s: str, where: str = "rule") -> Rule:
-    if not s.startswith("if "):
+def parse_rule_text(s: str, where: str = "rule", start: int = 0) -> Rule:
+    """The rule written in ``s`` from index ``start`` to its end.
+
+    Error columns count from the first character of ``s``, so that a
+    tree line's columns include its indentation.
+    """
+    if not s.startswith("if ", start):
         raise TreeFormatError(f"{where}: rule must start with 'if '")
-    pos = 3
+    pos = start + 3
     tests: list[tuple[int, str]] = []
     if s.startswith("True then tag = ", pos):
         pos += len("True then tag = ")
@@ -373,39 +380,88 @@ def serialize_tree(root: Node) -> str:
     )
 
 
+# The parts between the quotes of a rule line as render_rule writes it:
+# the part before the first value, by the field it tests; each part
+# between two values, by the field of the next test; and the part
+# before the conclusion, or the whole always-true condition.
+_FIRST_TEST = {f"if {name} == ": i for i, name in enumerate(FIELD_NAMES)}
+_NEXT_TEST = {f" and {name} == ": i for i, name in enumerate(FIELD_NAMES)}
+_THEN = " then tag = "
+_ALWAYS = "if True then tag = "
+
+
+def _split_rule(parts: list[str], head: str) -> Rule | None:
+    """The rule of a line with no backslash, from its ``split('"')``.
+
+    ``head`` is ``parts[0]`` without its indentation.  Values and the
+    conclusion are the odd parts, so a rule as ``render_rule`` writes it
+    splits into an odd number of parts, the last of them empty.  Returns
+    None for any other line, and for a rule that tests a field twice;
+    ``parse_rule_text`` then reads the line or names its fault.
+    """
+    n = len(parts)
+    if not n & 1 or parts[-1]:
+        return None
+    if n < 5:
+        # the always-true rule, or an empty line
+        return _new_rule(((), parts[1])) if head == _ALWAYS else None
+    field = _FIRST_TEST.get(head)
+    if field is None or parts[-3] != _THEN:
+        return None
+    tests = [(field, parts[1])]
+    for i in range(2, n - 3, 2):
+        field = _NEXT_TEST.get(parts[i])
+        if field is None:
+            return None
+        tests.append((field, parts[i + 1]))
+    if n > 5:
+        tests.sort()
+        if len({field for field, _ in tests}) != len(tests):
+            return None
+    return _new_rule((tuple(tests), parts[-2]))
+
+
 def parse_tree(text: str) -> Node:
-    """Inverse of serialize_tree; validates structure as it reads."""
+    """Inverse of serialize_tree; validates structure as it reads.
+
+    A line with no backslash is read by one ``split('"')`` and table
+    lookups (``_split_rule``); any other line, and one that does not
+    split as ``render_rule`` writes, by ``parse_rule_text``, which reads
+    escapes and names the column of a fault, counting indentation tabs.
+    """
     root: Node | None = None
     last_at_depth: dict[int, Node] = {}
     prev_depth = -1
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        stripped = line.lstrip("\t")
-        depth = len(line) - len(stripped)
-        where = f"line {lineno}"
-        rule = parse_rule_text(stripped, where)
+        parts = line.split('"')
+        head = parts[0].lstrip("\t")
+        depth = len(parts[0]) - len(head)
+        rule = None if "\\" in line else _split_rule(parts, head)
+        if rule is None:
+            if not line.strip():
+                continue
+            rule = parse_rule_text(line, f"line {lineno}", depth)
         if root is None:
             if depth != 0:
-                raise TreeFormatError(f"{where}: first rule must not be indented")
+                raise TreeFormatError(f"line {lineno}: first rule must not be indented")
             if rule.tests or rule.conclusion:
                 raise TreeFormatError(
-                    f"{where}: the root rule must be 'if True then tag = \"\"'"
+                    f"line {lineno}: the root rule must be 'if True then tag = \"\"'"
                 )
             root = Node(rule, 0)
             last_at_depth[0] = root
             prev_depth = 0
             continue
         if depth == 0:
-            raise TreeFormatError(f"{where}: only one unindented rule is allowed")
+            raise TreeFormatError(f"line {lineno}: only one unindented rule is allowed")
         if depth > prev_depth + 1:
             raise TreeFormatError(
-                f"{where}: indentation jumps from {prev_depth} to {depth}"
+                f"line {lineno}: indentation jumps from {prev_depth} to {depth}"
             )
         if not rule.tests:
-            raise TreeFormatError(f"{where}: only the root may be always-true")
+            raise TreeFormatError(f"line {lineno}: only the root may be always-true")
         if not rule.conclusion:
-            raise TreeFormatError(f"{where}: empty conclusion outside the root")
+            raise TreeFormatError(f"line {lineno}: empty conclusion outside the root")
         node = Node(rule, depth)
         if depth == prev_depth + 1:
             last_at_depth[depth - 1].except_child = node

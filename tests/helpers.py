@@ -23,6 +23,7 @@ from rippletag.lexicon import (
     SUFFIX_LENGTHS,
     SUFFIX_MIN_COUNT,
     Lexicon,
+    LexiconFormatError,
     is_capitalized,
 )
 from rippletag.scrdr import (
@@ -30,6 +31,7 @@ from rippletag.scrdr import (
     Node,
     Rule,
     TagObject,
+    TreeFormatError,
     evaluate,
     insert_exception,
     new_root,
@@ -128,6 +130,158 @@ def reference_serialize_lexicon(lexicon: Lexicon) -> str:
             raise ValueError(f"word {word!r} collides with reserved %% keys")
         lines.append(entry(word, lexicon.word_tags[word]))
     return "".join(line + "\n" for line in lines)
+
+
+def reference_parse_lexicon(text: str) -> Lexicon:
+    """Line-by-line reader: every line split and tested in order.
+
+    ``parse_lexicon`` reads text in ``serialize_lexicon``'s layout by
+    whole-text calls; it must return an equal lexicon, with its tables
+    in the same order, or raise the same error as this.
+    """
+    defaults_keys = ("%%NUM%%", "%%CAP%%", "%%LOW%%")
+    suffix_keys = {f"%%S{n}%%": n for n in SUFFIX_LENGTHS}
+    word_tags: dict[str, str] = {}
+    suffix_tags: dict[int, dict[str, str]] = {n: {} for n in SUFFIX_LENGTHS}
+    defaults: dict[str, str] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        key, sep, tag = line.partition("\t")
+        if not sep or not key or not tag or "\t" in tag:
+            raise LexiconFormatError(f"line {lineno}: expected 'key<TAB>tag'")
+        if not (is_plain(key) and is_plain(tag)):
+            raise LexiconFormatError(f"line {lineno}: whitespace in {key!r} or {tag!r}")
+        if key in defaults_keys:
+            if key in defaults:
+                raise LexiconFormatError(f"line {lineno}: duplicate {key}")
+            defaults[key] = tag
+        elif key[:6] in suffix_keys:
+            n = suffix_keys[key[:6]]
+            suffix = key[6:]
+            if len(suffix) != n:
+                raise LexiconFormatError(
+                    f"line {lineno}: suffix {suffix!r} is not {n} characters"
+                )
+            if suffix in suffix_tags[n]:
+                raise LexiconFormatError(f"line {lineno}: duplicate suffix {suffix!r}")
+            suffix_tags[n][suffix] = tag
+        elif key.startswith("%%"):
+            raise LexiconFormatError(f"line {lineno}: unknown reserved key {key!r}")
+        else:
+            if key in word_tags:
+                raise LexiconFormatError(f"line {lineno}: duplicate word {key!r}")
+            word_tags[key] = tag
+    missing = [k for k in defaults_keys if k not in defaults]
+    if missing:
+        raise LexiconFormatError(f"missing default entries: {', '.join(missing)}")
+    return Lexicon(word_tags, suffix_tags, *(defaults[k] for k in defaults_keys))
+
+
+def _reference_quoted(line: str, pos: int, where: str) -> tuple[str, int]:
+    """The quoted value at ``pos``, read a character at a time, and the
+    position after its closing quote."""
+    if pos >= len(line) or line[pos] != '"':
+        raise TreeFormatError(f'{where}: expected \'"\' at column {pos + 1}')
+    chars = []
+    i = pos + 1
+    while i < len(line):
+        c = line[i]
+        if c == "\\":
+            if i + 1 >= len(line) or line[i + 1] not in ("\\", '"'):
+                raise TreeFormatError(f"{where}: bad escape at column {i + 1}")
+            chars.append(line[i + 1])
+            i += 2
+        elif c == '"':
+            return "".join(chars), i + 1
+        else:
+            chars.append(c)
+            i += 1
+    raise TreeFormatError(f"{where}: unterminated string")
+
+
+def _reference_rule(line: str, pos: int, where: str) -> Rule:
+    """The rule written in ``line`` from ``pos``; columns count from the
+    line's first character."""
+    if not line.startswith("if ", pos):
+        raise TreeFormatError(f"{where}: rule must start with 'if '")
+    pos += 3
+    tests: list[tuple[int, str]] = []
+    if line.startswith("True then tag = ", pos):
+        pos += len("True then tag = ")
+    else:
+        while True:
+            eq = line.find(" == ", pos)
+            if eq < 0:
+                raise TreeFormatError(f"{where}: expected 'field == \"value\"'")
+            name = line[pos:eq]
+            if name not in FIELD_NAMES:
+                raise TreeFormatError(f"{where}: unknown field {name!r}")
+            value, pos = _reference_quoted(line, eq + 4, where)
+            tests.append((FIELD_NAMES.index(name), value))
+            if line.startswith(" and ", pos):
+                pos += len(" and ")
+            elif line.startswith(" then tag = ", pos):
+                pos += len(" then tag = ")
+                break
+            else:
+                raise TreeFormatError(
+                    f"{where}: expected ' and ' or ' then tag = ' at column {pos + 1}"
+                )
+        if len({i for i, _ in tests}) != len(tests):
+            raise TreeFormatError(f"{where}: a field is tested twice")
+    conclusion, pos = _reference_quoted(line, pos, where)
+    if pos != len(line):
+        raise TreeFormatError(f"{where}: trailing text after conclusion")
+    return Rule(tuple(sorted(tests)), conclusion)
+
+
+def reference_parse_tree(text: str) -> Node:
+    """Line-by-line reader: every rule read a character at a time.
+
+    ``parse_tree`` reads a line without escapes by one split at its
+    quotes; it must return an equal tree or raise the same error as
+    this.
+    """
+    root: Node | None = None
+    last_at_depth: dict[int, Node] = {}
+    prev_depth = -1
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        depth = len(line) - len(line.lstrip("\t"))
+        where = f"line {lineno}"
+        rule = _reference_rule(line, depth, where)
+        if root is None:
+            if depth != 0:
+                raise TreeFormatError(f"{where}: first rule must not be indented")
+            if rule.tests or rule.conclusion:
+                raise TreeFormatError(
+                    f"{where}: the root rule must be 'if True then tag = \"\"'"
+                )
+            root = last_at_depth[0] = Node(rule, 0)
+            prev_depth = 0
+            continue
+        if depth == 0:
+            raise TreeFormatError(f"{where}: only one unindented rule is allowed")
+        if depth > prev_depth + 1:
+            raise TreeFormatError(
+                f"{where}: indentation jumps from {prev_depth} to {depth}"
+            )
+        if not rule.tests:
+            raise TreeFormatError(f"{where}: only the root may be always-true")
+        if not rule.conclusion:
+            raise TreeFormatError(f"{where}: empty conclusion outside the root")
+        node = Node(rule, depth)
+        if depth == prev_depth + 1:
+            last_at_depth[depth - 1].except_child = node
+        else:
+            last_at_depth[depth].ifnot_child = node
+        last_at_depth[depth] = node
+        prev_depth = depth
+    if root is None:
+        raise TreeFormatError("empty tree text")
+    return root
 
 
 def reference_tag_text(tagger, text: str) -> str:

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from rippletag.corpus import CorpusParseError, read_tagged_corpus
-from rippletag.lexicon import LexiconFormatError, parse_lexicon
-from rippletag.scrdr import TreeFormatError, parse_tree
+from rippletag.lexicon import LexiconFormatError, parse_lexicon, serialize_lexicon
+from rippletag.scrdr import TreeFormatError, parse_tree, serialize_tree
 from rippletag.tagger import (
     AUDIT_FILE,
     LEXICON_FILE,
@@ -27,17 +27,40 @@ from rippletag.tagger import (
     save_model,
 )
 
-from helpers import random_lexicon, random_tree
+from helpers import (
+    POOL,
+    random_lexicon,
+    random_tree,
+    reference_parse_lexicon,
+    reference_parse_tree,
+    trees_equal,
+)
 
 
-def _texts(fragments):
-    """Text glued from format fragments, random characters and line breaks."""
-    piece = st.one_of(
+def _pieces(fragments):
+    """A format fragment, a few random characters or a line break."""
+    return st.one_of(
         st.sampled_from(fragments),
         st.text(max_size=3),
         st.sampled_from(["\n", "\t", "\r", "\r\n", " ", " ", ""]),
     )
-    return st.lists(piece, max_size=40).map("".join)
+
+
+def _texts(fragments):
+    """Text glued from format fragments, random characters and line breaks."""
+    return st.lists(_pieces(fragments), max_size=40).map("".join)
+
+
+@st.composite
+def _edited(draw, saved_text, fragments):
+    """``saved_text(rng)``, a saved file's text, with up to three short
+    spans replaced by pieces of ``_pieces(fragments)``."""
+    text = saved_text(random.Random(draw(st.integers(0, 2**16))))
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, len(text)))
+        stop = draw(st.integers(start, min(len(text), start + 6)))
+        text = text[:start] + draw(_pieces(fragments)) + text[stop:]
+    return text
 
 
 _TREE_FRAGMENTS = [
@@ -93,6 +116,97 @@ def test_parse_lexicon_parses_or_raises_its_format_error(text):
         parse_lexicon(text)
     except LexiconFormatError:
         pass
+
+
+def assert_parses_like(parse, reference, text, same):
+    """``parse(text)`` returns what ``reference(text)`` returns, by
+    ``same``, or raises an error of the same class and message."""
+    try:
+        want = reference(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            parse(text)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+    else:
+        assert same(parse(text), want)
+
+
+def _lexicon_items(lexicon):
+    """Every entry of a lexicon, each table in its own order."""
+    return (
+        list(lexicon.word_tags.items()),
+        [(n, list(table.items())) for n, table in lexicon.suffix_tags.items()],
+        (lexicon.numeric_tag, lexicon.capitalized_tag, lexicon.lowercase_tag),
+    )
+
+
+def _same_lexicon(got, want):
+    return got == want and _lexicon_items(got) == _lexicon_items(want)
+
+
+# Values with a quote and a backslash, which the tree file escapes.
+_ESCAPED_POOL = (*POOL, 'odd"one', "a\\b")
+
+
+def _saved_lexicon_text(rng):
+    return serialize_lexicon(random_lexicon(rng))
+
+
+def _saved_tree_text(rng):
+    return serialize_tree(random_tree(rng, rng.randint(1, 20), _ESCAPED_POOL))
+
+
+_SAVED_LEXICON = (
+    "%%NUM%%\tCD\n%%CAP%%\tNNP\n%%LOW%%\tNN\n%%S2%%ed\tVBD\ndog\tNN\nthe\tDT\n"
+)
+_SAVED_TREE = 'if True then tag = ""\n\tif word == "a" then tag = "N"\n'
+
+
+@given(
+    st.one_of(_edited(_saved_lexicon_text, _LEXICON_FRAGMENTS), _texts(_LEXICON_FRAGMENTS))
+)
+@example(_SAVED_LEXICON)
+@example(_SAVED_LEXICON + "%%x\tNN\n")  # a reserved word after the words
+@example(_SAVED_LEXICON + "%%S3%%ing\tVBG\n")  # a suffix after a word
+@example(_SAVED_LEXICON.replace("dog", "\ndog"))  # a blank line
+@example(_SAVED_LEXICON.replace("dog", "\t\ndog"))  # a line of one tab
+@example(_SAVED_LEXICON.replace("\n", "\r\n"))
+@example(_SAVED_LEXICON.replace("dog", "d g"))
+@example(_SAVED_LEXICON.replace("dog", "d\x1fg"))
+@example(_SAVED_LEXICON.replace("dog", "d\u00a0g"))
+@example(_SAVED_LEXICON.replace("dog", "d\u2028g"))
+@example(_SAVED_LEXICON.replace("%%S2%%", "%%NUM%%\tCD\n%%S2%%"))  # a fourth default
+@example(_SAVED_LEXICON.replace("%%S2%%ed\tVBD\n", "%%S2%%ed\tVBD\n" * 2))
+@example(_SAVED_LEXICON.replace("%%S2%%ed", "%%S2%%edd"))
+@example(_SAVED_LEXICON.replace("dog\tNN", "dog\tNN\ndog\tNN"))
+@example(_SAVED_LEXICON.replace("dog\tNN", "dog\tN\tN"))  # a tab inside a tag
+@example(_SAVED_LEXICON.replace("dog\tNN", "dog\t"))
+@example(_SAVED_LEXICON.replace("dog\tNN", "\tNN"))
+@example(_SAVED_LEXICON[:-1])  # no newline at the end
+@example(_SAVED_LEXICON[:-3])  # ends in a tab
+def test_parse_lexicon_equals_the_line_by_line_reference(text):
+    assert_parses_like(parse_lexicon, reference_parse_lexicon, text, _same_lexicon)
+
+
+@given(
+    st.one_of(_edited(_saved_tree_text, _TREE_FRAGMENTS), _texts(_TREE_FRAGMENTS))
+)
+@example(_SAVED_TREE)
+# splits into an even number of parts at its quotes
+@example('if True then tag = ""\n\tif word == "a" and prev1Tag == " then tag = "c"\n')
+@example('if True then tag = ""\n\tif word == "a\\"b" then tag = "N"\n')
+@example('if True then tag = ""\n\tif word == "a" and word == "b" then tag = "N"\n')
+@example('if True then tag = ""\n\tif word == "a" and next1Tag == "b" then tag = "N"\n')
+@example('if True then tag = ""\n\tif next1Tag == "a" and word == "b" then tag = "N"\n')
+@example('if True then tag = ""\n\tif word == "a" and then tag = "N"\n')
+@example('if True then tag = ""\n\tif word == "a" then tag = "N" \n')
+@example('if True then tag = ""\n\tif True then tag = "N"\n')
+@example('if True then tag = "N"\n')
+@example('if True then tag = ""\n\n\t\n' + _SAVED_TREE)  # blank lines
+@example(_SAVED_TREE.replace("\n", "\r\n"))
+@example(_SAVED_TREE + '\t\tif word == x then tag = "N"\n')
+def test_parse_tree_equals_the_line_by_line_reference(text):
+    assert_parses_like(parse_tree, reference_parse_tree, text, trees_equal)
 
 
 @given(_texts(_CORPUS_FRAGMENTS), st.sampled_from(["/", "::", "_"]))

@@ -9,6 +9,7 @@ from rippletag.corpus import TaggedCorpus, read_tagged_corpus
 from rippletag.initial_tagger import InitialTagger, initialize_corpus
 from rippletag.lexicon import (
     _STRAY_WHITESPACE,
+    _has_stray_whitespace,
     Lexicon,
     LexiconFormatError,
     build_lexicon,
@@ -349,6 +350,11 @@ def test_stray_whitespace_is_str_isspace_but_tab_and_newline():
     every = set(map(chr, range(sys.maxunicode + 1)))
     stray = {c for c in every if c.isspace()} - {"\t", "\n"}
     assert {c for c in every if _STRAY_WHITESPACE.match(c)} == stray
+    # ASCII text takes one substring test per stray character, other
+    # text the regex
+    ascii = set(map(chr, range(128)))
+    assert {c for c in ascii if _has_stray_whitespace("a\tb\n" + c)} == stray & ascii
+    assert {c for c in every if _has_stray_whitespace("\u00e9\tb\n" + c)} == stray
 
 
 _lexicon_part = st.one_of(

@@ -448,7 +448,13 @@ def test_round_trip_many_random_trees():
         ('if True then tag = ""\n\tif word == "x then tag = "N"\n', "column|expected"),
         ('if True then tag = ""\n\tif wrd == "x" then tag = "N"\n', "unknown field"),
         ('if True then tag = ""\n\tif word == "\\x" then tag = "N"\n', "escape"),
-        ('if True then tag = ""\n\tif word == x then tag = "N"\n', "'\"' at column 12"),
+        # columns count from the file line's first character, tabs included
+        ('if True then tag = ""\n\tif word == x then tag = "N"\n', "'\"' at column 13"),
+        (
+            'if True then tag = ""\n\tif word == "a" then tag = "N"\n'
+            '\t\tif word == x then tag = "N"\n',
+            "line 3: expected '\"' at column 14",
+        ),
         ('if True then tag = ""\n\tif word == "x then tag = N\n', "unterminated string"),
         ('if True then tag = ""\n\tif word = "x" then tag = "N"\n', "expected 'field =="),
         ('if True then tag = ""\n\tif word == "x" then tag = "N" junk\n', "trailing"),

@@ -43,6 +43,7 @@ from helpers import (
     random_tree,
     reference_evaluate,
     reference_make_tag_objects,
+    trees_equal,
 )
 
 
@@ -505,6 +506,36 @@ class TestPersistence:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+    def test_hand_edited_files_load_to_the_same_model(self, toy_model, tmp_path):
+        # a tree value with a quote and a conclusion with a backslash,
+        # which model.rdr writes escaped
+        tree = parse_tree(serialize_tree(toy_model.tree))
+        insert_exception(tree, Rule(((FIELD_INDEX["word"], 'odd"one'),), "a\\b"))
+        model = replace(toy_model, tree=tree)
+        save_model(model, tmp_path)
+        saved = load_model(tmp_path)
+        lex = tmp_path / LEXICON_FILE
+        lines = lex.read_text().splitlines(keepends=True)
+        suffixes = [line for line in lines if line.startswith("%%S")]
+        others = [line for line in lines if not line.startswith("%%S")]
+        assert suffixes and len(others) > 3
+        # the words before the suffix entries, with blank lines between
+        lex.write_text("".join([*others[:3], "\n", *others[3:], "\t\n", *suffixes]))
+        rdr = tmp_path / TREE_FILE
+        rdr.write_text(rdr.read_text().replace("\n", "\n\n"))
+        assert 'odd\\"one' in rdr.read_text()
+        edited = load_model(tmp_path)
+        assert edited.lexicon == model.lexicon
+        for loaded in (edited, saved):
+            assert trees_equal(loaded.tree, model.tree)
+            assert replace(loaded, lexicon=model.lexicon, tree=model.tree) == model
+        assert list(edited.lexicon.word_tags.items()) == list(
+            saved.lexicon.word_tags.items()
+        )
+        assert [list(t.items()) for t in edited.lexicon.suffix_tags.values()] == [
+            list(t.items()) for t in saved.lexicon.suffix_tags.values()
+        ]
 
     def test_meta_file_contents(self, toy_model, tmp_path):
         save_model(toy_model, tmp_path / "m")
