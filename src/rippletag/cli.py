@@ -28,14 +28,10 @@ from .evaluation import cross_validate, score_tagging
 from .initial_tagger import DEFAULT_ENGLISH_RULES, MODES, parse_regex_rules
 from .learner import Thresholds, TrainOptions, train_model
 from .scrdr import count_rules
-from .tagger import Tagger, load_model, save_model
+from .tagger import TAG_BLOCK_LINES, Tagger, load_model, save_model
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
-
-# Input lines that `tag` reads, tags and writes at a time, so its memory
-# does not grow with the input.
-TAG_BLOCK_LINES = 1000
 
 # Hard defaults for options that may also come from a --config file;
 # the training ones are those of TrainOptions.
@@ -269,7 +265,9 @@ def cmd_tag(args: argparse.Namespace) -> int:
     tagger = Tagger(model)
     tokens = sentences = 0
     # Only "\n" ends a line, so a lone "\r" stays inside its line, and
-    # output line N is input line N, blank lines included.  The blocks
+    # output line N is input line N, blank lines included.  Each block of
+    # lines is read, tagged by one tag_block call and written before the
+    # next is read, so memory does not grow with the input.  The blocks
     # are rendered without write_tagged_corpus's checks, as every token
     # reads back: its word comes from str.split(), so it is non-empty and
     # holds no whitespace, and its tag is a lexicon tag (a regex rule
@@ -283,10 +281,7 @@ def cmd_tag(args: argparse.Namespace) -> int:
             tokens += sum(map(len, lines))
             sentences += sum(map(bool, lines))
             sink.write(
-                render_tagged(
-                    [(words, tagger.tag_sentence(words)) for words in lines],
-                    model.separator,
-                )
+                render_tagged(zip(lines, tagger.tag_block(lines)), model.separator)
             )
     print(
         f"tagged {tokens} tokens in {sentences} sentences -> {args.output}",

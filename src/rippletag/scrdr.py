@@ -72,7 +72,7 @@ def _suffixes(words: Sequence[str], n: int) -> list[str | None]:
 
 
 def _window(words: Sequence[str], tags: Sequence[str]) -> tuple[list[str | None], ...]:
-    """The ten neighbour columns of ``context_columns``."""
+    """The ten neighbour columns of one sentence, for ``corpus_columns``."""
     if len(words) != len(tags):
         raise ValueError(f"{len(words)} words but {len(tags)} tags")
     n = len(words)
@@ -92,25 +92,65 @@ def _window(words: Sequence[str], tags: Sequence[str]) -> tuple[list[str | None]
     )
 
 
-def context_columns(
-    words: Sequence[str], tags: Sequence[str]
-) -> tuple[Sequence[str | None], ...]:
-    """The context window of one sentence, one column per field.
+_GAP = (None, None)
 
-    Column ``FIELD_INDEX[name]`` holds field ``name`` of every token in
-    sentence order, so ``columns[f][i]`` is ``make_tag_objects(words,
-    tags)[i][f]``.  Neighbours outside the sentence, and suffixes as
-    long as the word itself, are None.  The ten neighbour columns are
-    lists; the three suffix columns cut a word's suffix only when it is
-    read, since a tree walk reads few of them.  They read ``words``
-    itself, so it must not change while the columns are in use.
-    Training reads many sentences at once through ``corpus_columns``.
+
+def block_columns(
+    sentences: Sequence[Sequence[str]], tags: Sequence[str]
+) -> tuple[Sequence[str | None], ...]:
+    """The context window of a block of sentences, one column per field.
+
+    ``tags`` holds one tag per token of the block, in sentence order.
+    The words and the tags are each laid out in one list, padded with
+    two Nones before, between and after the sentences, and the ten
+    neighbour columns are slices of those two lists, so no neighbour
+    crosses a sentence edge.  The first sentence starts at row 0, and
+    each later one two rows after the previous one ends: for the
+    sentence ``words`` that starts at row ``start``, row ``start + i``
+    of the columns is ``make_tag_objects(words, its tags)[i]``.  The
+    two rows between sentences belong to no token and are never read.
+
+    The three suffix columns cut a word's suffix only when it is read,
+    since a tree walk reads few of them.  The word column of a block of
+    one sentence is that sentence's list itself, so the list must not
+    change while the columns are in use.  Training reads many sentences
+    at once through ``corpus_columns``, which cuts every suffix.
     """
+    if len(sentences) == 1:
+        (word,) = sentences
+        if len(word) != len(tags):
+            raise ValueError(f"{len(word)} words but {len(tags)} tags")
+        w = [None, None, *word, None, None]
+        t = [None, None, *tags, None, None]
+    else:
+        w = [None, None]
+        t = [None, None]
+        start = 0
+        for words in sentences:
+            end = start + len(words)
+            w += words
+            w += _GAP
+            t += tags[start:end]
+            t += _GAP
+            start = end
+        if start != len(tags):
+            raise ValueError(f"{start} words but {len(tags)} tags")
+        word = w[2:-2]
+    n = len(word)
     return (
-        *_window(words, tags),
-        _Suffixes(words, 2),
-        _Suffixes(words, 3),
-        _Suffixes(words, 4),
+        w[0:n],
+        t[0:n],
+        w[1 : n + 1],
+        t[1 : n + 1],
+        word,
+        t[2 : n + 2],
+        w[3 : n + 3],
+        t[3 : n + 3],
+        w[4 : n + 4],
+        t[4 : n + 4],
+        _Suffixes(word, 2),
+        _Suffixes(word, 3),
+        _Suffixes(word, 4),
     )
 
 
@@ -121,8 +161,8 @@ def corpus_columns(
 
     ``pairs`` holds one ``(words, tags)`` pair per sentence.  Row ``r``
     of every column is token ``r`` of the whole input, and each
-    sentence's window is cut as ``context_columns`` cuts it, so no
-    neighbour crosses a sentence edge.  All thirteen columns are lists;
+    sentence's window is cut on its own, so no neighbour crosses a
+    sentence edge.  All thirteen columns are lists;
     the suffixes are cut once per distinct word of the word column, so
     all tokens of a word share its suffix strings.
     """

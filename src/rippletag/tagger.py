@@ -1,5 +1,11 @@
 """Applying a trained model to text, and model persistence.
 
+Text is tagged a block of sentences at a time.  A block gets its first
+guesses from one call over all its tokens, and its context window from
+one padded word list and one padded tag list, with two empty slots
+between sentences, so that no neighbour crosses a sentence edge.  One
+sentence is a block of one.
+
 Tagging walks the exception tree once per token.  For throughput the
 tree is compiled first, each if-not chain into one of two shapes,
 chosen from the chain itself.  A chain whose entries all test one
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -29,7 +36,14 @@ from .initial_tagger import (
     InitialTaggerOptions,
 )
 from .lexicon import Lexicon, parse_lexicon, serialize_lexicon
-from .scrdr import Node, context_columns, iter_nodes, parse_tree, serialize_tree
+from .scrdr import (
+    FIELD_INDEX,
+    Node,
+    block_columns,
+    iter_nodes,
+    parse_tree,
+    serialize_tree,
+)
 
 # Unused here; the benchmark's trace probe looks the name up in this module.
 from .scrdr import make_tag_objects  # noqa: F401
@@ -38,6 +52,12 @@ TREE_FILE = "model.rdr"
 LEXICON_FILE = "model.lex"
 META_FILE = "model.json"
 AUDIT_FILE = "audit.jsonl"
+
+# Sentences that ``Tagger.tag_sentences``, and the `tag` command as
+# lines, tag in one block: large enough that the per-block work is
+# shared by many sentences, small enough that memory does not grow
+# with the input.
+TAG_BLOCK_LINES = 1000
 
 # One entry of an indexed chain: (chain position, tests after the
 # first, label of the node, compiled exception chain).
@@ -146,7 +166,7 @@ def run_chain(
     """The label of the deepest node fired in this chain for token ``i``.
 
     None if no node fires; the label is what ``compile_chain`` stored.
-    ``cols`` are ``context_columns`` or ``corpus_columns``: field ``f``
+    ``cols`` are ``block_columns`` or ``corpus_columns``: field ``f``
     of the token is ``cols[f][i]``.  In each chain the earliest entry whose
     tests all hold fires, and the walk goes on into its exceptions.  A
     dispatch table finds that entry with one lookup of the token's value.
@@ -190,8 +210,11 @@ def run_chain(
 class Tagger:
     """Tags sentences with a model: first guesses, then tree corrections.
 
-    A token whose first-guess tag has no layer-1 node falls through
-    the whole tree and keeps that first guess.
+    ``tag_block`` tags a block of sentences over one context window;
+    ``tag_sentence`` is the block of one sentence, and ``tag_sentences``
+    tags ``TAG_BLOCK_LINES`` sentences per block.  A token whose
+    first-guess tag has no layer-1 node falls through the whole tree
+    and keeps that first guess.
     """
 
     def __init__(self, model: Model) -> None:
@@ -206,19 +229,42 @@ class Tagger:
             model.tree.except_child, attrgetter("rule.conclusion")
         )
 
-    def tag_sentence(self, words: list[str]) -> list[str]:
-        initial_tags = self.initial.tag_sentence(words)
+    def tag_block(self, sentences: Sequence[list[str]]) -> list[list[str]]:
+        """The tags of each sentence, walked over one ``block_columns`` window.
+
+        A sentence may be empty; its tags are then empty too.
+        """
+        words = list(chain.from_iterable(sentences))
+        cols = block_columns(sentences, self.initial.tag_sentence(words))
+        guesses = cols[FIELD_INDEX["currentTag"]]
         compiled = self._compiled
-        cols = context_columns(words, initial_tags)
-        return [
-            run_chain(compiled, cols, i) or guess
-            for i, guess in enumerate(initial_tags)
-        ]
+        tags = []
+        start = 0
+        for sentence in sentences:
+            end = start + len(sentence)
+            tags.append(
+                [run_chain(compiled, cols, i) or guesses[i] for i in range(start, end)]
+            )
+            # the next sentence starts after the two rows between them
+            start = end + 2
+        return tags
+
+    def tag_sentence(self, words: list[str]) -> list[str]:
+        """The tags of the block of one sentence.
+
+        Its rows are its tokens, so the walk needs none of ``tag_block``'s
+        bookkeeping, and ``words`` goes to the first guesser uncopied.
+        """
+        guesses = self.initial.tag_sentence(words)
+        cols = block_columns((words,), guesses)
+        compiled = self._compiled
+        return [run_chain(compiled, cols, i) or guess for i, guess in enumerate(guesses)]
 
     def tag_sentences(self, sentences: list[list[str]]) -> TaggedCorpus:
-        return TaggedCorpus.from_pairs(
-            [zip(words, self.tag_sentence(words)) for words in sentences]
-        )
+        tags: list[list[str]] = []
+        for start in range(0, len(sentences), TAG_BLOCK_LINES):
+            tags += self.tag_block(sentences[start : start + TAG_BLOCK_LINES])
+        return TaggedCorpus.from_pairs(map(zip, sentences, tags))
 
 
 def save_model(model: Model, directory: str | Path) -> None:

@@ -62,8 +62,8 @@ def records_of(columns, gold, rows) -> list[Record]:
 def reference_make_tag_objects(words: list[str], tags: list[str]) -> list[TagObject]:
     """Per-token context build, every field by keyword.
 
-    ``make_tag_objects`` transposes ``context_columns``; this is the
-    plain version both must agree with.
+    ``make_tag_objects`` and ``block_columns`` lay the same fields out
+    as rows; this is the plain version both must agree with.
     """
     if len(words) != len(tags):
         raise ValueError(f"{len(words)} words but {len(tags)} tags")
@@ -284,12 +284,28 @@ def reference_parse_tree(text: str) -> Node:
     return root
 
 
+def reference_tag_words(tagger, words: list[str]) -> list[str]:
+    """The tags of one sentence by the plain walk of ``tagger``'s model.
+
+    The first guesses come from ``tagger.initial``; each token then gets
+    the conclusion of the last node ``scrdr.evaluate`` fires, or its
+    first guess where only the root (which concludes "") fires.  Nothing
+    here is shared with the tagger's padded block window or its compiled
+    chains, and the walk is iterative, so a tree of any depth tags.
+    """
+    tree = tagger.model.tree
+    guesses = tagger.initial.tag_sentence(words)
+    objects = reference_make_tag_objects(words, guesses)
+    return [conclude(tree, obj) or guess for obj, guess in zip(objects, guesses)]
+
+
 def reference_tag_text(tagger, text: str) -> str:
     """What ``rippletag tag`` writes for ``text``, from the whole text at once.
 
     ``cmd_tag`` reads, tags and renders in blocks of lines, without the
     writer's checks; its output must equal this one-pass rendering of
-    every line through the checked ``write_tagged_corpus``.
+    every line, tagged by the plain walk, through the checked
+    ``write_tagged_corpus``.
     """
     # only "\n" ends a line, and a final one ends the last line rather than
     # starting an empty one; blank lines stay, as empty sentences
@@ -297,7 +313,10 @@ def reference_tag_text(tagger, text: str) -> str:
     if lines[-1] == "":
         lines.pop()
     return write_tagged_corpus(
-        [(words, tagger.tag_sentence(words)) for words in map(str.split, lines)],
+        [
+            (words, reference_tag_words(tagger, words))
+            for words in map(str.split, lines)
+        ],
         tagger.model.separator,
     )
 

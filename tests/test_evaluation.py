@@ -145,6 +145,18 @@ class TestSpeed:
         )
         assert all(r > 0 for r in report["rates"])
 
+    def test_times_one_tag_sentences_call_per_pass(self, toy, toy_model):
+        passes = []
+
+        class Counting(Tagger):
+            def tag_sentences(self, sentences):
+                passes.append(len(sentences))
+                return super().tag_sentences(sentences)
+
+        words = [[t.word for t in s] for s in toy.sentences[:20]]
+        measure_tagging_speed(Counting(toy_model), words, repeats=3)
+        assert passes == [20, 20, 20]
+
     def test_rejects_empty_work(self, toy_model):
         tagger = Tagger(toy_model)
         with pytest.raises(ValueError):

@@ -349,12 +349,15 @@ def test_parse_refuses_keys_and_tags_with_whitespace(entry):
 def test_stray_whitespace_is_str_isspace_but_tab_and_newline():
     every = set(map(chr, range(sys.maxunicode + 1)))
     stray = {c for c in every if c.isspace()} - {"\t", "\n"}
-    assert {c for c in every if _STRAY_WHITESPACE.match(c)} == stray
-    # ASCII text takes one substring test per stray character, other
-    # text the regex
-    ascii = set(map(chr, range(128)))
-    assert {c for c in ascii if _has_stray_whitespace("a\tb\n" + c)} == stray & ascii
-    assert {c for c in every if _has_stray_whitespace("\u00e9\tb\n" + c)} == stray
+    assert len(_STRAY_WHITESPACE) == len(stray) == 27
+    assert set(_STRAY_WHITESPACE) == stray
+    # one text holding every other character has none
+    assert not _has_stray_whitespace("".join(sorted(every - stray)))
+    # texts whose widest character takes one, two and four bytes
+    for text in ("a\tb\n", "\u00e9\tb\n", "\u0100\tb\n", "\U0001f600\tb\n"):
+        assert not _has_stray_whitespace(text)
+        assert all(_has_stray_whitespace(text + c) for c in stray)
+        assert all(_has_stray_whitespace(c + text) for c in stray)
 
 
 _lexicon_part = st.one_of(

@@ -11,7 +11,7 @@ from rippletag.scrdr import (
     Rule,
     TagObject,
     TreeFormatError,
-    context_columns,
+    block_columns,
     corpus_columns,
     count_rules,
     evaluate,
@@ -84,7 +84,9 @@ def test_mismatched_lengths_rejected():
     with pytest.raises(ValueError):
         make_tag_objects(["a"], ["X", "Y"])
     with pytest.raises(ValueError):
-        context_columns(["a", "b"], ["X"])
+        block_columns([["a", "b"]], ["X"])
+    with pytest.raises(ValueError):
+        block_columns([["a"], ["a", "b"]], ["X", "Y"])
     with pytest.raises(ValueError):
         corpus_columns([(["a"], ["X"]), (["a", "b"], ["X"])])
 
@@ -144,20 +146,47 @@ def test_context_objects_mirror_the_sentence(words):
 
 
 @given(
-    st.lists(st.text("abc", min_size=1, max_size=6), min_size=1, max_size=6),
+    st.lists(
+        st.lists(st.text("abc", min_size=1, max_size=6), max_size=6),
+        min_size=1,
+        max_size=5,
+    ),
     st.data(),
 )
-def test_columns_and_objects_equal_the_reference_objects(words, data):
-    # words of 1-6 letters put every suffix None rule at every position
-    n = len(words)
-    tags = data.draw(st.lists(st.sampled_from(["X", "Y"]), min_size=n, max_size=n))
-    want = reference_make_tag_objects(words, tags)
-    objects = make_tag_objects(words, tags)
-    assert objects == want
-    assert all(type(o) is TagObject for o in objects)
-    columns = context_columns(words, tags)
+def test_columns_and_objects_equal_the_reference_objects(sentences, data):
+    # words of 1-6 letters put every suffix None rule at every position;
+    # blocks of one sentence and of several, empty sentences among them
+    block_tags = []
+    wants = []
+    for words in sentences:
+        n = len(words)
+        tags = data.draw(st.lists(st.sampled_from(["X", "Y"]), min_size=n, max_size=n))
+        want = reference_make_tag_objects(words, tags)
+        objects = make_tag_objects(words, tags)
+        assert objects == want
+        assert all(type(o) is TagObject for o in objects)
+        block_tags += tags
+        wants.append(want)
+    columns = block_columns(sentences, block_tags)
     assert len(columns) == len(FIELD_NAMES)
-    assert [TagObject(*row) for row in zip(*columns)] == want
+    start = 0
+    for words, want in zip(sentences, wants):
+        rows = range(start, start + len(words))
+        assert [TagObject(*(column[r] for column in columns)) for r in rows] == want
+        if rows.stop < len(columns[0]):
+            # the two rows before the next sentence hold no token
+            for field in ("word", "currentTag"):
+                column = columns[FIELD_INDEX[field]]
+                assert column[rows.stop] is column[rows.stop + 1] is None
+        start = rows.stop + 2
+    assert len(columns[0]) == start - 2
+
+
+def test_block_columns_of_one_sentence_read_its_own_list():
+    words = ["walked", "x"]
+    columns = block_columns([words], ["V", "X"])
+    assert columns[FIELD_INDEX["word"]] is words
+    assert columns[FIELD_INDEX["suffix3"]][0] == "ked"
 
 
 # ---------------------------------------------------------------- evaluation

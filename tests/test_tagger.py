@@ -6,8 +6,9 @@ from dataclasses import replace
 from operator import attrgetter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import rippletag.tagger as tagger_module
 from rippletag.corpus import check_separator, check_tag
 from rippletag.initial_tagger import MAX_RULE_PARENS, MODE_ENGLISH, InitialTaggerOptions
 from rippletag.lexicon import Lexicon
@@ -15,7 +16,7 @@ from rippletag.scrdr import (
     FIELD_INDEX,
     Node,
     Rule,
-    context_columns,
+    block_columns,
     evaluate,
     insert_exception,
     new_root,
@@ -43,6 +44,7 @@ from helpers import (
     random_tree,
     reference_evaluate,
     reference_make_tag_objects,
+    reference_tag_words,
     trees_equal,
 )
 
@@ -150,10 +152,16 @@ class TestCompiledChain:
                 rule = Rule(tests, rng.choice("XYZ"))
                 nodes.append(insert_exception(rng.choice(nodes), rule))
             compiled = compile_chain(root.except_child, CONCLUSION)
+            cols = block_columns(
+                [words for words, _ in sentences],
+                [tag for _, tags in sentences for tag in tags],
+            )
+            start = 0
             for words, tags in sentences:
-                cols = context_columns(words, tags)
                 for i, obj in enumerate(reference_make_tag_objects(words, tags)):
-                    assert run_chain(compiled, cols, i) == expected_conclusion(root, obj)
+                    got = run_chain(compiled, cols, start + i)
+                    assert got == expected_conclusion(root, obj)
+                start += len(words) + 2
 
     def test_chains_of_every_length_match_the_plain_walk(self):
         rng = random.Random(33)
@@ -406,23 +414,12 @@ _LEXICON = Lexicon(
 )
 
 
-def evaluated_tags(tagger, words):
-    """The tags of ``scrdr.evaluate``, a first guess where only the root fires."""
-    tree = tagger.model.tree
-    guesses = tagger.initial.tag_sentence(words)
-    tags = []
-    for obj, guess in zip(reference_make_tag_objects(words, guesses), guesses):
-        node = evaluate(tree, obj).node
-        tags.append(guess if node is tree else node.rule.conclusion)
-    return tags
-
-
 @given(_trees(), st.lists(st.lists(_WORDS, min_size=1, max_size=7), max_size=6))
 def test_tagger_walks_a_parsed_tree_like_the_reference(root, sentences):
     tree = parse_tree(serialize_tree(root))
     tagger = Tagger(Model(lexicon=_LEXICON, tree=tree))
     for words in sentences:
-        assert tagger.tag_sentence(words) == evaluated_tags(tagger, words)
+        assert tagger.tag_sentence(words) == reference_tag_words(tagger, words)
 
 
 def test_a_tree_nested_deeper_than_the_recursion_limit_tags_like_evaluate():
@@ -430,7 +427,7 @@ def test_a_tree_nested_deeper_than_the_recursion_limit_tags_like_evaluate():
     tagger = Tagger(Model(lexicon=_LEXICON, tree=parse_tree(deep_tree_text(depth))))
     words = ["x", "w1", "x", f"w{depth}", "x", "x", "w7", "w7"]
     tags = tagger.tag_sentence(words)
-    assert tags == evaluated_tags(tagger, words)
+    assert tags == reference_tag_words(tagger, words)
     first = tagger.initial.tag_sentence(words)
     assert tags == [
         first[0], "L1", first[2], f"L{depth}", first[4], f"C{depth}", "L7", first[7]
@@ -443,6 +440,74 @@ def test_a_tree_nested_deeper_than_the_recursion_limit_saves_and_loads(tmp_path)
     assert (tmp_path / "m" / TREE_FILE).read_text(encoding="utf-8") == text
     loaded = load_model(tmp_path / "m")
     assert serialize_tree(loaded.tree) == text
+
+
+# Values for random trees whose rules often fire: the words of the
+# blocks, their suffixes ("ab" of "bab", "bab" of "abab") and tags.  The
+# word "zz" has no lexicon entry.
+_BLOCK_POOL = ("a", "b", "ab", "bab", "X", "Y")
+_BLOCK_WORDS = ["a", "b", "ab", "bab", "abab", "zz"]
+_BLOCK_LEXICON = Lexicon(
+    word_tags={"a": "X", "b": "Y", "ab": "X", "bab": "Y", "abab": "X"},
+    suffix_tags={n: {} for n in (2, 3, 4, 5)},
+    numeric_tag="X",
+    capitalized_tag="X",
+    lowercase_tag="Y",
+)
+
+
+@st.composite
+def _blocks(draw):
+    """Up to 8 sentences of up to 4 words each.
+
+    Blank and one-word sentences are common, and adjacent sentences
+    often share their edge word.
+    """
+    sentences = draw(
+        st.lists(st.lists(st.sampled_from(_BLOCK_WORDS), max_size=4), max_size=8)
+    )
+    for before, after in zip(sentences, sentences[1:]):
+        if before and after and draw(st.booleans()):
+            after[0] = before[-1]
+    return sentences
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), _blocks())
+def test_a_block_tags_each_sentence_like_the_plain_walk(seed, n_rules, sentences):
+    tree = random_tree(random.Random(seed), n_rules, _BLOCK_POOL)
+    tagger = Tagger(Model(lexicon=_BLOCK_LEXICON, tree=tree))
+    want = [reference_tag_words(tagger, words) for words in sentences]
+    assert tagger.tag_block(sentences) == want
+    assert [tagger.tag_sentence(words) for words in sentences] == want
+
+
+def test_no_context_reaches_across_a_sentence_edge():
+    # each exception tests a value that only the neighbouring sentence
+    # holds, one or two tokens away, so any leak changes a tag
+    lexicon = Lexicon(
+        word_tags={"a": "A", "b": "B", "c": "C", "d": "D"},
+        suffix_tags={n: {} for n in (2, 3, 4, 5)},
+        numeric_tag="N",
+        capitalized_tag="N",
+        lowercase_tag="N",
+    )
+    root = new_root()
+    a = insert_exception(root, Rule(((FIELD_INDEX["currentTag"], "A"),), "X"))
+    insert_exception(a, Rule(((FIELD_INDEX["next1Word"], "c"),), "LEAK"))
+    c = insert_exception(root, Rule(((FIELD_INDEX["currentTag"], "C"),), "Z"))
+    insert_exception(c, Rule(((FIELD_INDEX["prev2Tag"], "A"),), "LEAK"))
+    d = insert_exception(root, Rule(((FIELD_INDEX["currentTag"], "D"),), "Y"))
+    insert_exception(d, Rule(((FIELD_INDEX["prev2Tag"], "A"),), "LEAK"))
+    tagger = Tagger(Model(lexicon=lexicon, tree=root))
+    # as one sentence, "a" sees "c" next and "d" sees "a" two back
+    assert tagger.tag_sentence(["b", "a", "c", "d"]) == ["B", "LEAK", "Z", "LEAK"]
+    # one slot between the sentences would let "c" see "a" two back
+    assert tagger.tag_sentence(["b", "a", "x", "c", "d"])[3] == "LEAK"
+    apart = [["B", "X"], ["Z", "Y"]]
+    assert tagger.tag_block([["b", "a"], ["c", "d"]]) == apart
+    assert tagger.tag_block([["b", "a"], [], ["c", "d"]]) == [apart[0], [], apart[1]]
+    assert tagger.tag_block([["a"], ["c"], ["d"]]) == [["X"], ["Z"], ["Y"]]
 
 
 class TestTagger:
@@ -475,6 +540,22 @@ class TestTagger:
         bad_root = Node(Rule(((4, "x"),), "NN"), 0)
         with pytest.raises(ValueError):
             Tagger(Model(lexicon=toy_model.lexicon, tree=bad_root))
+
+    def test_tag_sentences_tags_in_blocks(self, toy, toy_model, monkeypatch):
+        calls = []
+
+        class Counting(Tagger):
+            def tag_block(self, sentences):
+                calls.append(len(sentences))
+                return super().tag_block(sentences)
+
+        monkeypatch.setattr(tagger_module, "TAG_BLOCK_LINES", 3)
+        tagger = Counting(toy_model)
+        sentences = [[t.word for t in s] for s in toy.sentences[:7]]
+        out = tagger.tag_sentences(sentences)
+        assert calls == [3, 3, 1]
+        want = [reference_tag_words(tagger, words) for words in sentences]
+        assert [[t.tag for t in s] for s in out.sentences] == want
 
     def test_tag_sentences_builds_an_aligned_corpus(self, toy_model):
         tagger = Tagger(toy_model)
