@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace as dc_replace
 from .corpus import TaggedCorpus, check_aligned, split_folds
 from .learner import TrainOptions, train_model
 from .scrdr import count_rules, iter_nodes, truncate
-from .tagger import Model, Tagger
+from .tagger import TAG_BLOCK_LINES, Model, Tagger
 
 
 @dataclass(frozen=True)
@@ -143,8 +143,9 @@ def measure_tagging_speed(
 ) -> dict:
     """Tokens per second, averaged over full passes on the same text.
 
-    Each pass is one ``tagger.tag_sentences`` call, which tags in blocks
-    as the `tag` command does.
+    Each pass tags the sentences with one ``tagger.tag_block`` call per
+    ``TAG_BLOCK_LINES`` of them, as the `tag` command tags its lines, so
+    a sentence may be empty.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
@@ -154,7 +155,8 @@ def measure_tagging_speed(
     rates = []
     for _ in range(repeats):
         start = time.perf_counter()
-        tagger.tag_sentences(sentences)
+        for first in range(0, len(sentences), TAG_BLOCK_LINES):
+            tagger.tag_block(sentences[first : first + TAG_BLOCK_LINES])
         elapsed = time.perf_counter() - start
         rates.append(tokens / elapsed)
     return {

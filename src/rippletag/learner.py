@@ -54,10 +54,11 @@ Once the tree is finished, a self-check gives each row one owner: a
 list of length n holds, for every row, the node and the side (wrong or
 correct) of the record list that files it, and the rows filed are
 counted.  It then reruns the tagger's compiled walk
-(``tagger.run_chain``) over every row, each node labelled by itself,
-and raises ``LearnerStateError`` unless every row's owner is the node
-that the walk says decides it, on the side its gold tag gives, and
-exactly n rows were filed.
+(``tagger.run_chain``) over every row in one call, each node labelled
+by itself, and reads the walk's labels one at a time beside the owners,
+never holding a list of them.  It raises ``LearnerStateError`` unless
+every row's owner is the node that the walk says decides it, on the
+side its gold tag gives, and exactly n rows were filed.
 """
 
 from __future__ import annotations
@@ -604,8 +605,9 @@ class _Learning:
                 deque(map(owner.__setitem__, rows, repeat((node, side))), maxlen=0)
         filed = sum(len(state.wrong) + len(state.correct) for state in records.values())
         compiled = compile_chain(self.root.except_child, lambda node: node)
-        for row, filed_at in enumerate(owner):
-            node = run_chain(compiled, columns, row)
+        # every first guess has a seed that fires, so no row keeps its default
+        walked = run_chain(compiled, columns, columns[_CURRENT_TAG])
+        for row, (filed_at, node) in enumerate(zip(owner, walked)):
             if filed_at != (node, gold[row] == node.rule.conclusion):
                 raise LearnerStateError(
                     f"stale record sets at {render_rule(node.rule)!r}"

@@ -4,19 +4,20 @@ Text is tagged a block of sentences at a time.  A block gets its first
 guesses from one call over all its tokens, and its context window from
 one padded word list and one padded tag list, with two empty slots
 between sentences, so that no neighbour crosses a sentence edge.  One
+call of ``run_chain`` then walks the exception tree for every row of
+the window, and each sentence's tags are cut from its flat result.  One
 sentence is a block of one.
 
-Tagging walks the exception tree once per token.  For throughput the
-tree is compiled first, each if-not chain into one of two shapes,
-chosen from the chain itself.  A chain whose entries all test one
-field first, and whose first entry for each value tests nothing else,
-becomes a dispatch table: one dict from that field's value to what the
-entry concludes and its compiled exceptions, answered by one lookup.
-Any other chain becomes a first-test index, which maps each value of a
-field that some entry tests first to those entries, in chain order; a
-token probes each indexed field once and checks only the entries its
-own values select.  The compiled walk returns exactly what the plain
-tree walk returns; it just skips conditions that cannot fire.
+For throughput the tree is compiled first, each if-not chain into one
+of two shapes, chosen from the chain itself.  A chain whose entries all
+test one field first, and whose first entry for each value tests
+nothing else, becomes a dispatch table: one dict from that field's
+value to what the entry concludes and its compiled exceptions, answered
+by one lookup.  Any other chain becomes a first-test index, which maps
+each value of a field that some entry tests first to those entries, in
+chain order; a token probes each indexed field once and checks only the
+entries its own values select.  The compiled walk returns exactly what
+the plain tree walk returns; it just skips conditions that cannot fire.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .corpus import DEFAULT_SEPARATOR, TaggedCorpus, check_separator, check_tag
 from .initial_tagger import (
@@ -54,10 +55,15 @@ META_FILE = "model.json"
 AUDIT_FILE = "audit.jsonl"
 
 # Sentences that ``Tagger.tag_sentences``, and the `tag` command as
-# lines, tag in one block: large enough that the per-block work is
-# shared by many sentences, small enough that memory does not grow
-# with the input.
-TAG_BLOCK_LINES = 1000
+# lines, tag in one block.  A block keeps two lists per line alive until
+# it is written, the line's words from str.split() and its tags, and
+# about twenty more for its window: about 530 containers at 256 lines.
+# That stays below 700, the cyclic collector's first threshold
+# (``gc.get_threshold()``), so tagging a block runs no generation-0
+# pass over it.  The block is still large enough that its per-block
+# work is shared by many sentences, and memory does not grow with the
+# input.
+TAG_BLOCK_LINES = 256
 
 # One entry of an indexed chain: (chain position, tests after the
 # first, label of the node, compiled exception chain).
@@ -95,9 +101,9 @@ def compile_chain(
 ) -> _Chain | None:
     """Compile one if-not chain (a node and its if-not siblings).
 
-    ``label(node)`` is what ``run_chain`` returns for the node that
-    decides a token: ``Tagger`` labels each node with its conclusion,
-    the learner's self-check with the node itself.
+    ``label(node)`` is what ``run_chain`` yields for a row the node
+    decides: ``Tagger`` labels each node with its conclusion, the
+    learner's self-check with the node itself.
 
     A chain whose entries all test the same field first, and whose
     first entry for each value has no further test, compiles to a
@@ -161,60 +167,71 @@ def _indexed(entries: list[_Link]) -> _Indexed:
 
 
 def run_chain(
-    compiled: _Chain | None, cols: Sequence[Sequence[str | None]], i: int
-) -> object:
-    """The label of the deepest node fired in this chain for token ``i``.
+    compiled: _Chain | None,
+    cols: Sequence[Sequence[str | None]],
+    defaults: Iterable[object],
+) -> Iterator[object]:
+    """Walk every row of a window; yields one label per row, in row order.
 
-    None if no node fires; the label is what ``compile_chain`` stored.
-    ``cols`` are ``block_columns`` or ``corpus_columns``: field ``f``
-    of the token is ``cols[f][i]``.  In each chain the earliest entry whose
-    tests all hold fires, and the walk goes on into its exceptions.  A
-    dispatch table finds that entry with one lookup of the token's value.
-    An indexed chain probes its fields in order, and a field whose first
-    entry comes after the entry found so far is not probed.
+    Row ``i`` yields the label of the deepest node fired in this chain
+    for it, or else its default, item ``i`` of ``defaults``; the label
+    is what ``compile_chain`` stored.  A row whose default is None is
+    not walked and yields None.  ``cols`` are ``block_columns`` or
+    ``corpus_columns``: field ``f`` of row ``i`` is ``cols[f][i]``.
+    ``Tagger`` passes the current-tag column as the defaults, so a token
+    keeps its first guess when no node fires, and the two rows between
+    sentences, whose current tag is None, are skipped.
+
+    In each chain the earliest entry whose tests all hold fires, and the
+    walk goes on into its exceptions.  A dispatch table finds that entry
+    with one lookup of the row's value.  An indexed chain probes its
+    fields in order, and a field whose first entry comes after the entry
+    found so far is not probed.  The walk is a loop, not a recursion, so
+    a tree of any depth is walked.
     """
-    label = None
-    chain: _Chain | None = compiled
-    while chain is not None:
-        field_idx, body = chain
-        if field_idx is not None:
-            hit = body.get(cols[field_idx][i])
-            if hit is None:
-                break
-            label, chain = hit
-            continue
-        cutoff, tables = body
-        fired = None
-        for start, field_idx, table in tables:
-            if start >= cutoff:
-                break
-            entries = table.get(cols[field_idx][i])
-            if entries is None:
+    for i, label in enumerate(defaults):
+        chain = compiled if label is not None else None
+        while chain is not None:
+            field_idx, body = chain
+            if field_idx is not None:
+                hit = body.get(cols[field_idx][i])
+                if hit is None:
+                    break
+                label, chain = hit
                 continue
-            for entry in entries:
-                if entry[0] >= cutoff:
+            cutoff, tables = body
+            fired = None
+            for start, field_idx, table in tables:
+                if start >= cutoff:
                     break
-                for f, value in entry[1]:
-                    if cols[f][i] != value:
+                entries = table.get(cols[field_idx][i])
+                if entries is None:
+                    continue
+                for entry in entries:
+                    if entry[0] >= cutoff:
                         break
-                else:
-                    cutoff = entry[0]
-                    fired = entry
-                    break
-        if fired is None:
-            break
-        _, _, label, chain = fired
-    return label
+                    for f, value in entry[1]:
+                        if cols[f][i] != value:
+                            break
+                    else:
+                        cutoff = entry[0]
+                        fired = entry
+                        break
+            if fired is None:
+                break
+            _, _, label, chain = fired
+        yield label
 
 
 class Tagger:
     """Tags sentences with a model: first guesses, then tree corrections.
 
-    ``tag_block`` tags a block of sentences over one context window;
-    ``tag_sentence`` is the block of one sentence, and ``tag_sentences``
-    tags ``TAG_BLOCK_LINES`` sentences per block.  A token whose
-    first-guess tag has no layer-1 node falls through the whole tree
-    and keeps that first guess.
+    ``tag_block`` tags a block of sentences with one ``run_chain`` call
+    over one context window; ``tag_sentence`` is the block of one
+    sentence, and ``tag_sentences`` tags ``TAG_BLOCK_LINES`` sentences
+    per block.  A token's first-guess tag is its default in the walk, so
+    a token whose first guess has no layer-1 node falls through the
+    whole tree and keeps it.
     """
 
     def __init__(self, model: Model) -> None:
@@ -236,18 +253,16 @@ class Tagger:
         """
         words = list(chain.from_iterable(sentences))
         cols = block_columns(sentences, self.initial.tag_sentence(words))
-        guesses = cols[FIELD_INDEX["currentTag"]]
-        compiled = self._compiled
-        tags = []
+        # the rows between sentences have no current tag, so are not walked
+        tags = list(run_chain(self._compiled, cols, cols[FIELD_INDEX["currentTag"]]))
+        out = []
         start = 0
         for sentence in sentences:
             end = start + len(sentence)
-            tags.append(
-                [run_chain(compiled, cols, i) or guesses[i] for i in range(start, end)]
-            )
+            out.append(tags[start:end])
             # the next sentence starts after the two rows between them
             start = end + 2
-        return tags
+        return out
 
     def tag_sentence(self, words: list[str]) -> list[str]:
         """The tags of the block of one sentence.
@@ -257,8 +272,7 @@ class Tagger:
         """
         guesses = self.initial.tag_sentence(words)
         cols = block_columns((words,), guesses)
-        compiled = self._compiled
-        return [run_chain(compiled, cols, i) or guess for i, guess in enumerate(guesses)]
+        return list(run_chain(self._compiled, cols, guesses))
 
     def tag_sentences(self, sentences: list[list[str]]) -> TaggedCorpus:
         tags: list[list[str]] = []

@@ -1,4 +1,5 @@
 import errno
+import gc
 import json
 import os
 import re
@@ -25,7 +26,7 @@ from rippletag.data import toy_corpus_path
 from rippletag.learner import TrainOptions
 from rippletag.tagger import Tagger, load_model, save_model
 
-from helpers import deep_tree_text, reference_tag_text
+from helpers import deep_tree_text, reference_tag_text, strip_tags
 
 MICRO = "the/DT can/NN fell/VBD\n" * 6 + "you/PRP can/MD go/VB\n" * 5
 
@@ -196,6 +197,32 @@ class TestTag:
         assert [t.split("/")[0] for t in lines[0].split()] == ["she", "walks"]
         assert [t.split("/")[0] for t in lines[3].split()] == ["the", "team", "works"]
         assert "tagged 5 tokens in 2 sentences" in capsys.readouterr().err
+
+    def test_a_block_stays_below_the_collectors_first_threshold(
+        self, toy, trained_dir, tmp_path, capsys
+    ):
+        # each block's lists are freed when it is written, so the
+        # collector's generation-0 count stays below its threshold; blocks
+        # of 1,000 lines, about 2,000 lists each, run 11 passes over this
+        # text where the threshold is 700 (CPython 3.10 to 3.12)
+        raw = tmp_path / "in.txt"
+        raw.write_text(strip_tags(toy) * 7, encoding="utf-8")
+        passes = []
+
+        def count(phase, info):
+            if phase == "start" and info["generation"] == 0:
+                passes.append(info)
+
+        assert gc.isenabled()
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            assert self._run_tag(trained_dir, raw, tmp_path / "out.tagged") == 0
+        finally:
+            gc.callbacks.remove(count)
+        err = capsys.readouterr().err
+        assert f"tagged {toy.token_count * 7} tokens in {len(toy) * 7} sentences" in err
+        assert len(passes) <= 2, passes
 
     def test_lone_carriage_return_stays_inside_its_line(
         self, trained_dir, tmp_path, capsys

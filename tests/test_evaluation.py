@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from rippletag import evaluation
 from rippletag.corpus import AlignmentError, TaggedCorpus, read_tagged_corpus
 from rippletag.evaluation import (
     Metrics,
@@ -145,17 +146,27 @@ class TestSpeed:
         )
         assert all(r > 0 for r in report["rates"])
 
-    def test_times_one_tag_sentences_call_per_pass(self, toy, toy_model):
-        passes = []
+    def test_times_tag_block_calls_over_block_slices(
+        self, toy, toy_model, monkeypatch
+    ):
+        blocks = []
 
         class Counting(Tagger):
-            def tag_sentences(self, sentences):
-                passes.append(len(sentences))
-                return super().tag_sentences(sentences)
+            def tag_block(self, sentences):
+                blocks.append(len(sentences))
+                return super().tag_block(sentences)
 
+        monkeypatch.setattr(evaluation, "TAG_BLOCK_LINES", 8)
         words = [[t.word for t in s] for s in toy.sentences[:20]]
         measure_tagging_speed(Counting(toy_model), words, repeats=3)
-        assert passes == [20, 20, 20]
+        assert blocks == [8, 8, 4] * 3
+
+    def test_accepts_a_trailing_empty_sentence(self, toy, toy_model):
+        # the `tag` command tags a blank line as an empty sentence
+        words = [[t.word for t in s] for s in toy.sentences[:5]] + [[]]
+        report = measure_tagging_speed(Tagger(toy_model), words, repeats=2)
+        assert report["tokens"] == sum(map(len, words))
+        assert len(report["rates"]) == 2
 
     def test_rejects_empty_work(self, toy_model):
         tagger = Tagger(toy_model)

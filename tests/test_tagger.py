@@ -38,6 +38,7 @@ from rippletag.tagger import (
 )
 
 from helpers import (
+    conclude,
     deep_tree_text,
     random_object,
     random_rule,
@@ -52,6 +53,21 @@ from helpers import (
 # Labels every compiled node with its conclusion, as ``Tagger`` does.
 CONCLUSION = attrgetter("rule.conclusion")
 
+# The default of every row that ``walk_rows`` walks: no label is it.
+_NONE_FIRED = object()
+
+
+def walk_rows(compiled, cols):
+    """One ``run_chain`` call over every row; None where no node fires.
+
+    A row without a current tag, between two sentences, is not walked
+    and yields None too.
+    """
+    tags = cols[FIELD_INDEX["currentTag"]]
+    defaults = [_NONE_FIRED if tag is not None else None for tag in tags]
+    walked = run_chain(compiled, cols, defaults)
+    return [None if label is _NONE_FIRED else label for label in walked]
+
 
 def expected_conclusion(root, obj):
     """What the compiled walk should return, per the plain tree walk."""
@@ -62,8 +78,8 @@ def expected_conclusion(root, obj):
 def assert_walks_like_the_reference(root, compiled, objects):
     """The column walk of token i equals the plain walk of objects[i]."""
     cols = tuple(list(column) for column in zip(*objects))
-    for i, obj in enumerate(objects):
-        assert run_chain(compiled, cols, i) == expected_conclusion(root, obj)
+    for obj, walked in zip(objects, walk_rows(compiled, cols)):
+        assert walked == expected_conclusion(root, obj)
 
 
 def assert_names_the_deciding_node(root, compiled, objects):
@@ -73,7 +89,7 @@ def assert_names_the_deciding_node(root, compiled, objects):
     the walk returned, token by token.
     """
     cols = tuple(list(column) for column in zip(*objects))
-    got = [run_chain(compiled, cols, i) for i in range(len(objects))]
+    got = walk_rows(compiled, cols)
     for obj, walked in zip(objects, got):
         node = evaluate(root, obj).node
         assert walked is (None if node is root else node)
@@ -156,10 +172,11 @@ class TestCompiledChain:
                 [words for words, _ in sentences],
                 [tag for _, tags in sentences for tag in tags],
             )
+            walked = walk_rows(compiled, cols)
             start = 0
             for words, tags in sentences:
                 for i, obj in enumerate(reference_make_tag_objects(words, tags)):
-                    got = run_chain(compiled, cols, start + i)
+                    got = walked[start + i]
                     assert got == expected_conclusion(root, obj)
                 start += len(words) + 2
 
@@ -211,7 +228,7 @@ class TestCompiledChain:
             base._replace(prev2Tag=None, word="v", suffix4=None),
         ]
         cols = tuple(list(column) for column in zip(*objects))
-        got = [run_chain(compiled, cols, i) for i in range(len(objects))]
+        got = walk_rows(compiled, cols)
         assert got == ["prev2", "late-word", "word", "suffix", None]
 
     def test_index_candidates_keep_chain_order(self):
@@ -225,8 +242,9 @@ class TestCompiledChain:
         obj = random_object(rng)._replace(word="w", next1Tag="t6")
         off = random_object(rng)._replace(word="w", next1Tag="none-such")
         cols = tuple(list(column) for column in zip(obj, off))
-        assert run_chain(compiled, cols, 0) == "c6"
-        assert run_chain(compiled, cols, 1) == "fallback"
+        got = walk_rows(compiled, cols)
+        assert got[0] == "c6"
+        assert got[1] == "fallback"
 
 
 def chain_shapes(compiled):
@@ -306,9 +324,7 @@ class TestChainShapes:
         )
         assert_both_labels_walk_like_the_reference(root, objects)
         cols = tuple(list(column) for column in zip(*objects))
-        assert {run_chain(compiled, cols, i) for i in range(len(objects))} == {
-            "A", "B", None
-        }
+        assert set(walk_rows(compiled, cols)) == {"A", "B", None}
 
     def test_a_dispatch_table_under_an_indexed_chain(self):
         root = new_root()
@@ -480,6 +496,28 @@ def test_a_block_tags_each_sentence_like_the_plain_walk(seed, n_rules, sentences
     want = [reference_tag_words(tagger, words) for words in sentences]
     assert tagger.tag_block(sentences) == want
     assert [tagger.tag_sentence(words) for words in sentences] == want
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), _blocks())
+def test_one_walk_over_a_padded_block_concludes_like_evaluate(
+    seed, n_rules, sentences
+):
+    # the first guesses are the defaults; the rows between sentences have
+    # none, so they yield None
+    rng = random.Random(seed)
+    root = random_tree(rng, n_rules, _BLOCK_POOL)
+    guesses = [[rng.choice("XY") for _ in words] for words in sentences]
+    cols = block_columns(sentences, [tag for tags in guesses for tag in tags])
+    compiled = compile_chain(root.except_child, CONCLUSION)
+    walked = list(run_chain(compiled, cols, cols[F["currentTag"]]))
+    want = []
+    for k, (words, tags) in enumerate(zip(sentences, guesses)):
+        if k:
+            want += [None, None]
+        objects = reference_make_tag_objects(words, tags)
+        want += [conclude(root, obj) or obj.currentTag for obj in objects]
+    assert walked == want
 
 
 def test_no_context_reaches_across_a_sentence_edge():
