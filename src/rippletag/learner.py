@@ -1,9 +1,9 @@
 """Error-driven construction of the exception tree.
 
 A training record is a row: row ``r`` of the corpus-wide context
-columns (``scrdr.corpus_columns``, in the field layout that the
-tagger's compiled walk reads) is token ``r`` of the corpus, and
-``gold[r]`` is its gold tag.
+columns (``scrdr.corpus_columns``, the ``block_columns`` window that
+the tagger's compiled walk reads, with every suffix cut) is token ``r``
+of the corpus, and ``gold[r]`` is its gold tag.
 
 Layer 1 seeds one node per tag the first-guess tagger produced, each
 passing its tag through unchanged.  Every training token is then filed
@@ -65,7 +65,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import attrgetter, eq, itemgetter, not_
 from typing import Iterable, NamedTuple, Sequence
 
@@ -637,10 +637,10 @@ def learn_tree(
     check_lengths(first_guesses, gold.sentences)
     if max_level < 1:
         raise ValueError(f"max_level must be at least 1, got {max_level}")
-    word = itemgetter(0)
     columns = corpus_columns(
-        (list(map(word, sentence)), tags)
-        for sentence, tags in zip(gold.sentences, first_guesses)
+        list(map(itemgetter(0), gold.tokens())),
+        list(chain.from_iterable(first_guesses)),
+        map(len, gold.sentences),
     )
     gold_tags = list(map(itemgetter(1), gold.tokens()))
     # rows by first-guess tag, in order of the tag's first occurrence

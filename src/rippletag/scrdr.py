@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from functools import partial
+from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
@@ -71,109 +72,78 @@ def _suffixes(words: Sequence[str], n: int) -> list[str | None]:
     return [word[-n:] if len(word) > n else None for word in words]
 
 
-def _window(words: Sequence[str], tags: Sequence[str]) -> tuple[list[str | None], ...]:
-    """The ten neighbour columns of one sentence, for ``corpus_columns``."""
-    if len(words) != len(tags):
-        raise ValueError(f"{len(words)} words but {len(tags)} tags")
-    n = len(words)
-    w = [None, None, *words, None, None]
-    t = [None, None, *tags, None, None]
-    return (
-        w[0:n],
-        t[0:n],
-        w[1 : n + 1],
-        t[1 : n + 1],
-        w[2 : n + 2],
-        t[2 : n + 2],
-        w[3 : n + 3],
-        t[3 : n + 3],
-        w[4 : n + 4],
-        t[4 : n + 4],
-    )
-
-
-_GAP = (None, None)
-
-
 def block_columns(
-    sentences: Sequence[Sequence[str]], tags: Sequence[str]
+    words: Sequence[str],
+    tags: Sequence[str],
+    lengths: Iterable[int] | None = None,
 ) -> tuple[Sequence[str | None], ...]:
     """The context window of a block of sentences, one column per field.
 
-    ``tags`` holds one tag per token of the block, in sentence order.
-    The words and the tags are each laid out in one list, padded with
-    two Nones before, between and after the sentences, and the ten
-    neighbour columns are slices of those two lists, so no neighbour
-    crosses a sentence edge.  The first sentence starts at row 0, and
-    each later one two rows after the previous one ends: for the
-    sentence ``words`` that starts at row ``start``, row ``start + i``
-    of the columns is ``make_tag_objects(words, its tags)[i]``.  The
-    two rows between sentences belong to no token and are never read.
+    ``words`` and ``tags`` hold one word and one tag per token of the
+    block, in sentence order, and ``lengths`` the length of each
+    sentence; without it the block is one sentence.  Row ``r`` of every
+    column is token ``r``: for a sentence that starts at row ``start``,
+    row ``start + i`` is ``make_tag_objects(its words, its tags)[i]``.
+    The ten neighbour columns are slices of the words and of the tags,
+    each padded with two Nones at both ends; then, at each sentence
+    edge, the cells whose neighbour lies across it are set to None, so
+    no neighbour crosses a sentence edge.
 
+    The word and current-tag columns are ``words`` and ``tags``
+    themselves, so neither may change while the columns are in use.
     The three suffix columns cut a word's suffix only when it is read,
-    since a tree walk reads few of them.  The word column of a block of
-    one sentence is that sentence's list itself, so the list must not
-    change while the columns are in use.  Training reads many sentences
-    at once through ``corpus_columns``, which cuts every suffix.
+    since a tree walk reads few of them; ``corpus_columns`` cuts every
+    suffix once per distinct word, for training.
     """
-    if len(sentences) == 1:
-        (word,) = sentences
-        if len(word) != len(tags):
-            raise ValueError(f"{len(word)} words but {len(tags)} tags")
-        w = [None, None, *word, None, None]
-        t = [None, None, *tags, None, None]
-    else:
-        w = [None, None]
-        t = [None, None]
-        start = 0
-        for words in sentences:
-            end = start + len(words)
-            w += words
-            w += _GAP
-            t += tags[start:end]
-            t += _GAP
-            start = end
-        if start != len(tags):
-            raise ValueError(f"{start} words but {len(tags)} tags")
-        word = w[2:-2]
-    n = len(word)
+    n = len(words)
+    if n != len(tags):
+        raise ValueError(f"{n} words but {len(tags)} tags")
+    w = [None, None, *words, None, None]
+    t = [None, None, *tags, None, None]
+    prev2w, prev2t, prev1w, prev1t = w[0:n], t[0:n], w[1 : n + 1], t[1 : n + 1]
+    next1w, next1t, next2w, next2t = w[3 : n + 3], t[3 : n + 3], w[4:], t[4:]
+    s = 0
+    # each sentence ends where the next one starts, at row s
+    for s in accumulate((n,) if lengths is None else lengths):
+        if 0 < s < n:
+            prev2w[s] = prev2t[s] = prev1w[s] = prev1t[s] = None
+            next1w[s - 1] = next1t[s - 1] = next2w[s - 1] = next2t[s - 1] = None
+            if s + 1 < n:
+                prev2w[s + 1] = prev2t[s + 1] = None
+            if s >= 2:
+                next2w[s - 2] = next2t[s - 2] = None
+    if s != n:
+        raise ValueError(f"sentences of {s} words in a block of {n}")
     return (
-        w[0:n],
-        t[0:n],
-        w[1 : n + 1],
-        t[1 : n + 1],
-        word,
-        t[2 : n + 2],
-        w[3 : n + 3],
-        t[3 : n + 3],
-        w[4 : n + 4],
-        t[4 : n + 4],
-        _Suffixes(word, 2),
-        _Suffixes(word, 3),
-        _Suffixes(word, 4),
+        prev2w,
+        prev2t,
+        prev1w,
+        prev1t,
+        words,
+        tags,
+        next1w,
+        next1t,
+        next2w,
+        next2t,
+        _Suffixes(words, 2),
+        _Suffixes(words, 3),
+        _Suffixes(words, 4),
     )
 
 
 def corpus_columns(
-    pairs: Iterable[tuple[Sequence[str], Sequence[str]]],
-) -> tuple[list[str | None], ...]:
+    words: Sequence[str], tags: Sequence[str], lengths: Iterable[int]
+) -> tuple[Sequence[str | None], ...]:
     """The context window of many sentences, one column per field.
 
-    ``pairs`` holds one ``(words, tags)`` pair per sentence.  Row ``r``
-    of every column is token ``r`` of the whole input, and each
-    sentence's window is cut on its own, so no neighbour crosses a
-    sentence edge.  All thirteen columns are lists;
-    the suffixes are cut once per distinct word of the word column, so
-    all tokens of a word share its suffix strings.
+    The ten neighbour columns are ``block_columns(words, tags,
+    lengths)``'s; the three suffix columns are lists, cut once per
+    distinct word, so all tokens of a word share its suffix strings.
     """
-    columns: list[list[str | None]] = [[] for _ in range(10)]
-    for words, tags in pairs:
-        for column, part in zip(columns, _window(words, tags)):
-            column += part
-    words = columns[FIELD_INDEX["word"]]
+    columns = list(block_columns(words, tags, lengths)[:10])
     distinct = list(set(words))
-    for n in (2, 3, 4):
-        cut = dict(zip(distinct, _suffixes(distinct, n)))
+    for k in (2, 3, 4):
+        cut = dict(zip(distinct, _suffixes(distinct, k)))
         columns.append(list(map(cut.__getitem__, words)))
     return tuple(columns)
 
@@ -184,10 +154,18 @@ _new_tag_object = partial(tuple.__new__, TagObject)
 def make_tag_objects(words: Sequence[str], tags: Sequence[str]) -> list[TagObject]:
     """Build the per-token context objects for one sentence.
 
-    Object ``i`` is row ``i`` of ``corpus_columns([(words, tags)])``.
+    Object ``i`` is row ``i`` of ``block_columns(words, tags)``.  It is
+    built here on its own, so that a check of the tagger against these
+    objects shares no window code with it.
     """
-    suffixes = [_suffixes(words, n) for n in (2, 3, 4)]
-    return list(map(_new_tag_object, zip(*_window(words, tags), *suffixes)))
+    if len(words) != len(tags):
+        raise ValueError(f"{len(words)} words but {len(tags)} tags")
+    w = [None, None, *words, None, None]
+    t = [None, None, *tags, None, None]
+    suffixes = [_suffixes(words, k) for k in (2, 3, 4)]
+    # zip stops at the end of the sentence, the shortest of the columns
+    columns = (w, t, w[1:], t[1:], words, tags, w[3:], t[3:], w[4:], t[4:])
+    return list(map(_new_tag_object, zip(*columns, *suffixes)))
 
 
 class Rule(NamedTuple):

@@ -1,12 +1,12 @@
 """Applying a trained model to text, and model persistence.
 
 Text is tagged a block of sentences at a time.  A block gets its first
-guesses from one call over all its tokens, and its context window from
-one padded word list and one padded tag list, with two empty slots
-between sentences, so that no neighbour crosses a sentence edge.  One
-call of ``run_chain`` then walks the exception tree for every row of
-the window, and each sentence's tags are cut from its flat result.  One
-sentence is a block of one.
+guesses from one call over all its tokens, and its context window,
+in which row ``r`` is token ``r``, from ``scrdr.block_columns``: the
+same window training builds.  One call of ``run_chain`` then walks the
+exception tree for every row of the window, and each sentence's tags
+are cut from that one walk by the sentence's length.  One sentence is
+a block of one.
 
 For throughput the tree is compiled first, each if-not chain into one
 of two shapes, chosen from the chain itself.  A chain whose entries all
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -38,7 +38,6 @@ from .initial_tagger import (
 )
 from .lexicon import Lexicon, parse_lexicon, serialize_lexicon
 from .scrdr import (
-    FIELD_INDEX,
     Node,
     block_columns,
     iter_nodes,
@@ -57,7 +56,8 @@ AUDIT_FILE = "audit.jsonl"
 # Sentences that ``Tagger.tag_sentences``, and the `tag` command as
 # lines, tag in one block.  A block keeps two lists per line alive until
 # it is written, the line's words from str.split() and its tags, and
-# about twenty more for its window: about 530 containers at 256 lines.
+# about twenty more for its window and walk: 532 containers at 256 lines
+# by ``gc.get_count()``, counted as the last sentence's tags are cut.
 # That stays below 700, the cyclic collector's first threshold
 # (``gc.get_threshold()``), so tagging a block runs no generation-0
 # pass over it.  The block is still large enough that its per-block
@@ -175,12 +175,10 @@ def run_chain(
 
     Row ``i`` yields the label of the deepest node fired in this chain
     for it, or else its default, item ``i`` of ``defaults``; the label
-    is what ``compile_chain`` stored.  A row whose default is None is
-    not walked and yields None.  ``cols`` are ``block_columns`` or
-    ``corpus_columns``: field ``f`` of row ``i`` is ``cols[f][i]``.
-    ``Tagger`` passes the current-tag column as the defaults, so a token
-    keeps its first guess when no node fires, and the two rows between
-    sentences, whose current tag is None, are skipped.
+    is what ``compile_chain`` stored.  ``cols`` is a ``block_columns``
+    window: field ``f`` of row ``i`` is ``cols[f][i]``.  ``Tagger``
+    passes the first guesses as the defaults, so a token keeps its
+    first guess when no node fires.
 
     In each chain the earliest entry whose tests all hold fires, and the
     walk goes on into its exceptions.  A dispatch table finds that entry
@@ -190,7 +188,7 @@ def run_chain(
     a tree of any depth is walked.
     """
     for i, label in enumerate(defaults):
-        chain = compiled if label is not None else None
+        chain = compiled
         while chain is not None:
             field_idx, body = chain
             if field_idx is not None:
@@ -227,11 +225,11 @@ class Tagger:
     """Tags sentences with a model: first guesses, then tree corrections.
 
     ``tag_block`` tags a block of sentences with one ``run_chain`` call
-    over one context window; ``tag_sentence`` is the block of one
-    sentence, and ``tag_sentences`` tags ``TAG_BLOCK_LINES`` sentences
-    per block.  A token's first-guess tag is its default in the walk, so
-    a token whose first guess has no layer-1 node falls through the
-    whole tree and keeps it.
+    over one context window, in which row ``r`` is token ``r``;
+    ``tag_sentence`` is the block of one sentence, and ``tag_sentences``
+    tags ``TAG_BLOCK_LINES`` sentences per block.  A token's first-guess
+    tag is its default in the walk, so a token whose first guess has no
+    layer-1 node falls through the whole tree and keeps it.
     """
 
     def __init__(self, model: Model) -> None:
@@ -249,29 +247,19 @@ class Tagger:
     def tag_block(self, sentences: Sequence[list[str]]) -> list[list[str]]:
         """The tags of each sentence, walked over one ``block_columns`` window.
 
-        A sentence may be empty; its tags are then empty too.
+        Each sentence's tags are the next ``len(sentence)`` labels of the
+        one walk.  A sentence may be empty; its tags are then empty too.
         """
         words = list(chain.from_iterable(sentences))
-        cols = block_columns(sentences, self.initial.tag_sentence(words))
-        # the rows between sentences have no current tag, so are not walked
-        tags = list(run_chain(self._compiled, cols, cols[FIELD_INDEX["currentTag"]]))
-        out = []
-        start = 0
-        for sentence in sentences:
-            end = start + len(sentence)
-            out.append(tags[start:end])
-            # the next sentence starts after the two rows between them
-            start = end + 2
-        return out
+        guesses = self.initial.tag_sentence(words)
+        cols = block_columns(words, guesses, map(len, sentences))
+        walk = run_chain(self._compiled, cols, guesses)
+        return [list(islice(walk, len(sentence))) for sentence in sentences]
 
     def tag_sentence(self, words: list[str]) -> list[str]:
-        """The tags of the block of one sentence.
-
-        Its rows are its tokens, so the walk needs none of ``tag_block``'s
-        bookkeeping, and ``words`` goes to the first guesser uncopied.
-        """
+        """The tags of the block of one sentence; ``words`` is not copied."""
         guesses = self.initial.tag_sentence(words)
-        cols = block_columns((words,), guesses)
+        cols = block_columns(words, guesses)
         return list(run_chain(self._compiled, cols, guesses))
 
     def tag_sentences(self, sentences: list[list[str]]) -> TaggedCorpus:

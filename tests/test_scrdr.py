@@ -1,8 +1,9 @@
 import random
 import sys
+from itertools import chain
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rippletag.scrdr import (
     FIELD_INDEX,
@@ -84,11 +85,31 @@ def test_mismatched_lengths_rejected():
     with pytest.raises(ValueError):
         make_tag_objects(["a"], ["X", "Y"])
     with pytest.raises(ValueError):
-        block_columns([["a", "b"]], ["X"])
+        block_columns(["a", "b"], ["X"])
     with pytest.raises(ValueError):
-        block_columns([["a"], ["a", "b"]], ["X", "Y"])
+        block_columns(["a", "a", "b"], ["X", "Y"], [1, 2])
     with pytest.raises(ValueError):
-        corpus_columns([(["a"], ["X"]), (["a", "b"], ["X"])])
+        block_columns(["a", "a", "b"], ["X", "Y", "Z"], [1, 1])
+    with pytest.raises(ValueError):
+        block_columns(["a"], ["X"], [1, 1])
+    with pytest.raises(ValueError):
+        corpus_columns(["a", "a", "b"], ["X", "X"], [1, 2])
+
+
+def flat_block(sentences, data):
+    """A block's flat words and drawn tags, its lengths and reference objects."""
+    words, tags, want = [], [], []
+    for sentence in sentences:
+        n = len(sentence)
+        drawn = data.draw(st.lists(st.sampled_from("XY"), min_size=n, max_size=n))
+        words += sentence
+        tags += drawn
+        want += reference_make_tag_objects(sentence, drawn)
+    return words, tags, [len(sentence) for sentence in sentences], want
+
+
+def rows_of(columns):
+    return [TagObject(*row) for row in zip(*columns)]
 
 
 @given(
@@ -102,20 +123,15 @@ def test_mismatched_lengths_rejected():
 def test_corpus_columns_are_the_reference_objects_of_all_sentences(sentences, data):
     # up to four tokens per sentence, so one-token sentences and the
     # windows that reach across no edge, one edge and both are common
-    pairs = []
-    for words in sentences:
-        n = len(words)
-        tags = data.draw(st.lists(st.sampled_from("XY"), min_size=n, max_size=n))
-        pairs.append((words, tags))
-    want = [obj for pair in pairs for obj in reference_make_tag_objects(*pair)]
-    columns = corpus_columns(pairs)
+    words, tags, lengths, want = flat_block(sentences, data)
+    columns = corpus_columns(words, tags, lengths)
     assert len(columns) == len(FIELD_NAMES)
     assert all(type(column) is list for column in columns)
-    assert [TagObject(*row) for row in zip(*columns)] == want
+    assert rows_of(columns) == want
 
 
 def test_corpus_columns_keep_one_token_sentences_apart():
-    columns = corpus_columns([(["a"], ["X"]), (["bcd"], ["Y"]), (["e"], ["Z"])])
+    columns = corpus_columns(["a", "bcd", "e"], ["X", "Y", "Z"], [1, 1, 1])
     row = TagObject(*(column[1] for column in columns))
     assert row == reference_make_tag_objects(["bcd"], ["Y"])[0]
     assert row.prev1Word is None and row.next1Word is None
@@ -125,7 +141,7 @@ def test_corpus_columns_share_the_suffixes_of_one_word():
     # two equal words that are separate string objects, in two sentences
     first, second = "".join(["walk", "ed"]), "".join(["wal", "ked"])
     assert first is not second
-    columns = corpus_columns([([first, "x"], ["V", "X"]), (["y", second], ["Y", "V"])])
+    columns = corpus_columns([first, "x", "y", second], ["V", "X", "Y", "V"], [2, 2])
     for n in (2, 3, 4):
         column = columns[FIELD_INDEX[f"suffix{n}"]]
         assert column[0] == "walked"[-n:]
@@ -156,35 +172,51 @@ def test_context_objects_mirror_the_sentence(words):
 def test_columns_and_objects_equal_the_reference_objects(sentences, data):
     # words of 1-6 letters put every suffix None rule at every position;
     # blocks of one sentence and of several, empty sentences among them
-    block_tags = []
-    wants = []
-    for words in sentences:
-        n = len(words)
-        tags = data.draw(st.lists(st.sampled_from(["X", "Y"]), min_size=n, max_size=n))
-        want = reference_make_tag_objects(words, tags)
-        objects = make_tag_objects(words, tags)
-        assert objects == want
-        assert all(type(o) is TagObject for o in objects)
-        block_tags += tags
-        wants.append(want)
-    columns = block_columns(sentences, block_tags)
-    assert len(columns) == len(FIELD_NAMES)
+    words, tags, lengths, want = flat_block(sentences, data)
     start = 0
-    for words, want in zip(sentences, wants):
-        rows = range(start, start + len(words))
-        assert [TagObject(*(column[r] for column in columns)) for r in rows] == want
-        if rows.stop < len(columns[0]):
-            # the two rows before the next sentence hold no token
-            for field in ("word", "currentTag"):
-                column = columns[FIELD_INDEX[field]]
-                assert column[rows.stop] is column[rows.stop + 1] is None
-        start = rows.stop + 2
-    assert len(columns[0]) == start - 2
+    for sentence, n in zip(sentences, lengths):
+        objects = make_tag_objects(sentence, tags[start : start + n])
+        assert objects == want[start : start + n]
+        assert all(type(o) is TagObject for o in objects)
+        start += n
+    columns = block_columns(words, tags, lengths)
+    assert len(columns) == len(FIELD_NAMES)
+    # row r is token r: no row lies between two sentences
+    assert all(len(column) == len(words) for column in columns)
+    assert rows_of(columns) == want
+
+
+@example([])
+@example([[], ["a"], [], [], ["bc"], ["d", "e"], []])
+@example([["a", "b"], ["c"], ["d"], ["e", "f"]])
+@example([["a"], ["b", "c", "d", "e"], ["f"]])
+@given(
+    st.lists(
+        st.lists(st.sampled_from(["a", "bc", "def", "ghij", "klmno"]), max_size=4),
+        max_size=6,
+    ),
+)
+def test_block_columns_of_any_block_are_the_reference_objects(sentences):
+    # blocks of 0-6 sentences of 0-4 tokens each, so empty and one-token
+    # sentences lead, trail and stand side by side; every word and tag
+    # is distinct, so a cell read from across a sentence edge shows
+    words = [f"{word}{r}" for r, word in enumerate(chain.from_iterable(sentences))]
+    tags = [f"T{r}" for r in range(len(words))]
+    lengths = [len(sentence) for sentence in sentences]
+    want, start = [], 0
+    for n in lengths:
+        want += reference_make_tag_objects(
+            words[start : start + n], tags[start : start + n]
+        )
+        start += n
+    columns = block_columns(words, tags, lengths)
+    assert rows_of(columns) == want
+    assert rows_of(corpus_columns(words, tags, lengths)) == rows_of(columns)
 
 
 def test_block_columns_of_one_sentence_read_its_own_list():
     words = ["walked", "x"]
-    columns = block_columns([words], ["V", "X"])
+    columns = block_columns(words, ["V", "X"])
     assert columns[FIELD_INDEX["word"]] is words
     assert columns[FIELD_INDEX["suffix3"]][0] == "ked"
 

@@ -3,6 +3,7 @@ import random
 import re
 import sys
 from dataclasses import replace
+from itertools import repeat
 from operator import attrgetter
 
 import pytest
@@ -58,14 +59,8 @@ _NONE_FIRED = object()
 
 
 def walk_rows(compiled, cols):
-    """One ``run_chain`` call over every row; None where no node fires.
-
-    A row without a current tag, between two sentences, is not walked
-    and yields None too.
-    """
-    tags = cols[FIELD_INDEX["currentTag"]]
-    defaults = [_NONE_FIRED if tag is not None else None for tag in tags]
-    walked = run_chain(compiled, cols, defaults)
+    """One ``run_chain`` call over every row; None where no node fires."""
+    walked = run_chain(compiled, cols, repeat(_NONE_FIRED, len(cols[0])))
     return [None if label is _NONE_FIRED else label for label in walked]
 
 
@@ -169,16 +164,13 @@ class TestCompiledChain:
                 nodes.append(insert_exception(rng.choice(nodes), rule))
             compiled = compile_chain(root.except_child, CONCLUSION)
             cols = block_columns(
-                [words for words, _ in sentences],
+                [word for words, _ in sentences for word in words],
                 [tag for _, tags in sentences for tag in tags],
+                [len(words) for words, _ in sentences],
             )
+            # row r of the window is token r of the block
             walked = walk_rows(compiled, cols)
-            start = 0
-            for words, tags in sentences:
-                for i, obj in enumerate(reference_make_tag_objects(words, tags)):
-                    got = walked[start + i]
-                    assert got == expected_conclusion(root, obj)
-                start += len(words) + 2
+            assert walked == [expected_conclusion(root, obj) for obj in objects]
 
     def test_chains_of_every_length_match_the_plain_walk(self):
         rng = random.Random(33)
@@ -503,18 +495,20 @@ def test_a_block_tags_each_sentence_like_the_plain_walk(seed, n_rules, sentences
 def test_one_walk_over_a_padded_block_concludes_like_evaluate(
     seed, n_rules, sentences
 ):
-    # the first guesses are the defaults; the rows between sentences have
-    # none, so they yield None
+    # the first guesses are the defaults, and row r is token r of the block
     rng = random.Random(seed)
     root = random_tree(rng, n_rules, _BLOCK_POOL)
     guesses = [[rng.choice("XY") for _ in words] for words in sentences]
-    cols = block_columns(sentences, [tag for tags in guesses for tag in tags])
+    flat_guesses = [tag for tags in guesses for tag in tags]
+    cols = block_columns(
+        [word for words in sentences for word in words],
+        flat_guesses,
+        [len(words) for words in sentences],
+    )
     compiled = compile_chain(root.except_child, CONCLUSION)
-    walked = list(run_chain(compiled, cols, cols[F["currentTag"]]))
+    walked = list(run_chain(compiled, cols, flat_guesses))
     want = []
-    for k, (words, tags) in enumerate(zip(sentences, guesses)):
-        if k:
-            want += [None, None]
+    for words, tags in zip(sentences, guesses):
         objects = reference_make_tag_objects(words, tags)
         want += [conclude(root, obj) or obj.currentTag for obj in objects]
     assert walked == want
