@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence, Sized
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 DEFAULT_SEPARATOR = "/"
 
@@ -263,20 +263,15 @@ def split_folds(
     return folds
 
 
-def check_lengths(a: Sequence[Sized], b: Sequence[Sized]) -> None:
-    """Verify ``a`` and ``b`` hold as many sentences, each as long as its partner."""
+def check_aligned(a: TaggedCorpus, b: TaggedCorpus) -> None:
+    """Verify both corpora have the same sentence lengths, then the same words."""
     if len(a) != len(b):
         raise AlignmentError(f"sentence counts differ: {len(a)} vs {len(b)}")
-    for i, (sa, sb) in enumerate(zip(a, b), start=1):
+    for i, (sa, sb) in enumerate(zip(a.sentences, b.sentences), start=1):
         if len(sa) != len(sb):
             raise AlignmentError(
                 f"sentence {i}: token counts differ ({len(sa)} vs {len(sb)})"
             )
-
-
-def check_aligned(a: TaggedCorpus, b: TaggedCorpus) -> None:
-    """Verify both corpora have identical sentence/word layout."""
-    check_lengths(a.sentences, b.sentences)
     for i, (sa, sb) in enumerate(zip(a.sentences, b.sentences), start=1):
         for j, (ta, tb) in enumerate(zip(sa, sb), start=1):
             if ta.word != tb.word:

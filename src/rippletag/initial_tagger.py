@@ -385,15 +385,15 @@ class InitialTagger:
         return [tag if (tag := get(w)) is not None else guess(w) for w in words]
 
 
-def initialize_corpus(gold: TaggedCorpus, tagger: InitialTagger) -> list[list[str]]:
-    """First-guess tags for the gold corpus, one list per sentence.
+def initialize_corpus(gold: TaggedCorpus, tagger: InitialTagger) -> list[str]:
+    """First-guess tags for the gold corpus, one per token, in token order.
 
     One ``tagger.tag_sentence`` call guesses every distinct word of gold
     once, so training and tagging share one first-guess path.  Words
     that occur once in gold then get the unknown-word guess instead, as
     they would in unseen text, so the learner also sees unknown-word
-    errors.  Each sentence's tags are then read from these per-word
-    guesses.
+    errors.  Each token's tag is then read from these per-word guesses;
+    ``learn_tree`` takes the list as its current-tag column.
     """
     counts = Counter(map(itemgetter(0), gold.tokens()))
     distinct = list(counts)
@@ -402,6 +402,4 @@ def initialize_corpus(gold: TaggedCorpus, tagger: InitialTagger) -> list[list[st
     for word, count in counts.items():
         if count == 1:
             guesses[word] = guess(word)
-    # a comprehension, not list(map(...)): these lists live through all of
-    # training, and list() of a map over-allocates a short one
-    return [[guesses[word] for word, _ in s] for s in gold.sentences]
+    return list(map(guesses.__getitem__, map(itemgetter(0), gold.tokens())))

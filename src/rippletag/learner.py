@@ -65,14 +65,14 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from operator import attrgetter, eq, itemgetter, not_
 from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import (
     DEFAULT_SEPARATOR,
+    AlignmentError,
     TaggedCorpus,
-    check_lengths,
     check_separator,
     check_tag,
 )
@@ -619,27 +619,31 @@ class _Learning:
 
 
 def learn_tree(
-    first_guesses: list[list[str]],
+    first_guesses: list[str],
     gold: TaggedCorpus,
     thresholds: Thresholds = Thresholds(),
     max_level: int = DEFAULT_MAX_LEVEL,
 ) -> LearnResult:
     """Grow an exception tree that corrects the first guesses toward gold.
 
-    ``first_guesses`` holds one list of first-guess tags per gold
-    sentence, as long as that sentence.  Raises AlignmentError if it
-    does not, and LearnerStateError if a new rule moves other wrong
-    records than it was scored on, or if the self-check finds the
+    ``first_guesses`` holds one first-guess tag per gold token, in token
+    order; the list itself becomes the current-tag column, which
+    learning never writes.  Raises AlignmentError if its length is not
+    gold's token count, and LearnerStateError if a new rule moves other
+    wrong records than it was scored on, or if the self-check finds the
     records out of step with the finished tree: a row whose owner, the
     node and side that file it, is not the one the tree's walk gives,
     or more records filed than there are rows.
     """
-    check_lengths(first_guesses, gold.sentences)
+    if len(first_guesses) != gold.token_count:
+        raise AlignmentError(
+            f"token counts differ: {len(first_guesses)} vs {gold.token_count}"
+        )
     if max_level < 1:
         raise ValueError(f"max_level must be at least 1, got {max_level}")
     columns = corpus_columns(
         list(map(itemgetter(0), gold.tokens())),
-        list(chain.from_iterable(first_guesses)),
+        first_guesses,
         map(len, gold.sentences),
     )
     gold_tags = list(map(itemgetter(1), gold.tokens()))

@@ -686,10 +686,8 @@ def reference_guess_unknown(
     return reference_default_tag(lexicon, word)
 
 
-def reference_initialize_corpus(
-    gold: TaggedCorpus, tagger: InitialTagger
-) -> list[list[str]]:
-    """Per-token first guesses for training, one list per sentence.
+def reference_initialize_corpus(gold: TaggedCorpus, tagger: InitialTagger) -> list[str]:
+    """Per-token first guesses for training, one per token, in token order.
 
     A word that occurs once in gold gets ``reference_guess_unknown``;
     any other word its lexicon tag, or that guess if it has none.
@@ -699,14 +697,11 @@ def reference_initialize_corpus(
     counts = Counter(t.word for t in gold.tokens())
     lexicon, options = tagger.lexicon, tagger.options
     first_guesses = []
-    for sentence in gold.sentences:
-        tags = []
-        for word, _ in sentence:
-            tag = None if counts[word] == 1 else lexicon.word_tags.get(word)
-            if tag is None:
-                tag = reference_guess_unknown(lexicon, options, word)
-            tags.append(tag)
-        first_guesses.append(tags)
+    for word, _ in gold.tokens():
+        tag = None if counts[word] == 1 else lexicon.word_tags.get(word)
+        if tag is None:
+            tag = reference_guess_unknown(lexicon, options, word)
+        first_guesses.append(tag)
     return first_guesses
 
 

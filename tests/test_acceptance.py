@@ -11,6 +11,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import replace as dc_replace
+from itertools import islice
 
 from rippletag.corpus import read_tagged_corpus
 from rippletag.evaluation import (
@@ -197,7 +198,10 @@ def test_3_training_audit_replays_against_full_reevaluation(toy, toy_model):
         lexicon = build_lexicon(toy)
         tagger = InitialTagger(lexicon, InitialTaggerOptions())
         records = []
-        for tags, gold_sent in zip(initialize_corpus(toy, tagger), toy.sentences):
+        # the flat first guesses, cut by sentence length
+        first_guesses = iter(initialize_corpus(toy, tagger))
+        for gold_sent in toy.sentences:
+            tags = list(islice(first_guesses, len(gold_sent)))
             objs = make_tag_objects([t.word for t in gold_sent], tags)
             for obj, gold_tok in zip(objs, gold_sent):
                 records.append((obj, gold_tok.tag))

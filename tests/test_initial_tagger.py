@@ -1,6 +1,6 @@
 import re
 import sys
-from itertools import chain, product
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,7 +81,7 @@ def test_hapax_masking_ignores_the_word_entry(tagger):
     # the defaults, while tagging still uses its lexicon entry
     gold = read_tagged_corpus(CORPUS)
     words = [t.word for t in gold.tokens()]
-    first_guesses = dict(zip(words, chain.from_iterable(initialize_corpus(gold, tagger))))
+    first_guesses = dict(zip(words, initialize_corpus(gold, tagger)))
     assert first_guesses["sat"] == "NN"
     assert tagger.tag_sentence(["sat"]) == ["VBD"]
     # frequent words are unaffected
@@ -89,12 +89,14 @@ def test_hapax_masking_ignores_the_word_entry(tagger):
 
 
 def test_initialize_corpus_keeps_layout():
+    # one tag per token, in token order
     gold = read_tagged_corpus(CORPUS)
     tagger = InitialTagger(build_lexicon(gold))
     init = initialize_corpus(gold, tagger)
-    assert [len(tags) for tags in init] == [len(s) for s in gold.sentences]
-    # every known word with a single tag keeps it
-    assert init[0][0] == "DT"
+    assert type(init) is list and len(init) == gold.token_count
+    # every known word with a single tag keeps it: "the" is token 0 and 3,
+    # "hens" token 9 and 15
+    assert [init[i] for i in (0, 3, 9, 15)] == ["DT", "DT", "NNS", "NNS"]
 
 
 @pytest.mark.parametrize("mode", [MODE_GENERIC, MODE_ENGLISH])

@@ -71,8 +71,8 @@ def obj(**kw):
 
 
 def tags_of(corpus):
-    """A corpus's tags, one list per sentence, as ``learn_tree`` takes them."""
-    return [[t.tag for t in sentence] for sentence in corpus.sentences]
+    """A corpus's tags, one per token, as ``learn_tree`` takes them."""
+    return [t.tag for t in corpus.tokens()]
 
 
 def micro_corpora():
@@ -380,17 +380,39 @@ class TestLearnTree:
 
     def test_mismatched_corpora_are_rejected(self):
         init, gold = micro_corpora()
-        with pytest.raises(AlignmentError, match="sentence counts differ"):
-            learn_tree([["DT", "NN"]], gold)
-        with pytest.raises(AlignmentError, match="sentence counts differ"):
-            learn_tree(init + [["DT"]], gold)
+        with pytest.raises(AlignmentError, match="token counts differ: 2 vs 33"):
+            learn_tree(["DT", "NN"], gold)
+        with pytest.raises(AlignmentError, match="token counts differ: 34 vs 33"):
+            learn_tree(init + ["DT"], gold)
 
     @pytest.mark.parametrize("change", [-1, 1])
     def test_first_guesses_of_another_sentence_length_are_rejected(self, change):
+        # the guesses of sentence 5 are one short or one long; with one
+        # flat list that is a token count off by one
         init, gold = micro_corpora()
-        init[4] = init[4][:change] if change < 0 else init[4] + ["NN"]
-        with pytest.raises(AlignmentError, match="sentence 5: token counts differ"):
+        end = sum(map(len, gold.sentences[:5]))
+        if change < 0:
+            del init[end - 1]
+        else:
+            init.insert(end, "NN")
+        with pytest.raises(
+            AlignmentError, match=f"token counts differ: {33 + change} vs 33"
+        ):
             learn_tree(init, gold)
+
+    def test_the_first_guesses_are_the_current_tag_column(self, monkeypatch):
+        # the learner reads the caller's list as it is, with no copy
+        # living beside it through training
+        seen = []
+
+        def recording_columns(words, tags, lengths):
+            seen.append(tags)
+            return scrdr.corpus_columns(words, tags, lengths)
+
+        monkeypatch.setattr(learner, "corpus_columns", recording_columns)
+        init, gold = micro_corpora()
+        learn_tree(init, gold)
+        assert len(seen) == 1 and seen[0] is init
 
     def test_max_level_below_one_is_rejected(self):
         init, gold = micro_corpora()
@@ -445,7 +467,7 @@ class TestSelfCheck:
         # modal "can" starts as NN in five sentences and as VB in five,
         # so two exceptions conclude MD, one under each seed
         gold = read_tagged_corpus("you/PRP can/MD go/VB\n" * 10)
-        init = [["PRP", "NN", "VB"]] * 5 + [["PRP", "VB", "VB"]] * 5
+        init = ["PRP", "NN", "VB"] * 5 + ["PRP", "VB", "VB"] * 5
         check = _Learning.check_against_tree
         modal_nodes = []
 
@@ -578,7 +600,7 @@ def candidate_snapshot(candidates):
 
 def all_nn(corpus):
     """First guesses of NN for every token: one seed, many selections."""
-    return [["NN"] * len(sentence) for sentence in corpus.sentences]
+    return ["NN"] * corpus.token_count
 
 
 class RandomNode:

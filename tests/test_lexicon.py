@@ -106,7 +106,7 @@ def test_hapax_words_recorded():
     gold = read_tagged_corpus("a/DT a/DT b/NN\n")
     tagger = InitialTagger(build_lexicon(gold))
     # "b" occurs once, so training sees the lowercase default, not NN
-    assert initialize_corpus(gold, tagger) == [["DT"] * 3]
+    assert initialize_corpus(gold, tagger) == ["DT"] * 3
     assert tagger.tag_sentence(["b"]) == ["NN"]
 
 
