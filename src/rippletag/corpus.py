@@ -9,7 +9,6 @@ word ``1/2`` with tag ``CD``.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -155,44 +154,19 @@ def read_tagged_corpus(text: str, separator: str = DEFAULT_SEPARATOR) -> TaggedC
     return TaggedCorpus(tuple(sentences))
 
 
-# Matches exactly the characters for which str.isspace() is true.
-_WHITESPACE = re.compile(r"\s")
+def write_tagged_corpus(corpus: TaggedCorpus, separator: str = DEFAULT_SEPARATOR) -> str:
+    """Render a corpus as text, one line per sentence. Inverse of read_tagged_corpus.
 
-
-def write_tagged_corpus(
-    corpus: TaggedCorpus | Iterable[tuple[Sequence[str], Sequence[str]]],
-    separator: str = DEFAULT_SEPARATOR,
-) -> str:
-    """Render sentences as text, one line each. Inverse of read_tagged_corpus.
-
-    ``corpus`` is a TaggedCorpus or any iterable of ``(words, tags)``
-    pairs of equal-length sequences, one pair per sentence; a sentence
-    with no words renders as an empty line.  Refuses tokens that could
-    not round-trip (a word that is not ``is_plain``, a tag that does not
-    ``reads_back``), naming the first such token, and a separator that
-    ``check_separator`` refuses.
+    Refuses a separator that ``check_separator`` refuses, and a token
+    that could not round-trip: a word that is not ``is_plain``, or a tag
+    that does not ``reads_back``.  Like the reader, it checks each
+    distinct token once, in the order the token first occurs, so the
+    error names the corpus's first bad token.
     """
     check_separator(separator)
-    if isinstance(corpus, TaggedCorpus):
-        corpus = (tuple(zip(*sentence)) for sentence in corpus.sentences)
-    good_tags: set[str] = set()
-    checked = []
-    for words, tags in corpus:
-        if len(words) != len(tags):
-            raise ValueError(f"{len(words)} words but {len(tags)} tags")
-        new_tags = set(tags).difference(good_tags)
-        # Whole-sentence checks; the per-token loop runs only to name
-        # the first bad token.
-        if (
-            "" in words
-            or _WHITESPACE.search("".join(words))
-            or not all(reads_back(tag, separator) for tag in new_tags)
-        ):
-            for word, tag in zip(words, tags):
-                _check_token(word, tag, separator)
-        good_tags.update(new_tags)
-        checked.append((words, tags))
-    return render_tagged(checked, separator)
+    for word, tag in dict.fromkeys(corpus.tokens()):
+        _check_token(word, tag, separator)
+    return render_tagged((zip(*sentence) for sentence in corpus.sentences), separator)
 
 
 def render_tagged(

@@ -73,17 +73,15 @@ def _suffixes(words: Sequence[str], n: int) -> list[str | None]:
 
 
 def block_columns(
-    words: Sequence[str],
-    tags: Sequence[str],
-    lengths: Iterable[int] | None = None,
+    words: Sequence[str], tags: Sequence[str], lengths: Iterable[int]
 ) -> tuple[Sequence[str | None], ...]:
     """The context window of a block of sentences, one column per field.
 
     ``words`` and ``tags`` hold one word and one tag per token of the
     block, in sentence order, and ``lengths`` the length of each
-    sentence; without it the block is one sentence.  Row ``r`` of every
-    column is token ``r``: for a sentence that starts at row ``start``,
-    row ``start + i`` is ``make_tag_objects(its words, its tags)[i]``.
+    sentence.  Row ``r`` of every column is token ``r``: for a sentence
+    that starts at row ``start``, row ``start + i`` is
+    ``make_tag_objects(its words, its tags)[i]``.
     The ten neighbour columns are slices of the words and of the tags,
     each padded with two Nones at both ends; then, at each sentence
     edge, the cells whose neighbour lies across it are set to None, so
@@ -104,7 +102,7 @@ def block_columns(
     next1w, next1t, next2w, next2t = w[3 : n + 3], t[3 : n + 3], w[4:], t[4:]
     s = 0
     # each sentence ends where the next one starts, at row s
-    for s in accumulate((n,) if lengths is None else lengths):
+    for s in accumulate(lengths):
         if 0 < s < n:
             prev2w[s] = prev2t[s] = prev1w[s] = prev1t[s] = None
             next1w[s - 1] = next1t[s - 1] = next2w[s - 1] = next2t[s - 1] = None
@@ -154,9 +152,9 @@ _new_tag_object = partial(tuple.__new__, TagObject)
 def make_tag_objects(words: Sequence[str], tags: Sequence[str]) -> list[TagObject]:
     """Build the per-token context objects for one sentence.
 
-    Object ``i`` is row ``i`` of ``block_columns(words, tags)``.  It is
-    built here on its own, so that a check of the tagger against these
-    objects shares no window code with it.
+    Object ``i`` is row ``i`` of ``block_columns(words, tags,
+    [len(words)])``.  It is built here on its own, so that a check of
+    the tagger against these objects shares no window code with it.
     """
     if len(words) != len(tags):
         raise ValueError(f"{len(words)} words but {len(tags)} tags")

@@ -58,11 +58,12 @@ AUDIT_FILE = "audit.jsonl"
 # it is written, the line's words from str.split() and its tags, and
 # about twenty more for its window and walk: 532 containers at 256 lines
 # by ``gc.get_count()``, counted as the last sentence's tags are cut.
-# That stays below 700, the cyclic collector's first threshold
-# (``gc.get_threshold()``), so tagging a block runs no generation-0
-# pass over it.  The block is still large enough that its per-block
-# work is shared by many sentences, and memory does not grow with the
-# input.
+# That stays below the cyclic collector's first threshold
+# (``gc.get_threshold()[0]``: 700 on Python 3.10-3.12, 2000 on 3.13),
+# so tagging a block runs no generation-0 pass over it; a 1.5M-token
+# text with blank lines makes 11 such passes on 3.10-3.12 and 2 or 3
+# on 3.13.  The block is still large enough that its per-block work is
+# shared by many sentences, and memory does not grow with the input.
 TAG_BLOCK_LINES = 256
 
 # One entry of an indexed chain: (chain position, tests after the
@@ -259,7 +260,7 @@ class Tagger:
     def tag_sentence(self, words: list[str]) -> list[str]:
         """The tags of the block of one sentence; ``words`` is not copied."""
         guesses = self.initial.tag_sentence(words)
-        cols = block_columns(words, guesses)
+        cols = block_columns(words, guesses, (len(words),))
         return list(run_chain(self._compiled, cols, guesses))
 
     def tag_sentences(self, sentences: list[list[str]]) -> TaggedCorpus:

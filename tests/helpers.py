@@ -16,7 +16,7 @@ from collections import Counter
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
-from rippletag.corpus import TaggedCorpus, _check_token, is_plain, write_tagged_corpus
+from rippletag.corpus import TaggedCorpus, _check_token, is_plain
 from rippletag.initial_tagger import MODE_ENGLISH, InitialTagger, InitialTaggerOptions
 from rippletag.learner import Selection
 from rippletag.lexicon import (
@@ -93,8 +93,10 @@ def reference_make_tag_objects(words: list[str], tags: list[str]) -> list[TagObj
 def reference_write_tagged_corpus(sentences, separator: str) -> str:
     """Per-token writer: every token checked by ``_check_token`` in order.
 
-    ``write_tagged_corpus`` checks whole sentences and distinct tags;
-    it must return the same text or raise the same error as this.
+    ``sentences`` holds lists of (word, tag) pairs, and an empty one
+    renders as a blank line.  ``write_tagged_corpus`` checks each
+    distinct token once, in the order it first occurs; on a corpus it
+    must return the same text or raise the same error as this.
     """
     lines = []
     for sentence in sentences:
@@ -304,17 +306,18 @@ def reference_tag_text(tagger, text: str) -> str:
 
     ``cmd_tag`` reads, tags and renders in blocks of lines, without the
     writer's checks; its output must equal this one-pass rendering of
-    every line, tagged by the plain walk, through the checked
-    ``write_tagged_corpus``.
+    every line, tagged by the plain walk, through the per-token checks
+    of ``reference_write_tagged_corpus``, which writes an empty
+    sentence as a blank line.
     """
     # only "\n" ends a line, and a final one ends the last line rather than
     # starting an empty one; blank lines stay, as empty sentences
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
-    return write_tagged_corpus(
+    return reference_write_tagged_corpus(
         [
-            (words, reference_tag_words(tagger, words))
+            list(zip(words, reference_tag_words(tagger, words)))
             for words in map(str.split, lines)
         ],
         tagger.model.separator,

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from rippletag import cli
 from rippletag.cli import main
 from rippletag.corpus import (
+    TaggedCorpus,
     check_separator,
     read_tagged_corpus,
     render_tagged,
@@ -812,7 +813,7 @@ class TestUsageErrors:
             lambda: TrainOptions(separator=" "),
             lambda: load_model(model_dir),
             lambda: read_tagged_corpus("the DT\n", " "),
-            lambda: write_tagged_corpus([(["the"], ["DT"])], " "),
+            lambda: write_tagged_corpus(TaggedCorpus.from_pairs([[("the", "DT")]]), " "),
         ):
             with pytest.raises(ValueError) as got:
                 call()

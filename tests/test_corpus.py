@@ -1,10 +1,7 @@
-import sys
-
 import pytest
 from hypothesis import example, given, strategies as st
 
 from rippletag.corpus import (
-    _WHITESPACE,
     AlignmentError,
     CorpusParseError,
     TaggedCorpus,
@@ -99,26 +96,6 @@ def test_write_rejects_unwritable_tokens():
         write_tagged_corpus(TaggedCorpus.from_pairs([[("ok", ":x")]]), "::")
 
 
-def test_write_renders_plain_pairs_and_empty_sentences_as_blank_lines():
-    sentences = [(["a", "1/2"], ["X", "CD"]), ([], []), (("b",), ("Y",))]
-    assert write_tagged_corpus(sentences) == "a/X 1/2/CD\n\nb/Y\n"
-    assert write_tagged_corpus(iter(sentences)) == "a/X 1/2/CD\n\nb/Y\n"
-
-
-def test_write_rejects_words_and_tags_of_different_lengths():
-    with pytest.raises(ValueError, match="2 words but 1 tags"):
-        write_tagged_corpus([(["a", "b"], ["X"])])
-
-
-def test_whitespace_pattern_is_str_isspace():
-    # the writer's whole-sentence check stands in for str.isspace
-    differ = [
-        c for c in map(chr, range(sys.maxunicode + 1))
-        if (_WHITESPACE.match(c) is not None) != c.isspace()
-    ]
-    assert differ == []
-
-
 _piece = st.one_of(
     st.sampled_from(["a", "NN", "1/2", "a::b"]),
     st.text("ab/: \t\xa0\u2028", max_size=3),
@@ -129,7 +106,7 @@ _piece = st.one_of(
     st.lists(st.lists(st.tuples(_piece, _piece), max_size=4), max_size=5),
     st.sampled_from(["/", "::", "aa"]),
 )
-# a bad token after a sentence that already vouched for its tag
+# a bad token after good tokens with the same tag
 @example([[("a", "NN")], [("b", "NN"), ("c", "N/N")]], "/")
 @example([[("a", "NN")], [("b", "NN"), ("c", "/")]], "/")
 @example([[("a", "NN")], [("b c", "NN")]], "/")
@@ -137,24 +114,13 @@ _piece = st.one_of(
 # tags a later separator would cut
 @example([[("w", ":x")]], "::")
 @example([[("w", "ax")]], "aa")
+# two bad tokens, in two sentences: the error names the first
+@example([[("a", "N/N")], [("b", "NN"), ("c d", "NN")]], "/")
 def test_writer_fails_like_the_per_token_checks(sentences, separator):
-    columns = [([w for w, _ in s], [t for _, t in s]) for s in sentences]
-    assert_writes_like_the_reference(columns, sentences, separator)
+    """``write_tagged_corpus`` gives the per-token writer's text or its error."""
     # a TaggedCorpus holds no empty sentence
-    non_empty = [s for s in sentences if s]
-    corpus = TaggedCorpus.from_pairs(non_empty)
-    assert_writes_like_the_reference(corpus, non_empty, separator)
-    # and whatever the writer writes reads back
-    try:
-        text = write_tagged_corpus(corpus, separator)
-    except ValueError:
-        return
-    assert read_tagged_corpus(text, separator) == corpus
-
-
-def assert_writes_like_the_reference(corpus, sentences, separator):
-    """``write_tagged_corpus(corpus)`` equals the per-token writer on
-    the same sentences as pairs: the same text or the same error."""
+    sentences = [s for s in sentences if s]
+    corpus = TaggedCorpus.from_pairs(sentences)
     try:
         want = reference_write_tagged_corpus(sentences, separator)
     except ValueError as exc:
@@ -162,7 +128,10 @@ def assert_writes_like_the_reference(corpus, sentences, separator):
             write_tagged_corpus(corpus, separator)
         assert str(got.value) == str(exc)
     else:
-        assert write_tagged_corpus(corpus, separator) == want
+        text = write_tagged_corpus(corpus, separator)
+        assert text == want
+        # and whatever the writer writes reads back
+        assert read_tagged_corpus(text, separator) == corpus
 
 
 def test_empty_sentence_rejected():

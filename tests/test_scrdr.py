@@ -85,7 +85,7 @@ def test_mismatched_lengths_rejected():
     with pytest.raises(ValueError):
         make_tag_objects(["a"], ["X", "Y"])
     with pytest.raises(ValueError):
-        block_columns(["a", "b"], ["X"])
+        block_columns(["a", "b"], ["X"], [2])
     with pytest.raises(ValueError):
         block_columns(["a", "a", "b"], ["X", "Y"], [1, 2])
     with pytest.raises(ValueError):
@@ -216,7 +216,7 @@ def test_block_columns_of_any_block_are_the_reference_objects(sentences):
 
 def test_block_columns_of_one_sentence_read_its_own_list():
     words = ["walked", "x"]
-    columns = block_columns(words, ["V", "X"])
+    columns = block_columns(words, ["V", "X"], [2])
     assert columns[FIELD_INDEX["word"]] is words
     assert columns[FIELD_INDEX["suffix3"]][0] == "ked"
 
