@@ -4,7 +4,7 @@
 The sample corpus only learns a couple dozen rules, which says little
 about speed at realistic model sizes.  So this pads a trained tree
 with rules conditioned on words that never occur: outputs stay
-identical, but every if-not chain grows long, and the tagger's
+identical, but every seed's list of exceptions grows long, and the tagger's
 first-test index has to keep the walk from scanning it.
 """
 
@@ -25,11 +25,7 @@ base = train_model(corpus)
 
 def padded_to(model, target):
     tree = parse_tree(serialize_tree(model.tree))
-    seeds = []
-    node = tree.except_child
-    while node is not None:
-        seeds.append(node)
-        node = node.ifnot_child
+    seeds = tree.exceptions
     i = 0
     while count_rules(tree) < target:
         insert_exception(seeds[i % len(seeds)], Rule(((WORD, f"zz{i}"),), "NN"))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -49,19 +49,15 @@ def check_separator(separator: object) -> None:
         )
 
 
-def reads_back(tag: str, separator: str) -> bool:
-    """Whether a token written as word, ``separator``, ``tag`` reads back with ``tag``.
+def check_tag(tag: str, separator: str) -> None:
+    """Raise ValueError unless a token written as word, ``separator``,
+    ``tag`` reads back with ``tag``.
 
     The reader splits at the rightmost separator, so ``tag`` must be
     plain and no separator may start after the written one: with
     ``::``, the tag ``:x`` would read back as ``x``.
     """
-    return is_plain(tag) and separator not in (separator + tag)[1:]
-
-
-def check_tag(tag: str, separator: str) -> None:
-    """Raise ValueError unless ``reads_back(tag, separator)``."""
-    if not reads_back(tag, separator):
+    if not is_plain(tag) or separator in (separator + tag)[1:]:
         raise ValueError(f"tag {tag!r} does not read back after separator {separator!r}")
 
 
@@ -159,7 +155,7 @@ def write_tagged_corpus(corpus: TaggedCorpus, separator: str = DEFAULT_SEPARATOR
 
     Refuses a separator that ``check_separator`` refuses, and a token
     that could not round-trip: a word that is not ``is_plain``, or a tag
-    that does not ``reads_back``.  Like the reader, it checks each
+    that ``check_tag`` refuses.  Like the reader, it checks each
     distinct token once, in the order the token first occurs, so the
     error names the corpus's first bad token.
     """
@@ -198,11 +194,15 @@ def read_raw(text: str) -> list[list[str]]:
     return [words for line in text.split("\n") if (words := line.split())]
 
 
-def split_parts(corpus: TaggedCorpus, k: int) -> list[TaggedCorpus]:
-    """Split into k contiguous, sentence-aligned parts.
+def split_folds(
+    corpus: TaggedCorpus, k: int
+) -> list[tuple[TaggedCorpus, TaggedCorpus]]:
+    """Contiguous k-fold splits: fold i tests on part i, trains on the rest.
 
-    Part sizes differ by at most one sentence; the larger parts come
-    first. Concatenating the parts in order reproduces the corpus.
+    The k parts are contiguous and sentence-aligned, their sizes differ
+    by at most one sentence, and the larger parts come first, so the
+    test parts in fold order reproduce the corpus.  The training portion
+    keeps the remaining parts in original order.
     """
     n = len(corpus)
     if k < 2:
@@ -210,31 +210,15 @@ def split_parts(corpus: TaggedCorpus, k: int) -> list[TaggedCorpus]:
     if k > n:
         raise ValueError(f"cannot split {n} sentences into {k} folds")
     base, extra = divmod(n, k)
-    parts = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        parts.append(TaggedCorpus(corpus.sentences[start : start + size]))
-        start += size
-    return parts
-
-
-def split_folds(
-    corpus: TaggedCorpus, k: int
-) -> list[tuple[TaggedCorpus, TaggedCorpus]]:
-    """Contiguous k-fold splits: fold i tests on part i, trains on the rest.
-
-    The training portion keeps the remaining parts in original order.
-    """
-    parts = split_parts(corpus, k)
-    folds = []
-    for i in range(k):
-        train_sentences: list[Sentence] = []
-        for j, part in enumerate(parts):
-            if j != i:
-                train_sentences.extend(part.sentences)
-        folds.append((TaggedCorpus(tuple(train_sentences)), parts[i]))
-    return folds
+    cuts = list(accumulate((base + (i < extra) for i in range(k)), initial=0))
+    sentences = corpus.sentences
+    return [
+        (
+            TaggedCorpus(sentences[:start] + sentences[end:]),
+            TaggedCorpus(sentences[start:end]),
+        )
+        for start, end in zip(cuts, cuts[1:])
+    ]
 
 
 def check_aligned(a: TaggedCorpus, b: TaggedCorpus) -> None:

@@ -521,14 +521,10 @@ class _Learning:
     def attach(self, parent: Node, rule: Rule, rows: list[int]) -> Node:
         """Insert ``rule`` under ``parent`` and file ``rows`` at the new node."""
         node = insert_exception(parent, rule)
-        if parent.except_child is node:
-            base, edge = self.addresses[parent], "e"
-        else:
-            prev = parent.except_child
-            while prev.ifnot_child is not node:
-                prev = prev.ifnot_child
-            base, edge = self.addresses[prev], "i"
-        self.addresses[node] = f"{base}.{edge}" if base else edge
+        # "e" to parent's first exception, then one "i" per later sibling
+        base = self.addresses[parent]
+        path = "e" + ".i" * (len(parent.exceptions) - 1)
+        self.addresses[node] = f"{base}.{path}" if base else path
         self.records[node] = _NodeRecords(rows, self.gold, rule.conclusion)
         return node
 
@@ -604,7 +600,7 @@ class _Learning:
                 # the itertools "consume" recipe: the stores run in C
                 deque(map(owner.__setitem__, rows, repeat((node, side))), maxlen=0)
         filed = sum(len(state.wrong) + len(state.correct) for state in records.values())
-        compiled = compile_chain(self.root.except_child, lambda node: node)
+        compiled = compile_chain(self.root, lambda node: node)
         # every first guess has a seed that fires, so no row keeps its default
         walked = run_chain(compiled, columns, columns[_CURRENT_TAG])
         for row, (filed_at, node) in enumerate(zip(owner, walked)):

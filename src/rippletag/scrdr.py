@@ -1,11 +1,13 @@
 """Exception-structured rule tree: the data structure behind the tagger.
 
 Each node holds a rule, a condition over a 13-field context object and a
-conclusion tag.  Evaluation starts at an always-true root and repeatedly
-takes the "except" edge when a condition holds and the "if-not" edge
-when it does not; the answer comes from the last node that fired.  New
-knowledge is added as an exception under the node that produced a wrong
-answer, so earlier behaviour is only ever overridden, never edited.
+conclusion tag, and its exceptions, a list of nodes in the order they
+are tried.  Evaluation starts at an always-true root and, at each node
+that fired, tries its exceptions in order and descends into the first
+whose condition holds; the answer comes from the last node that fired.
+New knowledge is added as an exception under the node that produced a
+wrong answer, after the exceptions it already has, so earlier behaviour
+is only ever overridden, never edited.
 """
 
 from __future__ import annotations
@@ -190,21 +192,18 @@ _new_rule = partial(tuple.__new__, Rule)
 
 
 class Node:
-    """Tree node; level is the number of except edges above it."""
+    """Tree node; level is its depth below the root.
 
-    __slots__ = ("rule", "level", "except_child", "ifnot_child")
+    ``exceptions`` holds the nodes tried when this one fires, in the
+    order they are tried, which is the order they were added.
+    """
 
-    def __init__(
-        self,
-        rule: Rule,
-        level: int,
-        except_child: "Node | None" = None,
-        ifnot_child: "Node | None" = None,
-    ) -> None:
+    __slots__ = ("rule", "level", "exceptions")
+
+    def __init__(self, rule: Rule, level: int) -> None:
         self.rule = rule
         self.level = level
-        self.except_child = except_child
-        self.ifnot_child = ifnot_child
+        self.exceptions: list[Node] = []
 
     def __repr__(self) -> str:
         return f"Node(level={self.level}, {render_rule(self.rule)!r})"
@@ -229,43 +228,35 @@ def evaluate(root: Node, obj: TagObject) -> EvalResult:
     if root.rule.tests:
         raise ValueError("root rule must be the always-true rule")
     visited = [root]
-    last_fired = root
-    current = root.except_child
-    while current is not None:
-        visited.append(current)
-        if current.rule.matches(obj):
-            last_fired = current
-            current = current.except_child
+    fired = root
+    while True:
+        for node in fired.exceptions:
+            visited.append(node)
+            if node.rule.matches(obj):
+                fired = node
+                break
         else:
-            current = current.ifnot_child
-    return EvalResult(last_fired, tuple(visited))
+            return EvalResult(fired, tuple(visited))
 
 
 def insert_exception(parent: Node, rule: Rule) -> Node:
-    """Attach a rule as an exception to parent.
+    """Attach a rule as parent's last exception.
 
-    Goes into the empty except slot if there is one, otherwise onto the
-    end of the existing exception's if-not chain.  Either way the new
-    node sits one level below parent and is tried only when parent
-    fires.
+    The new node sits one level below parent, is tried only when parent
+    fires, and only after the exceptions parent already has.
     """
     if not rule.tests:
         raise ValueError("cannot insert an always-true rule")
     if not rule.conclusion:
         raise ValueError("cannot insert a rule with an empty conclusion")
     node = Node(rule, parent.level + 1)
-    if parent.except_child is None:
-        parent.except_child = node
-    else:
-        tail = parent.except_child
-        while tail.ifnot_child is not None:
-            tail = tail.ifnot_child
-        tail.ifnot_child = node
+    parent.exceptions.append(node)
     return node
 
 
 def iter_nodes(root: Node) -> Iterator[Node]:
-    """All nodes in serialization order: node, exceptions, then if-nots.
+    """All nodes in serialization order: a node, then each of its exceptions
+    with everything below it, in order.
 
     The walk keeps its own stack, so a tree of any depth is listed
     without recursion.
@@ -274,10 +265,9 @@ def iter_nodes(root: Node) -> Iterator[Node]:
     while stack:
         node = stack.pop()
         yield node
-        if node.ifnot_child is not None:
-            stack.append(node.ifnot_child)
-        if node.except_child is not None:
-            stack.append(node.except_child)
+        # most nodes are leaves: testing the list costs less than extending by it
+        if node.exceptions:
+            stack += reversed(node.exceptions)
 
 
 def count_rules(root: Node) -> int:
@@ -303,8 +293,8 @@ def truncate(root: Node, max_level: int) -> Node:
         if node.level <= max_level
     }
     for node, clone in clones.items():
-        clone.except_child = clones.get(node.except_child)
-        clone.ifnot_child = clones.get(node.ifnot_child)
+        if node.level < max_level:
+            clone.exceptions = [clones[child] for child in node.exceptions]
     return clones[root]
 
 
@@ -479,12 +469,8 @@ def parse_tree(text: str) -> Node:
         if not rule.conclusion:
             raise TreeFormatError(f"line {lineno}: empty conclusion outside the root")
         node = Node(rule, depth)
-        if depth == prev_depth + 1:
-            last_at_depth[depth - 1].except_child = node
-        else:
-            # the last node read at this depth is the tail of this chain:
-            # each later one replaced it, and a new chain here resets it
-            last_at_depth[depth].ifnot_child = node
+        # the last node read one level up is this node's parent
+        last_at_depth[depth - 1].exceptions.append(node)
         last_at_depth[depth] = node
         prev_depth = depth
     if root is None:

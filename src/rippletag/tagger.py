@@ -8,12 +8,12 @@ exception tree for every row of the window, and each sentence's tags
 are cut from that one walk by the sentence's length.  One sentence is
 a block of one.
 
-For throughput the tree is compiled first, each if-not chain into one
-of two shapes, chosen from the chain itself.  A chain whose entries all
-test one field first, and whose first entry for each value tests
-nothing else, becomes a dispatch table: one dict from that field's
-value to what the entry concludes and its compiled exceptions, answered
-by one lookup.  Any other chain becomes a first-test index, which maps
+For throughput the tree is compiled first, each node's list of
+exceptions (its chain) into one of two shapes, chosen from the chain
+itself.  A chain whose entries all test one field first, and whose
+first entry for each value tests nothing else, becomes a dispatch
+table: one dict from that field's value to what the entry concludes
+and its compiled exceptions, answered by one lookup.  Any other chain becomes a first-test index, which maps
 each value of a field that some entry tests first to those entries, in
 chain order; a token probes each indexed field once and checks only the
 entries its own values select.  The compiled walk returns exactly what
@@ -61,7 +61,7 @@ AUDIT_FILE = "audit.jsonl"
 # That stays below the cyclic collector's first threshold
 # (``gc.get_threshold()[0]``: 700 on Python 3.10-3.12, 2000 on 3.13),
 # so tagging a block runs no generation-0 pass over it; a 1.5M-token
-# text with blank lines makes 11 such passes on 3.10-3.12 and 2 or 3
+# text with blank lines makes 12 such passes on 3.10-3.12 and 2 or 3
 # on 3.13.  The block is still large enough that its per-block work is
 # shared by many sentences, and memory does not grow with the input.
 TAG_BLOCK_LINES = 256
@@ -97,10 +97,8 @@ class Model:
     audit: tuple[dict, ...] = ()
 
 
-def compile_chain(
-    first: Node | None, label: Callable[[Node], object]
-) -> _Chain | None:
-    """Compile one if-not chain (a node and its if-not siblings).
+def compile_chain(parent: Node, label: Callable[[Node], object]) -> _Chain | None:
+    """Compile the chain of ``parent``'s exceptions; None if it has none.
 
     ``label(node)`` is what ``run_chain`` yields for a row the node
     decides: ``Tagger`` labels each node with its conclusion, the
@@ -114,29 +112,22 @@ def compile_chain(
     later entries for the same value could never fire and are dropped.
     Every other chain compiles to a first-test index.
 
-    The chains' first nodes come from ``iter_nodes``, whose pre-order
-    lists each chain before the chains under it; compiling them in
-    reverse compiles exception chains before the chain that holds them,
-    so a tree of any depth compiles without recursion.  Raises
-    ValueError for an always-true rule, which only the root may hold.
+    The nodes with exceptions come from ``iter_nodes``, whose pre-order
+    lists each node before the nodes under it; compiling their chains in
+    reverse compiles a node's exceptions' chains before its own, so a
+    tree of any depth compiles without recursion.  Raises ValueError
+    for an always-true rule, which only the root may hold.
     """
-    if first is None:
-        return None
-    heads = [first]
-    heads += (n.except_child for n in iter_nodes(first) if n.except_child is not None)
     compiled: dict[Node, _Chain] = {}
-    for head in reversed(heads):
+    for node in reversed([n for n in iter_nodes(parent) if n.exceptions]):
         entries: list[_Link] = []
-        node: Node | None = head
-        while node is not None:
-            tests = node.rule.tests
+        for child in node.exceptions:
+            tests = child.rule.tests
             if not tests:
-                raise ValueError(f"always-true rule below the root: {node!r}")
-            sub = compiled.pop(node.except_child, None)
-            entries.append((tests, label(node), sub))
-            node = node.ifnot_child
-        compiled[head] = _dispatch(entries) or (None, _indexed(entries))
-    return compiled[first]
+                raise ValueError(f"always-true rule below the root: {child!r}")
+            entries.append((tests, label(child), compiled.pop(child, None)))
+        compiled[node] = _dispatch(entries) or (None, _indexed(entries))
+    return compiled.get(parent)
 
 
 def _dispatch(entries: list[_Link]) -> _Chain | None:
@@ -241,9 +232,7 @@ class Tagger:
         )
         if model.tree.rule.tests:
             raise ValueError("model tree has a non-default root")
-        self._compiled = compile_chain(
-            model.tree.except_child, attrgetter("rule.conclusion")
-        )
+        self._compiled = compile_chain(model.tree, attrgetter("rule.conclusion"))
 
     def tag_block(self, sentences: Sequence[list[str]]) -> list[list[str]]:
         """The tags of each sentence, walked over one ``block_columns`` window.

@@ -275,10 +275,7 @@ def reference_parse_tree(text: str) -> Node:
         if not rule.conclusion:
             raise TreeFormatError(f"{where}: empty conclusion outside the root")
         node = Node(rule, depth)
-        if depth == prev_depth + 1:
-            last_at_depth[depth - 1].except_child = node
-        else:
-            last_at_depth[depth].ifnot_child = node
+        last_at_depth[depth - 1].exceptions.append(node)
         last_at_depth[depth] = node
         prev_depth = depth
     if root is None:
@@ -469,17 +466,31 @@ def ref_matches(rule: Rule, obj: TagObject) -> bool:
 
 
 def reference_iter_nodes(root: Node) -> Iterator[Node]:
-    """Recursive pre-order: node, its exceptions, then its if-nots.
+    """Recursive pre-order: a node, then each of its exceptions' subtrees.
 
     ``iter_nodes`` walks with its own stack; this is the plain version
     it must agree with on trees shallower than the recursion limit.
     """
-    current: Node | None = root
-    while current is not None:
-        yield current
-        if current.except_child is not None:
-            yield from reference_iter_nodes(current.except_child)
-        current = current.ifnot_child
+    yield root
+    for child in root.exceptions:
+        yield from reference_iter_nodes(child)
+
+
+def node_at(root: Node, address: str) -> Node:
+    """The node an audit address names, read one step at a time.
+
+    From the root, "e" steps to the current node's first exception and
+    each "i" to the next of its parent's exceptions; "" is the root.
+    """
+    node = root
+    for step in address.split(".") if address else ():
+        if step == "e":
+            parent, k = node, 0
+        else:
+            assert step == "i", address
+            k += 1
+        node = parent.exceptions[k]
+    return node
 
 
 def strip_tags(corpus: TaggedCorpus) -> str:
@@ -494,31 +505,26 @@ def trees_equal(a: Node, b: Node) -> bool:
     stack = [(a, b)]
     while stack:
         x, y = stack.pop()
-        if x is None or y is None:
-            if x is not y:
-                return False
-            continue
         if x.rule != y.rule or x.level != y.level:
             return False
-        stack.append((x.except_child, y.except_child))
-        stack.append((x.ifnot_child, y.ifnot_child))
+        if len(x.exceptions) != len(y.exceptions):
+            return False
+        stack += zip(x.exceptions, y.exceptions)
     return True
 
 
 def reference_evaluate(root: Node, obj: TagObject):
-    """Plain walk: try each sibling, descend on the first that fires."""
+    """Plain walk: try each exception, descend on the first that fires."""
     path = [root]
 
-    def walk(chain: Node | None, last: Node) -> Node:
-        node = chain
-        while node is not None:
+    def walk(last: Node) -> Node:
+        for node in last.exceptions:
             path.append(node)
             if ref_matches(node.rule, obj):
-                return walk(node.except_child, node)
-            node = node.ifnot_child
+                return walk(node)
         return last
 
-    last = walk(root.except_child, root)
+    last = walk(root)
     return last, tuple(path)
 
 

@@ -129,14 +129,12 @@ class _Replay:
 
     def attach(self, address, rule):
         parts = address.split(".")
-        prev = self.by_address[".".join(parts[:-1])]
+        parent = self.conceptual_parent(address)
+        # the address names the parent's k-th exception: "e" then k "i"s
+        k = parts[::-1].index("e")
+        assert len(parent.exceptions) == k
         node = Node(rule, sum(1 for p in parts if p == "e"))
-        if parts[-1] == "e":
-            assert prev.except_child is None
-            prev.except_child = node
-        else:
-            assert prev.ifnot_child is None
-            prev.ifnot_child = node
+        parent.exceptions.append(node)
         self.by_address[address] = node
         self.tracked[node] = ([], [])
         return node
@@ -273,11 +271,7 @@ def _stuffed_model(toy_model):
     on words that never occur, so outputs stay identical while every
     chain gets long enough to exercise the indexed path."""
     tree = parse_tree(serialize_tree(toy_model.tree))
-    seeds = []
-    node = tree.except_child
-    while node is not None:
-        seeds.append(node)
-        node = node.ifnot_child
+    seeds = tree.exceptions
     i = 0
     while count_rules(tree) < 2000:
         insert_exception(seeds[i % len(seeds)], Rule(((4, f"zz{i}"),), "NN"))
@@ -313,11 +307,7 @@ def test_8_level_curve_grows_rules_and_lands_on_the_full_model(toy, toy_model):
 def test_9_first_guess_without_a_seed_survives_unchanged(example_tree_text):
     with verdict(9, "a first guess with no matching seed rule is returned as is"):
         tree = parse_tree(example_tree_text)
-        seed_tags = set()
-        node = tree.except_child
-        while node is not None:
-            seed_tags.add(node.rule.conclusion)
-            node = node.ifnot_child
+        seed_tags = {node.rule.conclusion for node in tree.exceptions}
         lexicon = Lexicon(
             word_tags={"the": "DT", "plan": "NN", "works": "VB"},
             suffix_tags={n: {} for n in (2, 3, 4, 5)},

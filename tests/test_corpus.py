@@ -11,7 +11,6 @@ from rippletag.corpus import (
     read_raw,
     read_tagged_corpus,
     split_folds,
-    split_parts,
     write_tagged_corpus,
 )
 
@@ -159,13 +158,13 @@ def _numbered(n):
 
 
 def test_split_parts_sizes_larger_first():
-    parts = split_parts(_numbered(23), 10)
+    parts = [test for _, test in split_folds(_numbered(23), 10)]
     assert [len(p) for p in parts] == [3, 3, 3, 2, 2, 2, 2, 2, 2, 2]
 
 
 def test_split_parts_are_contiguous():
     corpus = _numbered(11)
-    parts = split_parts(corpus, 4)
+    parts = [test for _, test in split_folds(corpus, 4)]
     rebuilt = [s for p in parts for s in p.sentences]
     assert tuple(rebuilt) == corpus.sentences
 
@@ -237,7 +236,7 @@ def test_parts_always_reassemble(pairs, k):
     corpus = TaggedCorpus.from_pairs(pairs)
     if k > len(corpus):
         return
-    parts = split_parts(corpus, k)
+    parts = [test for _, test in split_folds(corpus, k)]
     assert tuple(s for p in parts for s in p.sentences) == corpus.sentences
     sizes = [len(p) for p in parts]
     assert max(sizes) - min(sizes) <= 1

@@ -31,7 +31,9 @@ from rippletag.scrdr import (
     Rule,
     TagObject,
     insert_exception,
+    iter_nodes,
     layer_census,
+    render_rule,
     serialize_tree,
     truncate,
 )
@@ -43,6 +45,7 @@ from helpers import (
     Record,
     project,
     random_object,
+    node_at,
     random_tagged_text,
     records_of,
     ref_matches,
@@ -424,6 +427,27 @@ class TestLearnTree:
         result = learn_tree(init, gold, max_level=1)
         assert set(layer_census(result.root)) == {1}
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**16),
+        st.integers(200, 3000),
+        st.sampled_from([MODE_GENERIC, MODE_ENGLISH]),
+    )
+    def test_every_audit_address_names_its_node(self, seed, n_tokens, mode):
+        # chains up to about 20 wide and many layer-3 nodes, which the toy
+        # replay of acceptance gate 3 does not reach
+        gold = read_tagged_corpus(random_tagged_text(random.Random(seed), n_tokens))
+        model = train_model(gold, TrainOptions(mode=mode))
+        named = []
+        for entry in model.audit[1:]:
+            node = node_at(model.tree, entry["address"])
+            assert render_rule(node.rule) == entry["rule"]
+            assert node.level == entry["level"]
+            named.append(node)
+        nodes = list(iter_nodes(model.tree))[1:]
+        assert len(named) == len(nodes)
+        assert set(named) == set(nodes)
+
 
 class TestSelfCheck:
     def test_lost_records_fail_the_self_check(self, monkeypatch):
@@ -504,7 +528,7 @@ class TestSelfCheck:
 
         def grafting_check(self):
             # under the DT seed, a rule that takes the six rows of "the"
-            seed = self.root.except_child
+            seed = self.root.exceptions[0]
             assert seed.rule.conclusion == "DT"
             insert_exception(seed, Rule(((FIELD_INDEX["word"], "the"),), "DT"))
             check(self)

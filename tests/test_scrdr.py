@@ -308,8 +308,8 @@ def test_insert_into_empty_slot_then_chain_end():
     b = insert_exception(root, Rule(((5, "VB"),), "VB"))
     c = insert_exception(a, Rule(((3, "DT"),), "JJ"))
     d = insert_exception(a, Rule(((3, "IN"),), "NN"))
-    assert root.except_child is a and a.ifnot_child is b
-    assert a.except_child is c and c.ifnot_child is d
+    assert root.exceptions == [a, b]
+    assert a.exceptions == [c, d]
     assert (a.level, b.level, c.level, d.level) == (1, 1, 2, 2)
     assert count_rules(root) == 4
     assert layer_census(root) == {1: 2, 2: 2}

@@ -106,7 +106,7 @@ class TestCompiledChain:
         rng = random.Random(31)
         for _ in range(40):
             root = random_tree(rng, rng.randint(1, 30))
-            compiled = compile_chain(root.except_child, CONCLUSION)
+            compiled = compile_chain(root, CONCLUSION)
             objects = [random_object(rng) for _ in range(50)]
             assert_walks_like_the_reference(root, compiled, objects)
 
@@ -114,14 +114,14 @@ class TestCompiledChain:
         rng = random.Random(35)
         for _ in range(40):
             root = random_tree(rng, rng.randint(1, 30))
-            compiled = compile_chain(root.except_child, lambda node: node)
+            compiled = compile_chain(root, lambda node: node)
             objects = [random_object(rng) for _ in range(50)]
             assert_names_the_deciding_node(root, compiled, objects)
 
     def test_node_labels_on_a_tree_deeper_than_the_recursion_limit(self):
         depth = sys.getrecursionlimit() + 200
         root = parse_tree(deep_tree_text(depth))
-        compiled = compile_chain(root.except_child, lambda node: node)
+        compiled = compile_chain(root, lambda node: node)
         base = random_object(random.Random(36))._replace(prev1Word="x")
         objects = [
             base._replace(word=word)
@@ -136,7 +136,7 @@ class TestCompiledChain:
         rng = random.Random(32)
         for _ in range(20):
             root = wide_tree(rng, rng.randint(8, 20), rng.randint(0, 25))
-            compiled = compile_chain(root.except_child, CONCLUSION)
+            compiled = compile_chain(root, CONCLUSION)
             objects = [random_object(rng) for _ in range(60)]
             assert_walks_like_the_reference(root, compiled, objects)
 
@@ -162,7 +162,7 @@ class TestCompiledChain:
                 tests = tuple(sorted((f, obj[f]) for f in picked))
                 rule = Rule(tests, rng.choice("XYZ"))
                 nodes.append(insert_exception(rng.choice(nodes), rule))
-            compiled = compile_chain(root.except_child, CONCLUSION)
+            compiled = compile_chain(root, CONCLUSION)
             cols = block_columns(
                 [word for words, _ in sentences for word in words],
                 [tag for _, tags in sentences for tag in tags],
@@ -176,7 +176,7 @@ class TestCompiledChain:
         rng = random.Random(33)
         for width in (1, 2, 7, 8, 9, 31, 45):
             root = wide_tree(rng, width, rng.randint(0, 10))
-            compiled = compile_chain(root.except_child, CONCLUSION)
+            compiled = compile_chain(root, CONCLUSION)
             objects = [random_object(rng) for _ in range(60)]
             assert_walks_like_the_reference(root, compiled, objects)
 
@@ -192,12 +192,9 @@ class TestCompiledChain:
             insert_exception(parent, random_rule(rng)) for _ in range(width - 1)
         ]
         bad = Node(Rule((), "NN"), parent.level + 1)
-        if chain:
-            chain[-1].ifnot_child = bad
-        else:
-            parent.except_child = bad
+        parent.exceptions.append(bad)
         with pytest.raises(ValueError, match="always-true"):
-            compile_chain(root.except_child, CONCLUSION)
+            compile_chain(root, CONCLUSION)
 
     def test_earliest_entry_wins_across_first_test_fields(self):
         # the entry that fires first in chain order wins, whichever
@@ -207,7 +204,7 @@ class TestCompiledChain:
         insert_exception(root, Rule(((1, "p"),), "prev2"))
         insert_exception(root, Rule(((4, "w"),), "word"))
         insert_exception(root, Rule(((12, "abcd"),), "suffix"))
-        compiled = compile_chain(root.except_child, CONCLUSION)
+        compiled = compile_chain(root, CONCLUSION)
         rng = random.Random(1)
         base = random_object(rng)._replace(
             prev2Tag="p", word="w", next1Tag="x", suffix4="abcd"
@@ -229,7 +226,7 @@ class TestCompiledChain:
             tests = ((4, "w"), (7, f"t{i}"))
             insert_exception(root, Rule(tests, f"c{i}"))
         insert_exception(root, Rule(((4, "w"),), "fallback"))
-        compiled = compile_chain(root.except_child, CONCLUSION)
+        compiled = compile_chain(root, CONCLUSION)
         rng = random.Random(0)
         obj = random_object(rng)._replace(word="w", next1Tag="t6")
         off = random_object(rng)._replace(word="w", next1Tag="none-such")
@@ -274,21 +271,17 @@ def grid_objects(**choices):
 def assert_both_labels_walk_like_the_reference(root, objects):
     """Conclusion and node labels both agree with the plain walks."""
     assert_walks_like_the_reference(
-        root, compile_chain(root.except_child, CONCLUSION), objects
+        root, compile_chain(root, CONCLUSION), objects
     )
     assert_names_the_deciding_node(
-        root, compile_chain(root.except_child, lambda node: node), objects
+        root, compile_chain(root, lambda node: node), objects
     )
 
 
 class TestChainShapes:
     def test_the_toy_models_seed_layer_is_a_dispatch_table(self, toy_model):
-        seeds = []
-        node = toy_model.tree.except_child
-        while node is not None:
-            seeds.append(node.rule.tests)
-            node = node.ifnot_child
-        field_idx, table = compile_chain(toy_model.tree.except_child, CONCLUSION)
+        seeds = [node.rule.tests for node in toy_model.tree.exceptions]
+        field_idx, table = compile_chain(toy_model.tree, CONCLUSION)
         assert field_idx == F["currentTag"]
         assert sorted(table) == sorted(value for ((_, value),) in seeds)
 
@@ -297,7 +290,7 @@ class TestChainShapes:
         insert_exception(root, Rule(((F["currentTag"], "X"),), "A"))
         insert_exception(root, Rule(((F["currentTag"], "Y"), (F["word"], "w")), "B"))
         insert_exception(root, Rule(((F["currentTag"], "Y"),), "C"))
-        assert chain_shapes(compile_chain(root.except_child, CONCLUSION)) == ["indexed"]
+        assert chain_shapes(compile_chain(root, CONCLUSION)) == ["indexed"]
         objects = grid_objects(currentTag=["X", "Y", "Z"], word=["w", "v"])
         assert_both_labels_walk_like_the_reference(root, objects)
 
@@ -309,7 +302,7 @@ class TestChainShapes:
             root, Rule(((F["currentTag"], "X"), (F["word"], "w")), "C")
         )
         insert_exception(late, Rule(((F["prev1Tag"], "p"),), "D"))
-        compiled = compile_chain(root.except_child, CONCLUSION)
+        compiled = compile_chain(root, CONCLUSION)
         assert chain_shapes(compiled) == ["dispatch"]
         objects = grid_objects(
             currentTag=["X", "Y", "Z"], word=["w", "v"], prev1Tag=["p", None]
@@ -327,7 +320,7 @@ class TestChainShapes:
         insert_exception(top, Rule(((F["currentTag"], "X"),), "C"))
         inner = insert_exception(top, Rule(((F["currentTag"], "Y"),), "D"))
         insert_exception(inner, Rule(((F["suffix2"], "ab"),), "E"))
-        compiled = compile_chain(root.except_child, CONCLUSION)
+        compiled = compile_chain(root, CONCLUSION)
         assert chain_shapes(compiled) == ["indexed", "dispatch", "dispatch"]
         objects = grid_objects(
             word=["w", "v"],
@@ -345,7 +338,7 @@ class TestChainShapes:
         insert_exception(seed, Rule(((F["word"], "w"), (F["prev1Tag"], "p")), "C"))
         inner = insert_exception(seed, Rule(((F["suffix2"], "ab"),), "D"))
         insert_exception(inner, Rule(((F["next1Word"], "n"), (F["word"], "w")), "E"))
-        compiled = compile_chain(root.except_child, CONCLUSION)
+        compiled = compile_chain(root, CONCLUSION)
         assert chain_shapes(compiled) == ["dispatch", "indexed", "indexed"]
         objects = grid_objects(
             currentTag=["X", "Y", "Z"],
@@ -362,7 +355,7 @@ class TestChainShapes:
         node = root
         for k in range(1, depth + 1):
             node = insert_exception(node, Rule(((F["prev1Word"], "x"),), f"C{k}"))
-        compiled = compile_chain(root.except_child, lambda node: node)
+        compiled = compile_chain(root, lambda node: node)
         assert chain_shapes(compiled) == ["dispatch"] * depth
         objects = grid_objects(prev1Word=["x", "y", None])
         got = assert_names_the_deciding_node(root, compiled, objects)
@@ -505,7 +498,7 @@ def test_one_walk_over_a_padded_block_concludes_like_evaluate(
         flat_guesses,
         [len(words) for words in sentences],
     )
-    compiled = compile_chain(root.except_child, CONCLUSION)
+    compiled = compile_chain(root, CONCLUSION)
     walked = list(run_chain(compiled, cols, flat_guesses))
     want = []
     for words, tags in zip(sentences, guesses):
@@ -737,7 +730,7 @@ class TestPersistence:
     ):
         if name == TREE_FILE:
             tree = parse_tree(serialize_tree(toy_model.tree))
-            node = tree.except_child
+            node = tree.exceptions[0]
             node.rule = node.rule._replace(conclusion=tag)
             model = replace(toy_model, tree=tree, separator=separator)
         else:
