@@ -23,9 +23,16 @@ them empty.  On a word without a newline ``$`` and ``\\Z`` both match
 only at its end and ``.`` matches every character, so ``search`` finds
 a suffix branch exactly when the word ends with one of its strings, and
 a prefix branch exactly when the word starts with one.  Two dicts map
-every prefix and every suffix to the lowest rule that has it.  A word
-is sliced once per affix length, and the lowest rule hit is the first
-affix rule that fires.
+every prefix and every suffix to the lowest rule that has it, and the
+lowest rule hit is the first affix rule that fires.  Two edge tables
+map a character to the lowest rule whose affix is that character alone
+and to one slice per longer affix length with that character at the
+edge: the last character for suffixes, the first for prefixes.  A word
+looks up its last and its first character once each and is sliced only
+at the lengths they select.  No hit is lost: a suffix the word ends with
+ends with the word's last character, so its length is in that
+character's entry, and likewise a prefix starts with the word's first
+character.
 
 Every other rule runs alone in the regex engine, in rule order, and only
 when it comes before that hit; the first that fires is the lowest.
@@ -303,6 +310,26 @@ def _lowest_rules(affixes_by_rule: Iterable[frozenset[str]]) -> dict[str, int]:
     return lowest
 
 
+def _edge_table(
+    lowest: dict[str, int], edge: int, no_rule: int
+) -> dict[str, tuple[int, tuple[slice, ...]]]:
+    """Map each edge character ``affix[edge]`` of ``lowest``'s affixes to (rule, cuts).
+
+    ``rule`` is the lowest rule whose affix is that character alone, else
+    ``no_rule``; ``cuts`` holds one slice per longer affix length with
+    that character at the edge, shortest first.
+    """
+    table = {char: (rule, ()) for char, rule in lowest.items() if len(char) == 1}
+    lengths: dict[str, set[int]] = {}
+    for affix in lowest:
+        if len(affix) > 1:
+            lengths.setdefault(affix[edge], set()).add(len(affix))
+    cut = slice if edge == 0 else lambda n: slice(-n, None)
+    for char, ns in lengths.items():
+        table[char] = (lowest.get(char, no_rule), tuple(map(cut, sorted(ns))))
+    return table
+
+
 class InitialTagger:
     """Assigns first-guess tags from a lexicon; see module docstring."""
 
@@ -320,13 +347,11 @@ class InitialTagger:
                 if tag in known_tags
             )
         shapes = [_classify(p.pattern, p.flags) for p, _ in rules]
-        prefixes = _lowest_rules(shape.prefixes for shape in shapes)
-        suffixes = _lowest_rules(shape.suffixes for shape in shapes)
-        # (affixes, slice) per prefix length, then per suffix length
-        self._affix_lookups = tuple(
-            [(prefixes, slice(n)) for n in sorted(set(map(len, prefixes)))]
-            + [(suffixes, slice(-n, None)) for n in sorted(set(map(len, suffixes)))]
-        )
+        no_rule = len(rules)  # one past the last rule: the index of no rule
+        self._prefixes = _lowest_rules(shape.prefixes for shape in shapes)
+        self._suffixes = _lowest_rules(shape.suffixes for shape in shapes)
+        self._prefix_edges = _edge_table(self._prefixes, 0, no_rule)
+        self._suffix_edges = _edge_table(self._suffixes, -1, no_rule)
         # a matcher for each rule that is not an affix rule, in order
         self._regex_rules: tuple[_Matcher, ...] = tuple(
             (index, p.match if shape.exact else p.search)
@@ -338,8 +363,7 @@ class InitialTagger:
             (index, p.search) for index, (p, _) in enumerate(rules)
         )
         self._rule_tags = tuple(tag for _, tag in rules)
-        # one past the last rule: the index of no rule
-        self._no_rule = len(rules)
+        self._no_rule = no_rule
         self._suffix_tables = tuple(
             (n, lexicon.suffix_tags.get(n, {}))
             for n in sorted(SUFFIX_LENGTHS, reverse=True)
@@ -353,10 +377,25 @@ class InitialTagger:
                 matchers = self._newline_rules
             else:
                 matchers = self._regex_rules
-                for lowest, cut in self._affix_lookups:
-                    index = lowest.get(word[cut], hit)
+                # each side written out: a loop over the two costs a third more
+                edge = self._suffix_edges.get(word[-1:])
+                if edge is not None:
+                    hit, cuts = edge  # hit was no rule until here
+                    lowest = self._suffixes
+                    for cut in cuts:
+                        index = lowest.get(word[cut], hit)
+                        if index < hit:
+                            hit = index
+                edge = self._prefix_edges.get(word[:1])
+                if edge is not None:
+                    index, cuts = edge
                     if index < hit:
                         hit = index
+                    lowest = self._prefixes
+                    for cut in cuts:
+                        index = lowest.get(word[cut], hit)
+                        if index < hit:
+                            hit = index
             for index, test in matchers:
                 if index >= hit:
                     break

@@ -341,10 +341,12 @@ def _chain(rules):
 
 def _affixes(tagger):
     """The tagger's prefix and suffix lookups: ({affix: rule}, {affix: rule})."""
-    prefixes, suffixes = {}, {}
-    for lowest, cut in tagger._affix_lookups:
-        (prefixes if cut.start is None else suffixes).update(lowest)
-    return prefixes, suffixes
+    return tagger._prefixes, tagger._suffixes
+
+
+def _cuts(edge, lengths):
+    """The slices of an edge table entry for these affix lengths."""
+    return tuple(slice(n) if edge == 0 else slice(-n, None) for n in lengths)
 
 
 def test_every_default_english_rule_is_answered_by_affix_lookups():
@@ -359,10 +361,29 @@ def test_every_default_english_rule_is_answered_by_affix_lookups():
     }
     assert (suffixes["ness"], suffixes["less"], suffixes["s"]) == (0, 3, 9)
     assert len(suffixes) == 25
-    # one slice per affix length
-    assert [cut for _, cut in tagger._affix_lookups] == [
-        slice(1), slice(3), slice(5), *(slice(-n, None) for n in (1, 2, 3, 4))
-    ]
+    # one entry per edge character: the rule of that character alone
+    # (11 is no rule), then a slice per longer affix length with that edge
+    assert tagger._prefix_edges == {
+        **{chr(c): (10, ()) for c in range(ord("A"), ord("Z") + 1)},
+        "E": (10, _cuts(0, [3])),
+        "S": (10, _cuts(0, [5])),
+        "e": (11, _cuts(0, [3])),
+        "s": (11, _cuts(0, [5])),
+    }
+    assert tagger._suffix_edges == {
+        "s": (9, _cuts(-1, [3, 4])),  # ous; ness, less
+        "t": (11, _cuts(-1, [3, 4])),  # est; ment
+        "p": (11, _cuts(-1, [4])),  # ship
+        "n": (11, _cuts(-1, [3])),  # ion
+        "y": (11, _cuts(-1, [2, 3])),  # ly; ity
+        "m": (11, _cuts(-1, [3])),  # ism
+        "e": (11, _cuts(-1, [3, 4])),  # ive, ize, ise; ance, ence, able, ible
+        "d": (11, _cuts(-1, [2, 4])),  # ed; hood
+        "l": (11, _cuts(-1, [2, 3])),  # al; ful
+        "h": (11, _cuts(-1, [3])),  # ish
+        "c": (11, _cuts(-1, [2])),  # ic
+        "g": (11, _cuts(-1, [3])),  # ing
+    }
     assert tagger._rule_tags == tuple(tag for _, tag in DEFAULT_ENGLISH_RULES)
     for word in _WORDS:
         assert tagger.guess_unknown(word) == reference_guess_unknown(
@@ -377,7 +398,7 @@ def test_without_the_regex_parser_every_rule_runs_with_search(monkeypatch):
     try:
         tagger = _chain(DEFAULT_ENGLISH_RULES)
         # no affix rule and no ``match``: one ``search`` matcher per rule
-        assert tagger._affix_lookups == ()
+        assert tagger._prefix_edges == tagger._suffix_edges == {}
         assert [(index, test.__name__) for index, test in tagger._regex_rules] == [
             (index, "search") for index in range(len(DEFAULT_ENGLISH_RULES))
         ]
@@ -446,6 +467,85 @@ def test_options_refuse_a_rule_past_the_cap():
     # generic mode checks them too, as a saved model keeps its rules
     with pytest.raises(ValueError, match="bad pattern 'a\\('"):
         InitialTaggerOptions(MODE_GENERIC, (("^b", "R2"), ("a(", "R1")))
+
+
+# Affixes that share the edge character "a": a one-character affix with
+# longer ones, first in rule order on one side and last on the other,
+# and "a" as both a prefix and a suffix edge.  Each rule has its own tag.
+_EDGE_RULES = [
+    (".*a$", "R1"),
+    (".*ba$", "R2"),
+    (".*cba$", "NN"),
+    ("^abc", "JJ"),
+    ("^ab", "RB"),
+    ("^a", "VBG"),
+]
+
+
+@pytest.mark.parametrize(
+    "rules, suffix_edges, prefix_edges, expected",
+    [
+        (
+            _EDGE_RULES,
+            {"a": (0, _cuts(-1, [2, 3]))},
+            {"a": (5, _cuts(0, [2, 3]))},
+            # prefixes of three lengths under "a", the longest one earliest
+            {"abcd": "JJ", "abd": "RB", "ax": "VBG", "ab": "RB", "abc": "JJ",
+             "xcba": "R1", "ba": "R1", "a": "R1", "aba": "R1"},
+        ),
+        (
+            _EDGE_RULES[::-1],
+            {"a": (5, _cuts(-1, [2, 3]))},
+            {"a": (0, _cuts(0, [2, 3]))},
+            # suffixes of three lengths under "a", the longest one earliest
+            {"xcba": "NN", "xba": "R2", "xa": "R1", "cba": "NN", "ba": "R2",
+             "a": "VBG", "abcd": "VBG", "aba": "VBG"},
+        ),
+    ],
+    ids=["one-character-suffix-first", "one-character-prefix-first"],
+)
+def test_edge_tables_find_the_lowest_affix_rule(
+    rules, suffix_edges, prefix_edges, expected
+):
+    tagger = _chain(rules)
+    assert tagger._suffix_edges == suffix_edges
+    assert tagger._prefix_edges == prefix_edges
+    assert {word: tagger.guess_unknown(word) for word in expected} == expected
+    # also words shorter than the longest affix, and words whose edges
+    # start no affix
+    for word in [*expected, "", "b", "c", "x", "cb", "bc", "Ab", "ca", "acb"]:
+        assert tagger.guess_unknown(word) == reference_guess_unknown(
+            _LEXICON, tagger.options, word
+        )
+
+
+class _CountingDict(dict):
+    """A dict that records every key ``get`` is asked for in a shared list."""
+
+    def __init__(self, items, counts):
+        super().__init__(items)
+        self.counts = counts
+
+    def get(self, key, default=None):
+        self.counts.append(key)
+        return super().get(key, default)
+
+
+def test_a_word_whose_edges_start_no_affix_makes_two_lookups():
+    tagger = _chain(DEFAULT_ENGLISH_RULES)
+    lookups = []
+    for name in ["_prefixes", "_suffixes", "_prefix_edges", "_suffix_edges"]:
+        setattr(tagger, name, _CountingDict(getattr(tagger, name), lookups))
+    # no default affix ends with "z" or starts with "z"
+    assert tagger.guess_unknown("zoz") == reference_guess_unknown(
+        _LEXICON, tagger.options, "zoz"
+    )
+    assert lookups == ["z", "z"]
+    # "sadness": the edge "s", "ous" and "ness" at the end, then the edge
+    # "s" and "sadne" ("self-") at the start
+    lookups.clear()
+    assert tagger.guess_unknown("sadness") == "NN"
+    assert lookups == ["s", "ess", "ness", "s", "sadne"]
 
 
 def _group(opener_and_body):

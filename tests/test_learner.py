@@ -448,6 +448,23 @@ class TestLearnTree:
         assert len(named) == len(nodes)
         assert set(named) == set(nodes)
 
+    def test_every_address_in_a_wide_chain_names_its_node(self):
+        # 40 exceptions under one seed, then 40 under its 25th exception:
+        # wider than any chain the trained corpora above reach
+        learning = _Learning([], [], Thresholds(), DEFAULT_MAX_LEVEL)
+        seed = learning.seed("X", [])
+        word = FIELD_INDEX["word"]
+        first = [
+            learning.attach(seed, Rule(((word, f"a{i}"),), "Y"), []) for i in range(40)
+        ]
+        second = [
+            learning.attach(first[24], Rule(((word, f"b{i}"),), "Z"), [])
+            for i in range(40)
+        ]
+        for node in [seed, *first, *second]:
+            assert node_at(learning.root, learning.addresses[node]) is node
+        assert learning.addresses[second[-1]] == "e.e" + ".i" * 24 + ".e" + ".i" * 39
+
 
 class TestSelfCheck:
     def test_lost_records_fail_the_self_check(self, monkeypatch):
