@@ -30,7 +30,7 @@ def padded_to(model, target):
     while count_rules(tree) < target:
         insert_exception(seeds[i % len(seeds)], Rule(((WORD, f"zz{i}"),), "NN"))
         i += 1
-    return replace(model, tree=tree, audit=())
+    return replace(model, tree=tree)
 
 
 print(f"{corpus.token_count} tokens per pass, 5 repeats each\n")

@@ -126,7 +126,7 @@ def level_curve(model: Model, test: TaggedCorpus) -> list[dict]:
     curve = []
     for depth in range(max_level + 1):
         cut = truncate(model.tree, depth)
-        tagger = Tagger(dc_replace(model, tree=cut, audit=()))
+        tagger = Tagger(dc_replace(model, tree=cut))
         predicted = tagger.tag_sentences(words)
         curve.append(
             {

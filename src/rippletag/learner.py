@@ -63,6 +63,7 @@ side its gold tag gives, and exactly n rows were filed.
 
 from __future__ import annotations
 
+import json
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import compress, repeat
@@ -673,7 +674,9 @@ def learn_tree(
 def train_model(gold: TaggedCorpus, options: TrainOptions = TrainOptions()) -> Model:
     """Full pipeline: lexicon, first guesses, tree.  Returns a Model.
 
-    Training starts from the same first-guess chain that tagging uses.
+    The model's ``audit_text`` holds the learner's audit entries, one
+    ``json.dumps(entry, sort_keys=True)`` line each, as ``audit.jsonl``
+    stores them.  Training starts from the same first-guess chain that tagging uses.
     A gold tag that ``check_tag`` refuses is refused first, since the
     tagged output could not be written.
     """
@@ -696,5 +699,7 @@ def train_model(gold: TaggedCorpus, options: TrainOptions = TrainOptions()) -> M
         mode=options.mode,
         regex_rules=options.regex_rules,
         separator=options.separator,
-        audit=tuple(result.audit),
+        audit_text="".join(
+            json.dumps(entry, sort_keys=True) + "\n" for entry in result.audit
+        ),
     )

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, islice
 from operator import attrgetter
 from pathlib import Path
@@ -89,12 +90,38 @@ class ModelFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Model:
+    """A trained model: lexicon, exception tree, first-guess settings, audit.
+
+    ``audit_text`` is the text of ``audit.jsonl``, one JSON entry per
+    line, or "" for a model without an audit.  It is kept as text, and
+    ``audit`` parses it on first read, so a model loaded only to tag
+    never parses it.
+    """
+
     lexicon: Lexicon
     tree: Node
     mode: str = MODE_GENERIC
     regex_rules: tuple[tuple[str, str], ...] = DEFAULT_ENGLISH_RULES
     separator: str = DEFAULT_SEPARATOR
-    audit: tuple[dict, ...] = ()
+    audit_text: str = ""
+
+    @cached_property
+    def audit(self) -> tuple[dict, ...]:
+        """The audit's entries, one per non-blank line of ``audit_text``.
+
+        Parsed on first read and kept; ``cached_property`` writes the
+        instance's dict directly, so this works on the frozen class.
+        Raises ModelFormatError naming ``audit.jsonl`` for a line that is
+        not JSON.
+        """
+        try:
+            return tuple(
+                json.loads(line)
+                for line in self.audit_text.splitlines()
+                if line.strip()
+            )
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ModelFormatError(f"{AUDIT_FILE}: {exc}") from exc
 
 
 def compile_chain(parent: Node, label: Callable[[Node], object]) -> _Chain | None:
@@ -262,8 +289,9 @@ class Tagger:
 def save_model(model: Model, directory: str | Path) -> None:
     """Write the model files; nothing is created if serializing fails.
 
-    A model without an audit removes any ``audit.jsonl`` an older model
-    left in the directory, so loading it never returns a stale audit.
+    ``audit.jsonl`` gets ``model.audit_text`` as it is.  A model without
+    an audit removes any ``audit.jsonl`` an older model left in the
+    directory, so loading it never returns a stale audit.
     """
     meta = {
         "format": 1,
@@ -276,9 +304,8 @@ def save_model(model: Model, directory: str | Path) -> None:
         LEXICON_FILE: serialize_lexicon(model.lexicon),
         META_FILE: json.dumps(meta, indent=2, sort_keys=True) + "\n",
     }
-    if model.audit:
-        lines = [json.dumps(entry, sort_keys=True) for entry in model.audit]
-        files[AUDIT_FILE] = "".join(line + "\n" for line in lines)
+    if model.audit_text:
+        files[AUDIT_FILE] = model.audit_text
     path = Path(directory)
     path.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
@@ -294,6 +321,10 @@ def load_model(directory: str | Path) -> Model:
     must read back after the model's separator, so that it never fails
     at write time: the lexicon's tags (a regex rule fires only with one
     of them) and the tree's conclusions, each distinct tag checked once.
+
+    ``audit.jsonl``, if present, must be UTF-8 text; it is kept as
+    ``Model.audit_text`` and not parsed here, so a malformed audit line
+    raises only when ``Model.audit`` is read.
     """
     path = Path(directory)
     meta_path = path / META_FILE
@@ -326,24 +357,15 @@ def load_model(directory: str | Path) -> Model:
     # only the root concludes "", and its conclusion is never written
     conclusions = {node.rule.conclusion for node in iter_nodes(tree)} - {""}
     _check_tags(path / TREE_FILE, conclusions, separator)
-    audit: tuple[dict, ...] = ()
     audit_path = path / AUDIT_FILE
-    if audit_path.exists():
-        try:
-            audit = tuple(
-                json.loads(line)
-                for line in _read(audit_path).splitlines()
-                if line.strip()
-            )
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ModelFormatError(f"{audit_path}: {exc}") from exc
+    audit_text = _read(audit_path) if audit_path.exists() else ""
     return Model(
         lexicon=lexicon,
         tree=tree,
         mode=mode,
         regex_rules=rules,
         separator=separator,
-        audit=audit,
+        audit_text=audit_text,
     )
 
 

@@ -10,11 +10,16 @@ against something with no shared code.
 
 from __future__ import annotations
 
+import json
 import random
 import re
 from collections import Counter
 from operator import itemgetter
+from types import SimpleNamespace
 from typing import Iterator, NamedTuple
+from unittest import mock
+
+import rippletag.tagger as tagger_module
 
 from rippletag.corpus import TaggedCorpus, _check_token, is_plain
 from rippletag.initial_tagger import MODE_ENGLISH, InitialTagger, InitialTaggerOptions
@@ -728,3 +733,14 @@ def deep_tree_text(depth: int) -> str:
         lines.append(f'{tabs}if word == "w{k}" then tag = "L{k}"')
         lines.append(f'{tabs}if prev1Word == "x" then tag = "C{k}"')
     return "".join(line + "\n" for line in lines)
+
+
+def count_tagger_json_loads(monkeypatch) -> mock.Mock:
+    """Replace ``rippletag.tagger``'s ``json`` with one whose ``loads``
+    is a Mock wrapping the real ``json.loads``; returns that Mock."""
+    loads = mock.Mock(wraps=json.loads)
+    stand_in = SimpleNamespace(
+        loads=loads, dumps=json.dumps, JSONDecodeError=json.JSONDecodeError
+    )
+    monkeypatch.setattr(tagger_module, "json", stand_in)
+    return loads

@@ -276,7 +276,7 @@ def _stuffed_model(toy_model):
     while count_rules(tree) < 2000:
         insert_exception(seeds[i % len(seeds)], Rule(((4, f"zz{i}"),), "NN"))
         i += 1
-    return dc_replace(toy_model, tree=tree, audit=())
+    return dc_replace(toy_model, tree=tree)
 
 
 def test_7_throughput_with_2000_rules_exceeds_50k_tokens_per_sec(toy, toy_model):

@@ -27,7 +27,12 @@ from rippletag.data import toy_corpus_path
 from rippletag.learner import TrainOptions
 from rippletag.tagger import Tagger, load_model, save_model
 
-from helpers import deep_tree_text, reference_tag_text, strip_tags
+from helpers import (
+    count_tagger_json_loads,
+    deep_tree_text,
+    reference_tag_text,
+    strip_tags,
+)
 
 MICRO = "the/DT can/NN fell/VBD\n" * 6 + "you/PRP can/MD go/VB\n" * 5
 
@@ -368,6 +373,41 @@ class TestTag:
         assert str(path) in err and repr(tag) in err
         assert out.read_bytes() == b"old output\n"
         assert os.listdir(out_dir) == ["out.tagged"]
+
+    def test_a_malformed_audit_line_does_not_stop_tag(
+        self, toy, trained_dir, tmp_path, capsys
+    ):
+        model_dir = tmp_path / "m"
+        shutil.copytree(trained_dir, model_dir)
+        with open(model_dir / "audit.jsonl", "a", encoding="utf-8") as f:
+            f.write("{not json\n")
+        raw = tmp_path / "in.txt"
+        raw.write_text(strip_tags(toy), encoding="utf-8")
+        assert self._run_tag(model_dir, raw, tmp_path / "broken.tagged") == 0
+        assert self._run_tag(trained_dir, raw, tmp_path / "intact.tagged") == 0
+        broken = (tmp_path / "broken.tagged").read_bytes()
+        assert broken == (tmp_path / "intact.tagged").read_bytes()
+
+    def test_an_audit_that_is_not_utf8_fails_tag(self, trained_dir, tmp_path, capsys):
+        model_dir = tmp_path / "m"
+        shutil.copytree(trained_dir, model_dir)
+        audit_path = model_dir / "audit.jsonl"
+        audit_path.write_bytes(audit_path.read_bytes() + b'{"event": "\xff"}\n')
+        raw = tmp_path / "in.txt"
+        raw.write_text("the team works\n", encoding="utf-8")
+        assert self._run_tag(model_dir, raw, tmp_path / "out.tagged") == 2
+        err = capsys.readouterr().err
+        assert str(audit_path) in err and "not UTF-8" in err
+        assert not (tmp_path / "out.tagged").exists()
+
+    def test_tag_parses_only_the_meta_file(
+        self, trained_dir, tmp_path, capsys, monkeypatch
+    ):
+        raw = tmp_path / "in.txt"
+        raw.write_text("the team works\n", encoding="utf-8")
+        loads = count_tagger_json_loads(monkeypatch)
+        assert self._run_tag(trained_dir, raw, tmp_path / "out.tagged") == 0
+        loads.assert_called_once_with((trained_dir / "model.json").read_text())
 
     @pytest.mark.parametrize("old_mode", [None, 0o604], ids=["new", "existing"])
     def test_the_output_gets_the_mode_open_would_give(

@@ -331,8 +331,16 @@ def test_load_model_survives_any_tree_file(tmp_path, saved_model, text):
 @_fuzz_settings
 @given(_texts(['{"rule": "if True"}', "{", "}", "[", "]", '"', ":", "1", "\n"]))
 @example("{}\n{")
+@example("[" * 100000)
 def test_load_model_survives_any_audit_file(tmp_path, saved_model, text):
     _load_with(tmp_path, saved_model, AUDIT_FILE, text.encode())
+    # text is never parsed at load; reading the entries fails, if at all,
+    # with ModelFormatError
+    model = load_model(tmp_path)
+    try:
+        model.audit
+    except ModelFormatError as exc:
+        assert AUDIT_FILE in str(exc)
 
 
 @_fuzz_settings

@@ -40,6 +40,7 @@ from rippletag.tagger import (
 
 from helpers import (
     conclude,
+    count_tagger_json_loads,
     deep_tree_text,
     random_object,
     random_rule,
@@ -664,6 +665,49 @@ class TestPersistence:
         save_model(quiet, tmp_path / "m")
         assert not (tmp_path / "m" / AUDIT_FILE).exists()
         assert load_model(tmp_path / "m").audit == ()
+
+    def test_a_malformed_audit_line_fails_only_when_the_audit_is_read(
+        self, toy, toy_model, tmp_path
+    ):
+        save_model(toy_model, tmp_path / "intact")
+        save_model(toy_model, tmp_path / "broken")
+        with open(tmp_path / "broken" / AUDIT_FILE, "a", encoding="utf-8") as f:
+            f.write('{"event": "insert",\n')
+        words = [[t.word for t in s] for s in toy.sentences]
+        intact = load_model(tmp_path / "intact")
+        broken = load_model(tmp_path / "broken")
+        assert Tagger(broken).tag_block(words) == Tagger(intact).tag_block(words)
+        with pytest.raises(ModelFormatError, match=re.escape(AUDIT_FILE)):
+            broken.audit
+        assert intact.audit == toy_model.audit
+
+    def test_loading_to_tag_parses_only_the_meta_file(
+        self, toy_model, tmp_path, monkeypatch
+    ):
+        save_model(toy_model, tmp_path / "m")
+        loads = count_tagger_json_loads(monkeypatch)
+        Tagger(load_model(tmp_path / "m"))
+        loads.assert_called_once_with((tmp_path / "m" / META_FILE).read_text())
+
+    def test_a_hand_edited_audit_is_saved_as_it_was_read(self, toy_model, tmp_path):
+        save_model(toy_model, tmp_path / "a")
+        audit_path = tmp_path / "a" / AUDIT_FILE
+        lines = audit_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        spaced = [line.replace(": ", " :  ").replace(", ", " ,") for line in lines]
+        assert spaced != lines
+        audit_path.write_text("".join([spaced[0], "\n", *spaced[1:]]))
+        loaded = load_model(tmp_path / "a")
+        assert loaded.audit == toy_model.audit
+        save_model(loaded, tmp_path / "b")
+        assert (tmp_path / "b" / AUDIT_FILE).read_bytes() == audit_path.read_bytes()
+
+    def test_a_replaced_audit_text_is_parsed_afresh(self, toy_model):
+        cached = toy_model.audit
+        assert cached
+        replaced = replace(toy_model, audit_text='{"event": "begin"}\n\n')
+        assert replaced.audit == ({"event": "begin"},)
+        assert replace(toy_model, audit_text="").audit == ()
+        assert toy_model.audit is cached
 
     def test_missing_files_raise_model_format_error(self, toy_model, tmp_path):
         save_model(toy_model, tmp_path / "m")
