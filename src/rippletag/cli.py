@@ -15,7 +15,7 @@ import secrets
 import stat
 import sys
 import time
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterator, NoReturn, TextIO
 
@@ -266,23 +266,27 @@ def cmd_tag(args: argparse.Namespace) -> int:
     tokens = sentences = 0
     # Only "\n" ends a line, so a lone "\r" stays inside its line, and
     # output line N is input line N, blank lines included.  Each block of
-    # lines is read, tagged by one tag_block call and written before the
-    # next is read, so memory does not grow with the input.  The blocks
-    # are rendered without write_tagged_corpus's checks, as every token
-    # reads back: its word comes from str.split(), so it is non-empty and
-    # holds no whitespace, and its tag is a lexicon tag (a regex rule
-    # fires only with one) or a tree conclusion, each of which load_model
-    # has checked against the separator.
+    # lines is read, tagged and written before the next is read, so memory
+    # does not grow with the input.  A block's words are flattened into
+    # one list, with one length per line, so that one tag_block call tags
+    # them all into one flat list of tags and one render_tagged call
+    # writes them, with no tags cut per line.  The blocks are rendered
+    # without write_tagged_corpus's checks, as every token reads back: its
+    # word comes from str.split(), so it is non-empty and holds no
+    # whitespace, and its tag is a lexicon tag (a regex rule fires only
+    # with one) or a tree conclusion, each of which load_model has checked
+    # against the separator.
     with open(args.input, encoding="utf-8", newline="\n") as source, _replacing(
         args.output
     ) as sink:
         while block := list(islice(source, TAG_BLOCK_LINES)):
             lines = [line.split() for line in block]
-            tokens += sum(map(len, lines))
-            sentences += sum(map(bool, lines))
-            sink.write(
-                render_tagged(zip(lines, tagger.tag_block(lines)), model.separator)
-            )
+            lengths = list(map(len, lines))
+            words = list(chain.from_iterable(lines))
+            tokens += len(words)
+            sentences += len(lengths) - lengths.count(0)
+            tags = tagger.tag_block(words, lengths)
+            sink.write(render_tagged(words, tags, lengths, model.separator))
     print(
         f"tagged {tokens} tokens in {sentences} sentences -> {args.output}",
         file=sys.stderr,

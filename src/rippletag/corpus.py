@@ -162,22 +162,50 @@ def write_tagged_corpus(corpus: TaggedCorpus, separator: str = DEFAULT_SEPARATOR
     check_separator(separator)
     for word, tag in dict.fromkeys(corpus.tokens()):
         _check_token(word, tag, separator)
-    return render_tagged((zip(*sentence) for sentence in corpus.sentences), separator)
+    return render_tagged(
+        list(map(itemgetter(0), corpus.tokens())),
+        list(map(itemgetter(1), corpus.tokens())),
+        list(map(len, corpus.sentences)),
+        separator,
+    )
 
 
 def render_tagged(
-    sentences: Iterable[tuple[Sequence[str], Sequence[str]]], separator: str
+    words: Sequence[str], tags: Sequence[str], lengths: Sequence[int], separator: str
 ) -> str:
-    """The lines of ``(words, tags)`` pairs, unchecked: the corpus line format.
+    """The lines of a block of sentences, unchecked: the corpus line format.
 
-    Each word is joined to its tag by ``separator``, tokens by single
-    spaces, and each sentence ends with a newline.  Only callers whose
-    words and tags are known to read back may skip ``write_tagged_corpus``.
+    ``words`` and ``tags`` hold one word and one tag per token of the
+    block, in sentence order, and ``lengths`` the length of each
+    sentence, as ``Tagger.tag_block`` takes and returns them.  Each
+    word is joined to its tag by ``separator``, tokens by single spaces,
+    and each sentence ends with a newline, so an empty sentence is a
+    blank line.  Only callers whose words and tags are known to read
+    back may skip ``write_tagged_corpus``.  Raises ValueError when the
+    lengths do not add up to the number of words, or there are not as
+    many tags as words.
+
+    The text is one join of one list, which holds word, separator, tag
+    and then a space, or a line end after a sentence's last token, for
+    each token: a blank line after a token adds one more line end to
+    it, and blank lines before the first token are a prefix.
     """
-    join = separator.join
-    return "".join(
-        [" ".join(map(join, zip(words, tags))) + "\n" for words, tags in sentences]
-    )
+    n = len(words)
+    if sum(lengths) != n:
+        raise ValueError(f"sentences of {sum(lengths)} words in a block of {n}")
+    parts = [None, separator, None, " "] * n
+    parts[::4] = words
+    parts[2::4] = tags
+    blank_head = last = 0
+    for end in accumulate(lengths):
+        if end != last:
+            parts[4 * end - 1] = "\n"
+            last = end
+        elif end:
+            parts[4 * end - 1] += "\n"
+        else:
+            blank_head += 1
+    return "\n" * blank_head + "".join(parts)
 
 
 def _check_token(word: str, tag: str, separator: str) -> None:

@@ -4,9 +4,10 @@ Text is tagged a block of sentences at a time.  A block gets its first
 guesses from one call over all its tokens, and its context window,
 in which row ``r`` is token ``r``, from ``scrdr.block_columns``: the
 same window training builds.  One call of ``run_chain`` then walks the
-exception tree for every row of the window, and each sentence's tags
-are cut from that one walk by the sentence's length.  One sentence is
-a block of one.
+exception tree for every row of the window, and the block's tags are
+that walk's labels, one per token in block order, with no cut per
+sentence; ``corpus.render_tagged`` writes them with the block's words
+and sentence lengths.  One sentence is a block of one.
 
 For throughput the tree is compiled first, each node's list of
 exceptions (its chain) into one of two shapes, chosen from the chain
@@ -25,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import accumulate, chain
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -55,16 +56,17 @@ META_FILE = "model.json"
 AUDIT_FILE = "audit.jsonl"
 
 # Sentences that ``Tagger.tag_sentences``, and the `tag` command as
-# lines, tag in one block.  A block keeps two lists per line alive until
-# it is written, the line's words from str.split() and its tags, and
-# about twenty more for its window and walk: 532 containers at 256 lines
-# by ``gc.get_count()``, counted as the last sentence's tags are cut.
-# That stays below the cyclic collector's first threshold
-# (``gc.get_threshold()[0]``: 700 on Python 3.10-3.12, 2000 on 3.13),
-# so tagging a block runs no generation-0 pass over it; a 1.5M-token
-# text with blank lines makes 12 such passes on 3.10-3.12 and 2 or 3
-# on 3.13.  The block is still large enough that its per-block work is
-# shared by many sentences, and memory does not grow with the input.
+# lines, tag in one block.  In `tag` a block keeps one list per line
+# alive until it is written, the line's words from str.split(), and
+# about twenty more for its flat words, lengths and tags, its window
+# and its walk: 274 containers at 256 lines by ``gc.get_count()`` (285
+# on 3.10), counted as the walk ends.  That stays below the cyclic
+# collector's first threshold (``gc.get_threshold()[0]``: 700 on Python
+# 3.10-3.12, 2000 on 3.13), so tagging a block runs no generation-0
+# pass over it; a 1.5M-token text with blank lines makes 10 or 11 such
+# passes on 3.10-3.12 and 2 on 3.13.  The block is still large enough
+# that its per-block work is shared by many sentences, and memory does
+# not grow with the input.
 TAG_BLOCK_LINES = 256
 
 # One entry of an indexed chain: (chain position, tests after the
@@ -243,10 +245,12 @@ def run_chain(
 class Tagger:
     """Tags sentences with a model: first guesses, then tree corrections.
 
-    ``tag_block`` tags a block of sentences with one ``run_chain`` call
-    over one context window, in which row ``r`` is token ``r``;
-    ``tag_sentence`` is the block of one sentence, and ``tag_sentences``
-    tags ``TAG_BLOCK_LINES`` sentences per block.  A token's first-guess
+    ``tag_block`` tags a block of sentences, given as its words and its
+    sentence lengths, with one ``run_chain`` call over one context
+    window, in which row ``r`` is token ``r``, and returns one tag per
+    token; ``tag_sentence`` is the block of one sentence, and
+    ``tag_sentences`` tags ``TAG_BLOCK_LINES`` sentences per block and
+    cuts each sentence's tags from its block's.  A token's first-guess
     tag is its default in the walk, so a token whose first guess has no
     layer-1 node falls through the whole tree and keeps it.
     """
@@ -261,28 +265,30 @@ class Tagger:
             raise ValueError("model tree has a non-default root")
         self._compiled = compile_chain(model.tree, attrgetter("rule.conclusion"))
 
-    def tag_block(self, sentences: Sequence[list[str]]) -> list[list[str]]:
-        """The tags of each sentence, walked over one ``block_columns`` window.
+    def tag_block(self, words: list[str], lengths: Iterable[int]) -> list[str]:
+        """The tags of a block's tokens, walked over one ``block_columns`` window.
 
-        Each sentence's tags are the next ``len(sentence)`` labels of the
-        one walk.  A sentence may be empty; its tags are then empty too.
+        ``words`` holds the block's sentences one after another, and
+        ``lengths`` their lengths, in order; a length may be 0, for an
+        empty sentence.  Returns one tag per word, in the same order;
+        ``words`` is not copied.
         """
-        words = list(chain.from_iterable(sentences))
         guesses = self.initial.tag_sentence(words)
-        cols = block_columns(words, guesses, map(len, sentences))
-        walk = run_chain(self._compiled, cols, guesses)
-        return [list(islice(walk, len(sentence))) for sentence in sentences]
+        cols = block_columns(words, guesses, lengths)
+        return list(run_chain(self._compiled, cols, guesses))
 
     def tag_sentence(self, words: list[str]) -> list[str]:
         """The tags of the block of one sentence; ``words`` is not copied."""
-        guesses = self.initial.tag_sentence(words)
-        cols = block_columns(words, guesses, (len(words),))
-        return list(run_chain(self._compiled, cols, guesses))
+        return self.tag_block(words, (len(words),))
 
     def tag_sentences(self, sentences: list[list[str]]) -> TaggedCorpus:
         tags: list[list[str]] = []
         for start in range(0, len(sentences), TAG_BLOCK_LINES):
-            tags += self.tag_block(sentences[start : start + TAG_BLOCK_LINES])
+            block = sentences[start : start + TAG_BLOCK_LINES]
+            lengths = list(map(len, block))
+            flat = self.tag_block(list(chain.from_iterable(block)), lengths)
+            ends = accumulate(lengths)
+            tags += [flat[end - n : end] for n, end in zip(lengths, ends)]
         return TaggedCorpus.from_pairs(map(zip, sentences, tags))
 
 

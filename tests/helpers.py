@@ -14,6 +14,7 @@ import json
 import random
 import re
 from collections import Counter
+from itertools import islice
 from operator import itemgetter
 from types import SimpleNamespace
 from typing import Iterator, NamedTuple
@@ -301,6 +302,19 @@ def reference_tag_words(tagger, words: list[str]) -> list[str]:
     guesses = tagger.initial.tag_sentence(words)
     objects = reference_make_tag_objects(words, guesses)
     return [conclude(tree, obj) or guess for obj, guess in zip(objects, guesses)]
+
+
+def tag_block_by_sentence(tagger, sentences: list[list[str]]) -> list[list[str]]:
+    """``tagger.tag_block`` over ``sentences``, cut into one list per sentence.
+
+    The block's words are the sentences' words one after another, and
+    the flat tags are cut back by each sentence's length.
+    """
+    lengths = [len(words) for words in sentences]
+    tags = tagger.tag_block([word for words in sentences for word in words], lengths)
+    assert len(tags) == sum(lengths)
+    rest = iter(tags)
+    return [list(islice(rest, n)) for n in lengths]
 
 
 def reference_tag_text(tagger, text: str) -> str:

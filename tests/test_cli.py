@@ -209,7 +209,7 @@ class TestTag:
     ):
         # each block's lists are freed when it is written, so the
         # collector's generation-0 count stays below its threshold; blocks
-        # of 1,000 lines, about 2,000 lists each, run 11 passes over this
+        # of 1,000 lines, about 1,000 lists each, run 6 passes over this
         # text where the threshold is 700 (CPython 3.10 to 3.12)
         raw = tmp_path / "in.txt"
         raw.write_text(strip_tags(toy) * 7, encoding="utf-8")
@@ -320,6 +320,29 @@ class TestTag:
         want = reference_tag_text(Tagger(load_model(trained_dir)), text)
         assert "\n".join(got) == want
 
+    def test_every_block_size_writes_the_same_lines(
+        self, trained_dir, tmp_path, capsys, monkeypatch
+    ):
+        # a leading blank line, a run of blank lines, a whitespace-only
+        # line and a last line without "\n", at and away from block edges
+        text = (
+            "\nthe team works\n\n\n\nshe walks\n \t \nthe vet\n"
+            + "she walks\n" * 4
+            + "\nit grerneaped"
+        )
+        got = {}
+        for size in (1, 3, 256):
+            monkeypatch.setattr(cli, "TAG_BLOCK_LINES", size)
+            lines = self._tag(trained_dir, tmp_path, text.encode("utf-8"))
+            got[size] = "\n".join(lines)
+        assert got[3] == got[1] and got[256] == got[1]
+        lines = got[1].split("\n")
+        # one line per input line, each ended by "\n", blank where the input's is
+        assert lines.pop() == ""
+        assert [line == "" for line in lines] == [
+            not line.strip() for line in text.split("\n")
+        ]
+
     def test_bad_input_in_a_later_block_leaves_the_output_as_it_was(
         self, trained_dir, tmp_path, capsys, monkeypatch
     ):
@@ -332,9 +355,9 @@ class TestTag:
         out.write_bytes(b"old output\n")
         blocks = []
 
-        def counting_renderer(*args):
-            blocks.append(args)
-            return render_tagged(*args)
+        def counting_renderer(words, tags, lengths, separator):
+            blocks.append(lengths)
+            return render_tagged(words, tags, lengths, separator)
 
         monkeypatch.setattr(cli, "TAG_BLOCK_LINES", 3)
         monkeypatch.setattr(cli, "render_tagged", counting_renderer)

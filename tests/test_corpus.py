@@ -10,6 +10,7 @@ from rippletag.corpus import (
     check_separator,
     read_raw,
     read_tagged_corpus,
+    render_tagged,
     split_folds,
     write_tagged_corpus,
 )
@@ -131,6 +132,48 @@ def test_writer_fails_like_the_per_token_checks(sentences, separator):
         assert text == want
         # and whatever the writer writes reads back
         assert read_tagged_corpus(text, separator) == corpus
+
+
+# words may hold the separator, tags hold none of it
+_plain_pairs = st.tuples(
+    st.sampled_from(["a", "NN", "1/2", "a::b", "b:"]),
+    st.sampled_from(["NN", "X", "VB$"]),
+)
+
+
+@given(
+    st.lists(st.lists(_plain_pairs, max_size=3), max_size=10),
+    st.lists(st.integers(0, 10), max_size=4),
+    st.sampled_from(["/", "::"]),
+)
+# blank lines first, in a run and last; an all-blank block; one-token lines
+@example([[], [("a", "NN")], [], [], [("b:", "X")], []], [0, 1, 3, 6], "/")
+@example([[], [], [("a", "NN"), ("1/2", "X")], [], [], []], [2], "::")
+@example([[], [], []], [1], "/")
+def test_render_tagged_writes_what_the_per_token_writer_writes(
+    sentences, cuts, separator
+):
+    """The text of a corpus cut into blocks, each one ``render_tagged`` call."""
+    bounds = [0, *sorted(cut for cut in cuts if cut <= len(sentences)), len(sentences)]
+    got = ""
+    for start, end in zip(bounds, bounds[1:]):
+        block = sentences[start:end]
+        got += render_tagged(
+            [word for pairs in block for word, _ in pairs],
+            [tag for pairs in block for _, tag in pairs],
+            [len(pairs) for pairs in block],
+            separator,
+        )
+    assert got == reference_write_tagged_corpus(sentences, separator)
+
+
+def test_render_tagged_refuses_lengths_or_tags_that_do_not_fit():
+    with pytest.raises(ValueError):
+        render_tagged(["a", "b"], ["X", "Y"], [1], "/")
+    with pytest.raises(ValueError):
+        render_tagged(["a"], ["X"], [1, 1], "/")
+    with pytest.raises(ValueError):
+        render_tagged(["a", "b"], ["X"], [2], "/")
 
 
 def test_empty_sentence_rejected():

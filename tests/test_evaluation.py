@@ -152,9 +152,9 @@ class TestSpeed:
         blocks = []
 
         class Counting(Tagger):
-            def tag_block(self, sentences):
-                blocks.append(len(sentences))
-                return super().tag_block(sentences)
+            def tag_block(self, words, lengths):
+                blocks.append(len(lengths))
+                return super().tag_block(words, lengths)
 
         monkeypatch.setattr(evaluation, "TAG_BLOCK_LINES", 8)
         words = [[t.word for t in s] for s in toy.sentences[:20]]

@@ -48,6 +48,7 @@ from helpers import (
     reference_evaluate,
     reference_make_tag_objects,
     reference_tag_words,
+    tag_block_by_sentence,
     trees_equal,
 )
 
@@ -480,8 +481,20 @@ def test_a_block_tags_each_sentence_like_the_plain_walk(seed, n_rules, sentences
     tree = random_tree(random.Random(seed), n_rules, _BLOCK_POOL)
     tagger = Tagger(Model(lexicon=_BLOCK_LEXICON, tree=tree))
     want = [reference_tag_words(tagger, words) for words in sentences]
-    assert tagger.tag_block(sentences) == want
+    assert tag_block_by_sentence(tagger, sentences) == want
     assert [tagger.tag_sentence(words) for words in sentences] == want
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), _blocks())
+def test_a_flat_block_tags_like_its_sentences_one_by_one(seed, n_rules, sentences):
+    # one tag per token, in block order; empty sentences add none
+    tree = random_tree(random.Random(seed), n_rules, _BLOCK_POOL)
+    tagger = Tagger(Model(lexicon=_BLOCK_LEXICON, tree=tree))
+    flat = [word for words in sentences for word in words]
+    lengths = [len(words) for words in sentences]
+    one_by_one = [tag for words in sentences for tag in tagger.tag_sentence(words)]
+    assert tagger.tag_block(flat, lengths) == one_by_one
 
 
 @settings(deadline=None)
@@ -531,9 +544,13 @@ def test_no_context_reaches_across_a_sentence_edge():
     # one slot between the sentences would let "c" see "a" two back
     assert tagger.tag_sentence(["b", "a", "x", "c", "d"])[3] == "LEAK"
     apart = [["B", "X"], ["Z", "Y"]]
-    assert tagger.tag_block([["b", "a"], ["c", "d"]]) == apart
-    assert tagger.tag_block([["b", "a"], [], ["c", "d"]]) == [apart[0], [], apart[1]]
-    assert tagger.tag_block([["a"], ["c"], ["d"]]) == [["X"], ["Z"], ["Y"]]
+    assert tag_block_by_sentence(tagger, [["b", "a"], ["c", "d"]]) == apart
+    assert tag_block_by_sentence(tagger, [["b", "a"], [], ["c", "d"]]) == [
+        apart[0],
+        [],
+        apart[1],
+    ]
+    assert tag_block_by_sentence(tagger, [["a"], ["c"], ["d"]]) == [["X"], ["Z"], ["Y"]]
 
 
 class TestTagger:
@@ -571,9 +588,9 @@ class TestTagger:
         calls = []
 
         class Counting(Tagger):
-            def tag_block(self, sentences):
-                calls.append(len(sentences))
-                return super().tag_block(sentences)
+            def tag_block(self, words, lengths):
+                calls.append(len(lengths))
+                return super().tag_block(words, lengths)
 
         monkeypatch.setattr(tagger_module, "TAG_BLOCK_LINES", 3)
         tagger = Counting(toy_model)
@@ -676,7 +693,9 @@ class TestPersistence:
         words = [[t.word for t in s] for s in toy.sentences]
         intact = load_model(tmp_path / "intact")
         broken = load_model(tmp_path / "broken")
-        assert Tagger(broken).tag_block(words) == Tagger(intact).tag_block(words)
+        assert tag_block_by_sentence(Tagger(broken), words) == tag_block_by_sentence(
+            Tagger(intact), words
+        )
         with pytest.raises(ModelFormatError, match=re.escape(AUDIT_FILE)):
             broken.audit
         assert intact.audit == toy_model.audit
